@@ -10,10 +10,6 @@ from .core import (
     MAX_EVALUE,
     Observation,
     StepRecord,
-    fdp_global,
-    fdp_local,
-    overshoot,
-    refund_adjusted_cost,
 )
 from .schedules import (
     DEFAULT_GAMMA,
@@ -44,7 +40,6 @@ from .procedures import (
     Trajectory,
     make_procedure,
     run_stream,
-    saffron_cost,
 )
 from .calibration import (
     CalibrationSet,
@@ -81,10 +76,6 @@ __all__ = [
     "MAX_EVALUE",
     "Observation",
     "StepRecord",
-    "overshoot",
-    "refund_adjusted_cost",
-    "fdp_local",
-    "fdp_global",
     "Schedule",
     "gamma_at",
     "weight_at",
@@ -111,7 +102,6 @@ __all__ = [
     "Trajectory",
     "make_procedure",
     "run_stream",
-    "saffron_cost",
     "CalibrationSet",
     "LikelihoodRatioSpec",
     "vovk_p_to_e",

@@ -15,14 +15,6 @@ def check_open_unit(value: float, name: str) -> float:
     return value
 
 
-def check_non_negative(value: float, name: str) -> float:
-    """Validate that ``value`` is a finite real >= 0."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be a finite non-negative real, got {value!r}")
-    return value
-
-
 def check_positive_int(value, name: str) -> int:
     if value != int(value) or int(value) < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")

@@ -45,7 +45,7 @@ EVIDENCE_CHOICES = ("auto", "e", "p_conditional", "p_marginal")
 
 _COMMON_KEYS = {
     "mode", "procedure", "alpha", "gamma", "omega", "lambda", "seed",
-    "checkpoints", "decisions_out", "metrics_out", "threads",
+    "checkpoints", "decisions_out", "metrics_out",
 }
 _SIMULATE_KEYS = {"dgp", "horizon", "pi1", "rho", "mu_set", "phi0", "phi1",
                   "replicates", "evidence"}
@@ -83,7 +83,6 @@ class RunConfig:
     calibration_scores: str | None = None
     decisions_out: str | None = None
     metrics_out: str | None = None
-    threads: int | None = None
 
     def build_procedure(self) -> OnlineProcedure:
         return make_procedure(
@@ -193,8 +192,6 @@ def build_config(entries: dict[str, tuple[str, str]], mode: str | None = None) -
             setattr(cfg, attr, _to_schedule(entries[key][0], where(key), key))
     if "seed" in entries:
         cfg.seed = _to_int(entries["seed"][0], where("seed"), "seed", lo=0)
-    if "threads" in entries:
-        cfg.threads = _to_int(entries["threads"][0], where("threads"), "threads", lo=1)
     if "checkpoints" in entries:
         raw, loc = entries["checkpoints"]
         points = tuple(_to_int(part, loc, "checkpoints", lo=1)
@@ -444,7 +441,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     checkpoints = cfg.checkpoints
     report = replicate(
         dgp, procedure, n_reps=cfg.replicates, base_seed=cfg.seed,
-        checkpoints=checkpoints, evidence=evidence, n_threads=cfg.threads,
+        checkpoints=checkpoints, evidence=evidence,
     )
     if cfg.decisions_out:
         stream = generate(dgp)

@@ -1,11 +1,9 @@
-"""Domain types and the budget arithmetic shared by every testing procedure.
+"""Domain types shared by every testing procedure.
 
-The central quantity is the *overshoot*: when scaled evidence ``alpha * e``
-clears the rejection threshold 1 with room to spare, the excess
-``(alpha * e - 1)_+`` can be refunded to the error budget instead of being
-discarded.  The refund never increases a charged cost below zero, so every
-downstream false-discovery-proportion estimate built from refunded costs is
-at most the estimate built from the raw costs.
+A :class:`StepRecord` carries the step's *overshoot*: when scaled evidence
+``alpha * e`` clears the rejection threshold 1 with room to spare, the excess
+``(alpha * e - 1)_+`` is refunded to the error budget by the ``score-*``
+procedures instead of being discarded.
 """
 
 from __future__ import annotations
@@ -13,10 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
-
-from ._validation import check_non_negative, check_open_unit
 
 #: Largest representable e-value.  Calibrators and likelihood ratios clamp
 #: to this instead of returning inf so that ``alpha * e`` stays NaN-free.
@@ -83,61 +77,3 @@ class StepRecord:
             raise ValueError("overshoot and cost must be non-negative")
         if self.rejections_before < 0:
             raise ValueError("rejections_before must be non-negative")
-
-
-def overshoot(alpha: float, e: float) -> float:
-    """Excess of scaled evidence beyond the rejection threshold.
-
-    Returns ``max(alpha * e - 1, 0)``.  Zero whenever the evidence does not
-    strictly clear the threshold ``1 / alpha``.
-
-    >>> overshoot(0.025, 100.0)
-    1.5
-    """
-    alpha = check_open_unit(alpha, "alpha")
-    e = check_non_negative(e, "e")
-    return max(alpha * e - 1.0, 0.0)
-
-
-def refund_adjusted_cost(base_cost: float, overshoot: float) -> float:
-    """Charge after refunding the overshoot: ``max(base_cost - overshoot, 0)``.
-
-    Never exceeds ``base_cost``; the clamp keeps charges non-negative when
-    the refund is larger than the cost itself.
-    """
-    base_cost = check_non_negative(base_cost, "base_cost")
-    overshoot = check_non_negative(overshoot, "overshoot")
-    return max(base_cost - overshoot, 0.0)
-
-
-def fdp_local(costs, rejections_before) -> float:
-    """FDP estimate with per-step (local) denominators.
-
-    Each cost is divided by the rejection count at the time it was charged,
-    plus one: ``sum(costs[j] / (rejections_before[j] + 1))``.  The charge is
-    fixed once made and never revised by later discoveries.
-    """
-    costs = np.asarray(costs, dtype=float)
-    rej = np.asarray(rejections_before, dtype=float)
-    if costs.shape != rej.shape:
-        raise ValueError(
-            f"costs and rejections_before must have equal length, "
-            f"got {costs.shape} and {rej.shape}"
-        )
-    if costs.size == 0:
-        return 0.0
-    return float(np.sum(costs / (rej + 1.0)))
-
-
-def fdp_global(costs, current_rejections: int) -> float:
-    """FDP estimate with the current (global) denominator.
-
-    Divides the total charge by ``max(current_rejections, 1)``; every past
-    charge is retroactively rescaled as the discovery count grows.
-    """
-    costs = np.asarray(costs, dtype=float)
-    if current_rejections < 0:
-        raise ValueError("current_rejections must be non-negative")
-    if costs.size == 0:
-        return 0.0
-    return float(np.sum(costs)) / max(int(current_rejections), 1)

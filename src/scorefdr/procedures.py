@@ -3,15 +3,25 @@
 Every procedure is a single-stream state machine: given evidence for
 hypothesis t it picks a budget ``alpha_t`` from its history, decides, charges
 a cost against the error budget, and (for the refunding variants) earns back
-the overshoot.  The families differ in three orthogonal choices:
+the overshoot ``O_t = (alpha_t * e_t - 1)_+``.  One engine,
+:class:`OnlineProcedure`, runs all eleven procedures, each a rule of the four
+choices documented on the engine's class attributes:
 
-* how the budget is allocated (LOND's fixed sequence, LORD's wealth
-  recycling, SAFFRON's candidate screening),
-* whether the charged cost is refund-adjusted (``score-*``) or raw (``e-*``),
-* whether past charges are fixed at decision time (local denominator
-  ``R_{j-1} + 1``) or retroactively rescaled by the current discovery count
-  (global denominator ``R_t v 1``, the ``score-plus-*`` and ``p-lord`` /
-  ``p-saffron`` variants).
+====================  ==========  ======  ===========  ========
+procedure             allocation  cost    denominator  evidence
+====================  ==========  ======  ===========  ========
+e-lond                lond        raw     local        e
+score-lond            lond        refund  local        e
+e-lord                lord        raw     local        e
+score-lord            lord        refund  local        e
+score-plus-lord       lord        refund  global       e
+e-saffron             saffron     raw     local        e
+score-saffron         saffron     refund  local        e
+score-plus-saffron    saffron     refund  global       e
+p-lond                lond        raw     local        p
+p-lord                lord        raw     global       p
+p-saffron             saffron     raw     global       p
+====================  ==========  ======  ===========  ========
 
 The classes follow the familiar estimator protocol: construct with
 parameters, ``fit(X)`` on a full evidence array (or ``partial_fit`` to
@@ -31,13 +41,7 @@ import numpy as np
 
 from ._validation import check_evidence_array, check_open_unit, check_truth_array
 from .core import Observation, StepRecord
-from .schedules import (
-    DEFAULT_GAMMA,
-    DEFAULT_LAMBDA,
-    DEFAULT_OMEGA,
-    Schedule,
-    compile_schedule,
-)
+from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule, compile_schedule
 
 #: Tolerance below which a wealth value is treated as an implementation bug
 #: rather than rounding noise; the update rules guarantee non-negativity.
@@ -78,45 +82,29 @@ class Trajectory:
         return int(self.rejections[-1]) if len(self.alpha) else 0
 
 
-def saffron_cost(alpha_t: float, lambda_t: float, e_t: float, variant: str = "score") -> float:
-    """Candidate-screening cost for one step of a SAFFRON-type rule.
-
-    The ``baseline`` variant charges ``alpha_t / (1 - lambda_t)`` exactly when
-    the evidence misses the candidate threshold (``e_t < 1 / lambda_t``) and
-    nothing otherwise.  The ``score`` variant replaces the indicator with the
-    continuous penalty ``alpha_t * (1 - lambda_t * e_t) / (1 - lambda_t)`` and
-    additionally refunds the rejection overshoot, clamped at zero.  The score
-    cost never exceeds the baseline cost.
-    """
-    lambda_t = check_open_unit(lambda_t, "lambda_t")
-    if e_t < 0.0:
-        raise ValueError("e_t must be non-negative")
-    if variant == "baseline":
-        if e_t < 1.0 / lambda_t:
-            return alpha_t / (1.0 - lambda_t)
-        return 0.0
-    if variant == "score":
-        over = max(alpha_t * e_t - 1.0, 0.0)
-        inner = alpha_t * (1.0 - lambda_t * e_t) / (1.0 - lambda_t) - over
-        return inner if inner > 0.0 else 0.0
-    raise ValueError(f"variant must be 'baseline' or 'score', got {variant!r}")
+def _view(name: str, dtype) -> property:
+    """A fitted view: the per-step list attribute ``name`` as an array."""
+    return property(lambda self: np.asarray(getattr(self, name), dtype=dtype))
 
 
 class OnlineProcedure:
-    """Base class: bookkeeping, the estimator protocol, and the step loop.
+    """The engine: bookkeeping, the estimator protocol, and the step loop.
 
-    Subclasses provide ``next_alpha`` (the budget recurrence) and ``_consume``
-    (decision, cost, and accumulator updates for one observation).
+    ``next_alpha`` and ``_advance`` apply the rule that a subclass states in
+    ``allocation``, ``refund``, ``global_denominator`` and ``evidence_kind``,
+    with the schedules its constructor takes.
     """
 
     #: "e" for e-value procedures, "p" for p-value procedures.
     evidence_kind = "e"
     #: Stable identifier used by the registry and the command line.
     procedure_id = ""
-
-    def __init__(self, alpha: float = 0.05):
-        self.alpha = alpha
-        self.reset()
+    #: Budget allocation: "lond", "lord" or "saffron".
+    allocation = ""
+    #: Charge the refund-adjusted cost instead of the raw cost.
+    refund = False
+    #: Rescale all past charges by ``R_t v 1`` instead of fixing each at ``R_{j-1} + 1``.
+    global_denominator = False
 
     # -- parameter protocol -------------------------------------------------
 
@@ -149,6 +137,23 @@ class OnlineProcedure:
     def reset(self):
         """Discard all stream state; parameters are revalidated."""
         check_open_unit(self.alpha, "alpha")
+        # The rule is copied onto the instance: the step loop reads it several
+        # times per step, and instance attributes are the cheapest to read.
+        self._lond = self.allocation == "lond"
+        self._saffron = self.allocation == "saffron"
+        self._refund = self.refund
+        self._global = self.global_denominator
+        self._e_kind = self.evidence_kind == "e"
+        role = "gamma" if self._lond else "omega"
+        self._weight_at = compile_schedule(getattr(self, role), role=role)
+        if self._saffron:
+            self._lam_at = compile_schedule(self.lam, role="lambda")
+        # LOND's pot: alpha plus the banked refunds sum_j min(O_j, alpha_j) / (R_{j-1} + 1).
+        self._pot = self.alpha
+        # Sum of raw charges under the global denominator.
+        self._charged = 0.0
+        # The latest FDP estimate; the LORD / SAFFRON wealth is alpha minus it.
+        self._fdp_hat = 0.0
         self.t_ = 0
         self.n_rejections_ = 0
         self._alphas: list[float] = []
@@ -160,33 +165,68 @@ class OnlineProcedure:
         self._wealths: list[float] = []
         self._truths: list = []
         self._warned_large_alpha = False
-        self._init_state()
         return self
 
-    def _init_state(self):
-        """Subclass hook: reset procedure-specific accumulators."""
-
-    # -- the budget recurrence (subclass responsibility) ---------------------
+    # -- the budget recurrence ------------------------------------------------
 
     def next_alpha(self) -> float:
         """Budget that will be spent on the upcoming observation."""
-        raise NotImplementedError
+        t_next = self.t_ + 1
+        rej = self.n_rejections_
+        weight = self._weight_at(t_next, rej)
+        if self._lond:
+            return weight * (rej + 1.0) * self._pot
+        if self._saffron:
+            self._lam_t = self._lam_at(t_next, rej)
+            weight *= 1.0 - self._lam_t
+        wealth = self._checked_wealth(self.alpha - self._fdp_hat)
+        scale = float(max(rej, 1)) if self._global else rej + 1.0
+        return weight * scale * wealth
 
-    def _consume(self, alpha_t: float, evidence: float):
-        """Decide on one observation and update accumulators.
-
-        Returns ``(decision, overshoot, cost, fdp_hat, wealth)`` where
-        ``fdp_hat`` is the procedure's own estimate after this step and
-        ``wealth`` is the remaining budget (NaN when not tracked).
-        """
-        raise NotImplementedError
+    def _checked_wealth(self, wealth: float) -> float:
+        if wealth < WEALTH_UNDERFLOW_TOL:
+            raise RuntimeError(f"{self.procedure_id}: wealth underflow ({wealth!r}); the update "
+                               "rule guarantees non-negativity, so this indicates a bug")
+        return wealth if wealth > 0.0 else 0.0
 
     # -- stepping -------------------------------------------------------------
 
     def _advance(self, evidence: float):
         alpha_t = self.next_alpha()
         rb = self.n_rejections_
-        decision, over, cost, fdp, wealth = self._consume(alpha_t, evidence)
+        if self._e_kind:
+            decision = alpha_t > 0.0 and evidence >= 1.0 / alpha_t
+            over = alpha_t * evidence - 1.0
+            over = over if over > 0.0 else 0.0
+        else:
+            decision = alpha_t > 0.0 and evidence <= alpha_t
+            over = 0.0
+        if self._saffron:
+            lam = self._lam_t
+            if self._refund:
+                # Continuous candidate penalty in place of the indicator.
+                cost = alpha_t * (1.0 - lam * evidence) / (1.0 - lam) - over
+            else:
+                missed = evidence < 1.0 / lam if self._e_kind else evidence > lam
+                cost = alpha_t / (1.0 - lam) if missed else 0.0
+        else:
+            cost = alpha_t - over if self._refund else alpha_t
+        if self._refund:
+            cost = cost if cost > 0.0 else 0.0
+        if self._global:
+            self._charged += cost
+            if decision:
+                self.n_rejections_ += 1
+            fdp = self._charged / max(self.n_rejections_, 1)
+        else:
+            denom = rb + 1.0
+            fdp = self._fdp_hat + cost / denom
+            if self._lond and self._refund:
+                self._pot += (over if over < alpha_t else alpha_t) / denom
+            if decision:
+                self.n_rejections_ += 1
+        self._fdp_hat = fdp
+        wealth = math.nan if self._lond else self.alpha - fdp
         self.t_ += 1
         self._alphas.append(alpha_t)
         self._decisions.append(decision)
@@ -200,10 +240,7 @@ class OnlineProcedure:
             warnings.warn(
                 f"{self.procedure_id}: per-step budget alpha_t={alpha_t:.3g} reached 1; "
                 "the decision rule remains well defined but the budget is no longer "
-                "a probability",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+                "a probability", RuntimeWarning, stacklevel=3)
         return alpha_t, decision, over, cost, fdp, rb
 
     def step(self, observation) -> StepResult:
@@ -211,15 +248,11 @@ class OnlineProcedure:
         truth = None
         if isinstance(observation, Observation):
             if observation.kind != self.evidence_kind:
-                raise ValueError(
-                    f"{self.procedure_id} consumes {self.evidence_kind!r}-kind evidence, "
-                    f"got {observation.kind!r}"
-                )
+                raise ValueError(f"{self.procedure_id} consumes {self.evidence_kind!r}-kind "
+                                 f"evidence, got {observation.kind!r}")
             if observation.index != self.t_ + 1:
-                raise ValueError(
-                    f"out-of-order observation: expected index {self.t_ + 1}, "
-                    f"got {observation.index}"
-                )
+                raise ValueError(f"out-of-order observation: expected index {self.t_ + 1}, "
+                                 f"got {observation.index}")
             value = observation.evidence
             truth = observation.truth
         else:
@@ -265,37 +298,17 @@ class OnlineProcedure:
 
     # -- fitted views ----------------------------------------------------------
 
-    @property
-    def alpha_(self) -> np.ndarray:
-        return np.asarray(self._alphas, dtype=float)
-
-    @property
-    def decision_(self) -> np.ndarray:
-        return np.asarray(self._decisions, dtype=bool)
-
-    @property
-    def overshoot_(self) -> np.ndarray:
-        return np.asarray(self._overshoots, dtype=float)
-
-    @property
-    def cost_(self) -> np.ndarray:
-        return np.asarray(self._costs, dtype=float)
-
-    @property
-    def rejections_before_(self) -> np.ndarray:
-        return np.asarray(self._rej_before, dtype=int)
+    alpha_ = _view("_alphas", float)
+    decision_ = _view("_decisions", bool)
+    overshoot_ = _view("_overshoots", float)
+    cost_ = _view("_costs", float)
+    rejections_before_ = _view("_rej_before", int)
+    fdp_hat_ = _view("_fdp", float)
+    wealth_ = _view("_wealths", float)
 
     @property
     def rejections_(self) -> np.ndarray:
         return np.cumsum(self._decisions).astype(int)
-
-    @property
-    def fdp_hat_(self) -> np.ndarray:
-        return np.asarray(self._fdp, dtype=float)
-
-    @property
-    def wealth_(self) -> np.ndarray:
-        return np.asarray(self._wealths, dtype=float)
 
     def trajectory(self) -> Trajectory:
         truth = None
@@ -312,443 +325,154 @@ class OnlineProcedure:
             truth=truth,
         )
 
-    # -- internals --------------------------------------------------------------
 
-    def _decide_e(self, alpha_t: float, e: float) -> bool:
-        return alpha_t > 0.0 and e >= 1.0 / alpha_t
-
-    def _decide_p(self, alpha_t: float, p: float) -> bool:
-        return alpha_t > 0.0 and p <= alpha_t
-
-    def _checked_wealth(self, wealth: float) -> float:
-        if wealth < WEALTH_UNDERFLOW_TOL:
-            raise RuntimeError(
-                f"{self.procedure_id}: wealth underflow ({wealth!r}); the update rule "
-                "guarantees non-negativity, so this indicates a bug"
-            )
-        return wealth if wealth > 0.0 else 0.0
+# -- The eleven procedures: one base per allocation, one rule per class. ------
 
 
-# ---------------------------------------------------------------------------
-# LOND family: budget from a fixed discovery-spreading sequence.
-# ---------------------------------------------------------------------------
+class _LondProcedure(OnlineProcedure):
+    """LOND allocation: ``alpha_t = gamma_t * (R_{t-1} + 1) * pot``, refunds growing the pot."""
 
-
-class ELond(OnlineProcedure):
-    """Baseline e-value LOND: ``alpha_t = gamma_t * (R_{t-1} + 1) * alpha``.
-
-    Charges the full budget ``alpha_t`` as cost at every step; its FDP
-    estimate uses local denominators and equals ``alpha * sum(gamma_j)``.
-    """
-
-    evidence_kind = "e"
-    procedure_id = "e-lond"
+    allocation = "lond"
 
     def __init__(self, alpha: float = 0.05, gamma: Schedule = DEFAULT_GAMMA):
         self.alpha = alpha
         self.gamma = gamma
         self.reset()
 
-    def _init_state(self):
-        self._gamma_at = compile_schedule(self.gamma, role="gamma")
-        self._fdp_sum = 0.0
 
-    def next_alpha(self) -> float:
-        return self._gamma_at(self.t_ + 1, self.n_rejections_) * (self.n_rejections_ + 1.0) * self.alpha
+class _LordProcedure(OnlineProcedure):
+    """LORD allocation: ``alpha_t = omega_t * scale * W_t``, ``W_t = alpha - fdp_hat_{t-1}``."""
 
-    def _consume(self, alpha_t, e):
-        decision = self._decide_e(alpha_t, e)
-        over = alpha_t * e - 1.0
-        over = over if over > 0.0 else 0.0
-        self._fdp_sum += alpha_t / (self.n_rejections_ + 1.0)
-        if decision:
-            self.n_rejections_ += 1
-        return decision, over, alpha_t, self._fdp_sum, math.nan
-
-
-class ScoreLond(ELond):
-    """Refunding LOND: overshoots are banked and re-spent.
-
-    The budget recurrence multiplies ``gamma_t * (R_{t-1} + 1)`` by the
-    accrued pot ``alpha + sum_j min(O_j, alpha_j) / (R_{j-1} + 1)``, and the
-    charged cost is the refund-adjusted ``(alpha_t - O_t)_+``.  Thresholds
-    dominate e-LOND on every stream.
-    """
-
-    procedure_id = "score-lond"
-
-    def _init_state(self):
-        super()._init_state()
-        self._pot = self.alpha
-
-    def next_alpha(self) -> float:
-        return self._gamma_at(self.t_ + 1, self.n_rejections_) * (self.n_rejections_ + 1.0) * self._pot
-
-    def _consume(self, alpha_t, e):
-        decision = self._decide_e(alpha_t, e)
-        over = alpha_t * e - 1.0
-        over = over if over > 0.0 else 0.0
-        cost = alpha_t - over
-        cost = cost if cost > 0.0 else 0.0
-        denom = self.n_rejections_ + 1.0
-        self._fdp_sum += cost / denom
-        self._pot += (over if over < alpha_t else alpha_t) / denom
-        if decision:
-            self.n_rejections_ += 1
-        return decision, over, cost, self._fdp_sum, math.nan
-
-
-class PLond(OnlineProcedure):
-    """p-value LOND: same fixed-sequence budget, rejection when ``p <= alpha_t``."""
-
-    evidence_kind = "p"
-    procedure_id = "p-lond"
-
-    def __init__(self, alpha: float = 0.05, gamma: Schedule = DEFAULT_GAMMA):
-        self.alpha = alpha
-        self.gamma = gamma
-        self.reset()
-
-    def _init_state(self):
-        self._gamma_at = compile_schedule(self.gamma, role="gamma")
-        self._fdp_sum = 0.0
-
-    def next_alpha(self) -> float:
-        return self._gamma_at(self.t_ + 1, self.n_rejections_) * (self.n_rejections_ + 1.0) * self.alpha
-
-    def _consume(self, alpha_t, p):
-        decision = self._decide_p(alpha_t, p)
-        self._fdp_sum += alpha_t / (self.n_rejections_ + 1.0)
-        if decision:
-            self.n_rejections_ += 1
-        return decision, 0.0, alpha_t, self._fdp_sum, math.nan
-
-
-# ---------------------------------------------------------------------------
-# LORD family: wealth recycling with local denominators.
-# ---------------------------------------------------------------------------
-
-
-class ELord(OnlineProcedure):
-    """Baseline e-value LORD.
-
-    Maintains the wealth ``W_t = alpha - sum_j C_j / (R_{j-1} + 1)`` with
-    ``C_j = alpha_j`` and allocates ``alpha_t = omega_t * (R_{t-1} + 1) * W_t``.
-    """
-
-    evidence_kind = "e"
-    procedure_id = "e-lord"
+    allocation = "lord"
 
     def __init__(self, alpha: float = 0.05, omega: Schedule = DEFAULT_OMEGA):
         self.alpha = alpha
         self.omega = omega
         self.reset()
 
-    def _init_state(self):
-        self._omega_at = compile_schedule(self.omega, role="omega")
-        self._spent = 0.0
 
-    def next_alpha(self) -> float:
-        wealth = self._checked_wealth(self.alpha - self._spent)
-        return self._omega_at(self.t_ + 1, self.n_rejections_) * (self.n_rejections_ + 1.0) * wealth
+class _SaffronProcedure(OnlineProcedure):
+    """SAFFRON allocation: LORD's budget times ``1 - lambda_t``.
 
-    def _consume(self, alpha_t, e):
-        decision = self._decide_e(alpha_t, e)
-        over = alpha_t * e - 1.0
-        over = over if over > 0.0 else 0.0
-        self._spent += alpha_t / (self.n_rejections_ + 1.0)
-        if decision:
-            self.n_rejections_ += 1
-        return decision, over, alpha_t, self._spent, self.alpha - self._spent
+    Evidence missing the candidate threshold (``e < 1 / lambda_t``,
+    ``p > lambda_t``) is charged ``alpha_t / (1 - lambda_t)``; the refund cost
+    ``(alpha_t * (1 - lambda_t * e_t) / (1 - lambda_t) - O_t)_+`` never exceeds it.
+    """
+
+    allocation = "saffron"
+
+    def __init__(self, alpha: float = 0.05, omega: Schedule = DEFAULT_OMEGA,
+                 lam: Schedule = DEFAULT_LAMBDA):
+        self.alpha = alpha
+        self.omega = omega
+        self.lam = lam
+        self.reset()
+
+
+class ELond(_LondProcedure):
+    """Baseline e-value LOND; its FDP estimate equals ``alpha * sum(gamma_j)``."""
+
+    procedure_id = "e-lond"
+
+
+class ScoreLond(ELond):
+    """Refunding LOND: overshoots are banked and re-spent, so thresholds dominate e-LOND."""
+
+    procedure_id = "score-lond"
+    refund = True
+
+
+class ELord(_LordProcedure):
+    """Baseline e-value LORD: charges the full budget ``alpha_t`` at every step."""
+
+    procedure_id = "e-lord"
 
 
 class ScoreLord(ELord):
     """Refunding LORD: charges ``(alpha_t - O_t)_+`` instead of ``alpha_t``."""
 
     procedure_id = "score-lord"
-
-    def _consume(self, alpha_t, e):
-        decision = self._decide_e(alpha_t, e)
-        over = alpha_t * e - 1.0
-        over = over if over > 0.0 else 0.0
-        cost = alpha_t - over
-        cost = cost if cost > 0.0 else 0.0
-        self._spent += cost / (self.n_rejections_ + 1.0)
-        if decision:
-            self.n_rejections_ += 1
-        return decision, over, cost, self._spent, self.alpha - self._spent
+    refund = True
 
 
-# ---------------------------------------------------------------------------
-# SAFFRON family: candidate screening on top of wealth recycling.
-# ---------------------------------------------------------------------------
+class ScorePlusLord(_LordProcedure):
+    """Refunding LORD with retroactive wealth updates.
 
-
-class ESaffron(OnlineProcedure):
-    """Baseline e-value SAFFRON.
-
-    Evidence past the candidate threshold (``e >= 1 / lambda_t``) is free;
-    anything weaker is charged ``alpha_t / (1 - lambda_t)``.
+    Each new rejection releases budget locked by earlier charges.  Valid under
+    positive dependence between current evidence and future discovery counts,
+    e.g. independent e-values, since the rule is monotone in past rejections.
     """
 
-    evidence_kind = "e"
+    procedure_id = "score-plus-lord"
+    refund = True
+    global_denominator = True
+
+
+class ESaffron(_SaffronProcedure):
+    """Baseline e-value SAFFRON: evidence past ``1 / lambda_t`` is free."""
+
     procedure_id = "e-saffron"
-
-    def __init__(
-        self,
-        alpha: float = 0.05,
-        omega: Schedule = DEFAULT_OMEGA,
-        lam: Schedule = DEFAULT_LAMBDA,
-    ):
-        self.alpha = alpha
-        self.omega = omega
-        self.lam = lam
-        self.reset()
-
-    def _init_state(self):
-        self._omega_at = compile_schedule(self.omega, role="omega")
-        self._lam_at = compile_schedule(self.lam, role="lambda")
-        self._spent = 0.0
-        self._lam_t = math.nan
-
-    def next_alpha(self) -> float:
-        t_next = self.t_ + 1
-        rej = self.n_rejections_
-        self._lam_t = self._lam_at(t_next, rej)
-        wealth = self._checked_wealth(self.alpha - self._spent)
-        return self._omega_at(t_next, rej) * (1.0 - self._lam_t) * (rej + 1.0) * wealth
-
-    def _consume(self, alpha_t, e):
-        decision = self._decide_e(alpha_t, e)
-        over = alpha_t * e - 1.0
-        over = over if over > 0.0 else 0.0
-        lam = self._lam_t
-        cost = alpha_t / (1.0 - lam) if e < 1.0 / lam else 0.0
-        self._spent += cost / (self.n_rejections_ + 1.0)
-        if decision:
-            self.n_rejections_ += 1
-        return decision, over, cost, self._spent, self.alpha - self._spent
 
 
 class ScoreSaffron(ESaffron):
     """Refunding SAFFRON: continuous candidate penalty plus overshoot refund."""
 
     procedure_id = "score-saffron"
-
-    def _consume(self, alpha_t, e):
-        decision = self._decide_e(alpha_t, e)
-        over = alpha_t * e - 1.0
-        over = over if over > 0.0 else 0.0
-        lam = self._lam_t
-        cost = alpha_t * (1.0 - lam * e) / (1.0 - lam) - over
-        cost = cost if cost > 0.0 else 0.0
-        self._spent += cost / (self.n_rejections_ + 1.0)
-        if decision:
-            self.n_rejections_ += 1
-        return decision, over, cost, self._spent, self.alpha - self._spent
+    refund = True
 
 
-# ---------------------------------------------------------------------------
-# Global-denominator variants: retroactive wealth updates.
-# ---------------------------------------------------------------------------
-
-
-class ScorePlusLord(OnlineProcedure):
-    """Refunding LORD with retroactive wealth updates.
-
-    Past charges are rescaled by the current discovery count: the wealth is
-    ``W_t = alpha - sum_{j<t} (alpha_j - O_j)_+ / (R_{t-1} v 1)``, so each new
-    rejection releases budget locked by earlier conservative charges.  Valid
-    under positive dependence between current evidence and future discovery
-    counts (in particular under independent e-values, since the rule is
-    non-decreasing in the rejection history).
-    """
-
-    evidence_kind = "e"
-    procedure_id = "score-plus-lord"
-
-    def __init__(self, alpha: float = 0.05, omega: Schedule = DEFAULT_OMEGA):
-        self.alpha = alpha
-        self.omega = omega
-        self.reset()
-
-    def _init_state(self):
-        self._omega_at = compile_schedule(self.omega, role="omega")
-        self._cost_total = 0.0
-
-    def next_alpha(self) -> float:
-        rmax = float(max(self.n_rejections_, 1))
-        wealth = self._checked_wealth(self.alpha - self._cost_total / rmax)
-        return self._omega_at(self.t_ + 1, self.n_rejections_) * rmax * wealth
-
-    def _consume(self, alpha_t, e):
-        decision = self._decide_e(alpha_t, e)
-        over = alpha_t * e - 1.0
-        over = over if over > 0.0 else 0.0
-        cost = alpha_t - over
-        cost = cost if cost > 0.0 else 0.0
-        self._cost_total += cost
-        if decision:
-            self.n_rejections_ += 1
-        fdp = self._cost_total / max(self.n_rejections_, 1)
-        return decision, over, cost, fdp, self.alpha - fdp
-
-
-class ScorePlusSaffron(OnlineProcedure):
+class ScorePlusSaffron(_SaffronProcedure):
     """Refunding SAFFRON with retroactive wealth updates (global denominator)."""
 
-    evidence_kind = "e"
     procedure_id = "score-plus-saffron"
-
-    def __init__(
-        self,
-        alpha: float = 0.05,
-        omega: Schedule = DEFAULT_OMEGA,
-        lam: Schedule = DEFAULT_LAMBDA,
-    ):
-        self.alpha = alpha
-        self.omega = omega
-        self.lam = lam
-        self.reset()
-
-    def _init_state(self):
-        self._omega_at = compile_schedule(self.omega, role="omega")
-        self._lam_at = compile_schedule(self.lam, role="lambda")
-        self._cost_total = 0.0
-        self._lam_t = math.nan
-
-    def next_alpha(self) -> float:
-        t_next = self.t_ + 1
-        rej = self.n_rejections_
-        self._lam_t = self._lam_at(t_next, rej)
-        rmax = float(max(rej, 1))
-        wealth = self._checked_wealth(self.alpha - self._cost_total / rmax)
-        return self._omega_at(t_next, rej) * (1.0 - self._lam_t) * rmax * wealth
-
-    def _consume(self, alpha_t, e):
-        decision = self._decide_e(alpha_t, e)
-        over = alpha_t * e - 1.0
-        over = over if over > 0.0 else 0.0
-        lam = self._lam_t
-        cost = alpha_t * (1.0 - lam * e) / (1.0 - lam) - over
-        cost = cost if cost > 0.0 else 0.0
-        self._cost_total += cost
-        if decision:
-            self.n_rejections_ += 1
-        fdp = self._cost_total / max(self.n_rejections_, 1)
-        return decision, over, cost, fdp, self.alpha - fdp
+    refund = True
+    global_denominator = True
 
 
-class PLord(OnlineProcedure):
+class PLond(_LondProcedure):
+    """p-value LOND: same fixed-sequence budget, rejection when ``p <= alpha_t``."""
+
+    evidence_kind = "p"
+    procedure_id = "p-lond"
+
+
+class PLord(_LordProcedure):
     """p-value LORD with the global denominator.
 
-    Charges ``alpha_t`` per step; the rule is coordinate-wise non-decreasing
-    in the rejection history, which is what permits the retroactive
-    denominator for conditionally super-uniform p-values.
+    The rule is coordinate-wise non-decreasing in the rejection history, which
+    permits the retroactive denominator for conditionally super-uniform p-values.
     """
 
     evidence_kind = "p"
     procedure_id = "p-lord"
-
-    def __init__(self, alpha: float = 0.05, omega: Schedule = DEFAULT_OMEGA):
-        self.alpha = alpha
-        self.omega = omega
-        self.reset()
-
-    def _init_state(self):
-        self._omega_at = compile_schedule(self.omega, role="omega")
-        self._cost_total = 0.0
-
-    def next_alpha(self) -> float:
-        rmax = float(max(self.n_rejections_, 1))
-        wealth = self._checked_wealth(self.alpha - self._cost_total / rmax)
-        return self._omega_at(self.t_ + 1, self.n_rejections_) * rmax * wealth
-
-    def _consume(self, alpha_t, p):
-        decision = self._decide_p(alpha_t, p)
-        self._cost_total += alpha_t
-        if decision:
-            self.n_rejections_ += 1
-        fdp = self._cost_total / max(self.n_rejections_, 1)
-        return decision, 0.0, alpha_t, fdp, self.alpha - fdp
+    global_denominator = True
 
 
-class PSaffron(OnlineProcedure):
-    """p-value SAFFRON with the global denominator.
-
-    Charges ``alpha_t / (1 - lambda_t)`` only when the p-value misses the
-    candidate threshold (``p > lambda_t``).
-    """
+class PSaffron(_SaffronProcedure):
+    """p-value SAFFRON with the global denominator."""
 
     evidence_kind = "p"
     procedure_id = "p-saffron"
-
-    def __init__(
-        self,
-        alpha: float = 0.05,
-        omega: Schedule = DEFAULT_OMEGA,
-        lam: Schedule = DEFAULT_LAMBDA,
-    ):
-        self.alpha = alpha
-        self.omega = omega
-        self.lam = lam
-        self.reset()
-
-    def _init_state(self):
-        self._omega_at = compile_schedule(self.omega, role="omega")
-        self._lam_at = compile_schedule(self.lam, role="lambda")
-        self._cost_total = 0.0
-        self._lam_t = math.nan
-
-    def next_alpha(self) -> float:
-        t_next = self.t_ + 1
-        rej = self.n_rejections_
-        self._lam_t = self._lam_at(t_next, rej)
-        rmax = float(max(rej, 1))
-        wealth = self._checked_wealth(self.alpha - self._cost_total / rmax)
-        return self._omega_at(t_next, rej) * (1.0 - self._lam_t) * rmax * wealth
-
-    def _consume(self, alpha_t, p):
-        decision = self._decide_p(alpha_t, p)
-        cost = alpha_t / (1.0 - self._lam_t) if p > self._lam_t else 0.0
-        self._cost_total += cost
-        if decision:
-            self.n_rejections_ += 1
-        fdp = self._cost_total / max(self.n_rejections_, 1)
-        return decision, 0.0, cost, fdp, self.alpha - fdp
+    global_denominator = True
 
 
-# ---------------------------------------------------------------------------
-# Registry and stream driver.
-# ---------------------------------------------------------------------------
+# -- Registry and stream runner. ---------------------------------------------
 
 PROCEDURES: dict[str, type[OnlineProcedure]] = {
     cls.procedure_id: cls
     for cls in (
-        ELond,
-        ScoreLond,
-        ELord,
-        ScoreLord,
-        ScorePlusLord,
-        ESaffron,
-        ScoreSaffron,
-        ScorePlusSaffron,
-        PLond,
-        PLord,
-        PSaffron,
+        ELond, ScoreLond,
+        ELord, ScoreLord, ScorePlusLord,
+        ESaffron, ScoreSaffron, ScorePlusSaffron,
+        PLond, PLord, PSaffron,
     )
 }
 
 PROCEDURE_IDS = tuple(PROCEDURES)
 
 
-def make_procedure(
-    procedure_id: str,
-    alpha: float = 0.05,
-    gamma: Schedule | None = None,
-    omega: Schedule | None = None,
-    lam: Schedule | None = None,
-) -> OnlineProcedure:
+def make_procedure(procedure_id: str, alpha: float = 0.05, gamma: Schedule | None = None,
+                   omega: Schedule | None = None, lam: Schedule | None = None) -> OnlineProcedure:
     """Instantiate a procedure by id, supplying only the schedules it uses."""
     try:
         cls = PROCEDURES[procedure_id]
@@ -781,10 +505,8 @@ def run_stream(procedure: OnlineProcedure, observations) -> Trajectory:
             raise ValueError(f"observations must be indexed consecutively from 1; "
                              f"expected {pos}, got {obs.index}")
         if obs.kind != proc.evidence_kind:
-            raise ValueError(
-                f"{proc.procedure_id} consumes {proc.evidence_kind!r}-kind evidence, "
-                f"got {obs.kind!r} at index {obs.index}"
-            )
+            raise ValueError(f"{proc.procedure_id} consumes {proc.evidence_kind!r}-kind "
+                             f"evidence, got {obs.kind!r} at index {obs.index}")
         evidence.append(obs.evidence)
         truths.append(obs.truth)
     known = [v for v in truths if v is not None]

@@ -8,15 +8,12 @@ seeded with ``base_seed`` uses its own ``PCG64(base_seed + r)``, and every
 random quantity is derived from uniform draws pushed through inverse CDFs
 (``ndtri`` for normals, ``-log1p(-u) / rate`` for exponentials) in the fixed
 order documented on each generator.  Replicates are aggregated in replicate
-order regardless of the execution schedule, so reports are bit-identical
-across runs and thread counts.
+order, so reports are bit-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,9 +28,6 @@ from .calibration import (
 from .procedures import OnlineProcedure, Trajectory
 
 DGP_NAMES = ("gaussian_mixture", "ar_exponential", "ar1_gaussian")
-
-#: Environment variable holding the default worker count for replicate().
-THREADS_ENV_VAR = "SCOREFDR_THREADS"
 
 
 @dataclass(frozen=True)
@@ -252,14 +246,12 @@ def replicate(
     base_seed: int = 0,
     checkpoints=None,
     evidence: str = "auto",
-    n_threads: int | None = None,
 ) -> MetricsReport:
     """Monte-Carlo study: run ``n_reps`` independent streams and aggregate.
 
     Replicate r uses seed ``base_seed + r``.  Means and standard errors
     (sample sd over sqrt(n)) of FDP and average power are reported at the
-    requested checkpoints.  ``n_threads`` defaults to the SCOREFDR_THREADS
-    environment variable (or 1); the result does not depend on it.
+    requested checkpoints.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -273,25 +265,14 @@ def replicate(
         raise ValueError("checkpoints must be strictly increasing")
     idx = checkpoints - 1
 
-    if n_threads is None:
-        n_threads = int(os.environ.get(THREADS_ENV_VAR, "1") or "1")
-
-    configs = [replace(dgp, seed=base_seed + r) for r in range(n_reps)]
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(
-                pool.map(lambda cfg: _one_replicate(cfg, procedure, evidence, idx), configs)
-            )
-    else:
-        results = [_one_replicate(cfg, procedure, evidence, idx) for cfg in configs]
-
-    # Fixed-order aggregation keeps the report bit-identical across schedules.
+    # Fixed-order aggregation keeps the report bit-identical across runs.
     k = len(idx)
     fdp_sum = np.zeros(k)
     fdp_sq = np.zeros(k)
     pow_sum = np.zeros(k)
     pow_sq = np.zeros(k)
-    for fdp, power in results:
+    for r in range(n_reps):
+        fdp, power = _one_replicate(replace(dgp, seed=base_seed + r), procedure, evidence, idx)
         fdp_sum += fdp
         fdp_sq += fdp * fdp
         pow_sum += power

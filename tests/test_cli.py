@@ -51,6 +51,8 @@ class TestParseConfig:
     def test_unknown_key_has_line_number(self):
         with pytest.raises(ConfigError, match=r"line 3: unknown key 'budget'"):
             parse_config("mode = simulate\nprocedure = e-lord\nbudget = 2\n")
+        with pytest.raises(ConfigError, match=r"line 3: unknown key 'threads'"):
+            parse_config("mode = simulate\nprocedure = e-lord\nthreads = 2\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate key"):

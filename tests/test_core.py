@@ -4,83 +4,87 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scorefdr import (
-    Observation,
-    StepRecord,
-    fdp_global,
-    fdp_local,
-    overshoot,
-    refund_adjusted_cost,
-)
+import scorefdr as sf
+from scorefdr import Observation, StepRecord
 
 finite_nonneg = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+HALF = sf.Schedule.constant(0.5)
+
+# The overshoot, refund and FDP-estimate arithmetic lives in the engine, so
+# these tests read it off one- and two-step runs.  With a constant weight of
+# 0.5 the first budget is exactly alpha / 2.
+
+
+def first_step(pid, alpha_t, e):
+    return sf.make_procedure(pid, alpha=2.0 * alpha_t, gamma=HALF, omega=HALF).fit([e])
 
 
 def test_overshoot_examples():
-    assert overshoot(0.025, 100.0) == pytest.approx(1.5, abs=1e-12)
-    assert overshoot(0.05, 10.0) == 0.0
+    assert first_step("score-lond", 0.025, 100.0).overshoot_[0] == pytest.approx(1.5, abs=1e-12)
+    assert first_step("score-lond", 0.05, 10.0).overshoot_[0] == 0.0
     # boundary: alpha * e = 1 exactly gives zero excess
-    assert overshoot(0.1, 10.0) == 0.0
+    assert first_step("score-lond", 0.1, 10.0).overshoot_[0] == 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5, math.nan])
 def test_overshoot_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError):
-        overshoot(alpha, 2.0)
+        sf.ScoreLond(alpha=alpha)
 
 
 def test_overshoot_rejects_negative_evidence():
     with pytest.raises(ValueError):
-        overshoot(0.05, -1.0)
+        sf.ScoreLond().fit([-1.0])
+    with pytest.raises(ValueError):
+        sf.ScoreLond().step(-1.0)
 
 
 def test_refund_examples():
-    assert refund_adjusted_cost(0.05, 0.0) == 0.05
-    assert refund_adjusted_cost(0.05, 0.1) == 0.0
+    assert first_step("score-lord", 0.05, 1.0).cost_[0] == 0.05
+    assert first_step("score-lord", 0.05, 22.0).cost_[0] == 0.0
     # step 1 of the strong-rejection worked trace: refund swamps the charge
-    assert refund_adjusted_cost(0.0025, 1.5) == 0.0
+    assert sf.ScoreLord().fit([1000.0]).cost_[0] == 0.0
 
 
 @settings(deadline=None)
-@given(cost=finite_nonneg, over=finite_nonneg)
-def test_refund_never_exceeds_cost(cost, over):
-    adjusted = refund_adjusted_cost(cost, over)
-    assert 0.0 <= adjusted <= cost
+@given(alpha=st.floats(min_value=1e-6, max_value=0.99), e=finite_nonneg)
+def test_refund_never_exceeds_cost(alpha, e):
+    score = sf.ScoreLord(alpha=alpha).fit([e])
+    base = sf.ELord(alpha=alpha).fit([e])
+    assert score.alpha_[0] == base.alpha_[0]
+    assert 0.0 <= score.cost_[0] <= base.cost_[0]
 
 
 def test_fdp_local_examples():
-    assert fdp_local([], []) == 0.0
-    assert fdp_local([0.025], [0]) == 0.025
-    assert fdp_local([0.025, 0.0375], [0, 1]) == pytest.approx(0.04375, abs=1e-15)
-
-
-def test_fdp_local_length_mismatch():
-    with pytest.raises(ValueError, match="equal length"):
-        fdp_local([0.1, 0.2], [0])
+    assert sf.ELond().fit([100.0]).fdp_hat_[0] == pytest.approx(0.025, abs=1e-15)
+    # costs 0.025 then 0.025 / (R_1 + 1) with R_1 = 1
+    assert sf.ELond().fit([100.0, 1.0]).fdp_hat_[1] == pytest.approx(0.0375, abs=1e-15)
+    rng = np.random.default_rng(4)
+    e = np.exp(3.0 * rng.standard_normal(300))
+    for pid in ("e-lond", "score-lond", "e-lord", "score-lord", "e-saffron", "score-saffron"):
+        proc = sf.make_procedure(pid).fit(e)
+        expected = np.cumsum(proc.cost_ / (proc.rejections_before_ + 1.0))
+        assert np.allclose(proc.fdp_hat_, expected, rtol=1e-12, atol=1e-15), pid
 
 
 @settings(deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=30))
-def test_fdp_local_zero_rejections_is_plain_sum(costs):
-    assert fdp_local(costs, [0] * len(costs)) == pytest.approx(sum(costs), rel=1e-12, abs=1e-12)
+def test_fdp_local_zero_rejections_is_plain_sum(e):
+    proc = sf.ELord().fit(e)
+    assert not proc.decision_.any()
+    final = proc.fdp_hat_[-1] if e else 0.0
+    assert final == pytest.approx(proc.cost_.sum(), rel=1e-12, abs=1e-12)
 
 
 def test_fdp_global_examples():
-    assert fdp_global([0.05], 0) == 0.05
-    assert fdp_global([0.05, 0.05], 2) == pytest.approx(0.05, abs=1e-15)
-    assert fdp_global([], 5) == 0.0
-
-
-def test_fdp_global_nonincreasing_in_rejections():
-    rng = np.random.default_rng(0)
-    costs = rng.random(20)
-    values = [fdp_global(costs, r) for r in range(10)]
-    assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-def test_fdp_global_rejects_negative_count():
-    with pytest.raises(ValueError):
-        fdp_global([0.1], -1)
+    assert sf.PLord().fit([1.0]).fdp_hat_[0] == pytest.approx(0.0025, abs=1e-15)
+    rng = np.random.default_rng(5)
+    e = np.exp(3.0 * rng.standard_normal(300))
+    p = rng.random(300) ** 4
+    for pid in ("score-plus-lord", "score-plus-saffron", "p-lord", "p-saffron"):
+        proc = sf.make_procedure(pid).fit(p if pid.startswith("p-") else e)
+        expected = np.cumsum(proc.cost_) / np.maximum(proc.rejections_, 1)
+        assert np.allclose(proc.fdp_hat_, expected, rtol=1e-12, atol=1e-15), pid
 
 
 def test_indicator_bound_on_grid():

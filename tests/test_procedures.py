@@ -73,20 +73,22 @@ def test_unit_pvalues_never_reject():
 
 
 class TestSaffronCost:
+    # One-step runs: omega = 0.5 and lambda = 0.5 make the first budget alpha / 4.
+    @staticmethod
+    def first_cost(pid, alpha_t, e):
+        proc = sf.make_procedure(pid, alpha=4.0 * alpha_t, omega=sf.Schedule.constant(0.5),
+                                 lam=sf.Schedule.constant(0.5))
+        return proc.fit([e]).cost_[0]
+
     def test_examples(self):
-        assert sf.saffron_cost(0.01, 0.5, 0.4, "score") == pytest.approx(0.016, abs=1e-15)
-        assert sf.saffron_cost(0.01, 0.5, 2.0, "score") == 0.0
-        assert sf.saffron_cost(0.01, 0.5, 0.4, "baseline") == pytest.approx(0.02, abs=1e-15)
+        assert self.first_cost("score-saffron", 0.01, 0.4) == pytest.approx(0.016, abs=1e-15)
+        assert self.first_cost("score-saffron", 0.01, 2.0) == 0.0
+        assert self.first_cost("e-saffron", 0.01, 0.4) == pytest.approx(0.02, abs=1e-15)
 
     def test_lambda_domain(self):
-        with pytest.raises(ValueError):
-            sf.saffron_cost(0.01, 1.0, 0.4)
-        with pytest.raises(ValueError):
-            sf.saffron_cost(0.01, 0.0, 0.4)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            sf.saffron_cost(0.01, 0.5, 0.4, "other")
+        for lam in (1.0, 0.0):
+            with pytest.raises(ValueError):
+                sf.ScoreSaffron(lam=sf.Schedule("constant", (lam,)))
 
     @settings(deadline=None)
     @given(
@@ -95,9 +97,15 @@ class TestSaffronCost:
         e=st.floats(min_value=0.0, max_value=1e9),
     )
     def test_score_never_exceeds_baseline(self, alpha, lam, e):
-        score = sf.saffron_cost(alpha, lam, e, "score")
-        baseline = sf.saffron_cost(alpha, lam, e, "baseline")
-        assert 0.0 <= score <= baseline
+        lam_schedule = sf.Schedule.constant(lam)
+        score = sf.ScoreSaffron(alpha=alpha, lam=lam_schedule).fit([e])
+        base = sf.ESaffron(alpha=alpha, lam=lam_schedule).fit([e])
+        alpha_t = base.alpha_[0]
+        assert score.alpha_[0] == alpha_t
+        # At e = 1 / lambda the continuous penalty is 0 up to the rounding of
+        # 1 - lambda * e, while the indicator charge is exactly 0.
+        rounding = 4.0 * np.finfo(float).eps * alpha_t / (1.0 - lam)
+        assert 0.0 <= score.cost_[0] <= base.cost_[0] + rounding
 
 
 def test_estimator_bound_random_streams():

@@ -142,20 +142,14 @@ class TestReplicate:
         assert report.power[1] == power[399]
         assert (report.fdr_se == 0).all() and report.n_reps == 1
 
-    def test_bit_identical_across_thread_counts(self):
+    def test_bit_identical_across_calls(self):
         proc = build("score-plus-saffron")
         kw = dict(n_reps=12, base_seed=5, checkpoints=[200, 400])
-        one = sf.replicate(GM, proc, n_threads=1, **kw)
-        two = sf.replicate(GM, proc, n_threads=2, **kw)
-        again = sf.replicate(GM, proc, n_threads=1, **kw)
-        for a, b in ((one, two), (one, again)):
-            assert np.array_equal(a.fdr, b.fdr) and np.array_equal(a.fdr_se, b.fdr_se)
-            assert np.array_equal(a.power, b.power) and np.array_equal(a.power_se, b.power_se)
-
-    def test_threads_env_var(self, monkeypatch):
-        monkeypatch.setenv("SCOREFDR_THREADS", "2")
-        report = sf.replicate(GM, build("e-lord"), n_reps=4, base_seed=1, checkpoints=[400])
-        assert report.n_reps == 4
+        one = sf.replicate(GM, proc, **kw)
+        again = sf.replicate(GM, proc, **kw)
+        assert np.array_equal(one.fdr, again.fdr) and np.array_equal(one.fdr_se, again.fdr_se)
+        assert np.array_equal(one.power, again.power)
+        assert np.array_equal(one.power_se, again.power_se)
 
     def test_checkpoint_validation(self):
         with pytest.raises(ValueError, match="checkpoints"):
