@@ -41,7 +41,13 @@ import numpy as np
 
 from ._validation import check_evidence_array, check_open_unit, check_truth_array
 from .core import Observation, StepRecord
-from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule, compile_schedule
+from .schedules import (
+    DEFAULT_GAMMA,
+    DEFAULT_LAMBDA,
+    DEFAULT_OMEGA,
+    Schedule,
+    compile_schedule,
+)
 
 #: Tolerance below which a wealth value is treated as an implementation bug
 #: rather than rounding noise; the update rules guarantee non-negativity.
@@ -185,8 +191,10 @@ class OnlineProcedure:
 
     def _checked_wealth(self, wealth: float) -> float:
         if wealth < WEALTH_UNDERFLOW_TOL:
-            raise RuntimeError(f"{self.procedure_id}: wealth underflow ({wealth!r}); the update "
-                               "rule guarantees non-negativity, so this indicates a bug")
+            raise RuntimeError(
+                f"{self.procedure_id}: wealth underflow ({wealth!r}); the update rule "
+                "guarantees non-negativity, so this indicates a bug"
+            )
         return wealth if wealth > 0.0 else 0.0
 
     # -- stepping -------------------------------------------------------------
@@ -203,12 +211,16 @@ class OnlineProcedure:
             over = 0.0
         if self._saffron:
             lam = self._lam_t
-            if self._refund:
+            candidate = evidence >= 1.0 / lam if self._e_kind else evidence <= lam
+            if candidate:
+                # Free under both costs, even where 1 - lam * e rounds above 0
+                # at e = fl(1 / lam): the continuous penalty is <= 0 here.
+                cost = 0.0
+            elif self._refund:
                 # Continuous candidate penalty in place of the indicator.
                 cost = alpha_t * (1.0 - lam * evidence) / (1.0 - lam) - over
             else:
-                missed = evidence < 1.0 / lam if self._e_kind else evidence > lam
-                cost = alpha_t / (1.0 - lam) if missed else 0.0
+                cost = alpha_t / (1.0 - lam)
         else:
             cost = alpha_t - over if self._refund else alpha_t
         if self._refund:
@@ -240,7 +252,10 @@ class OnlineProcedure:
             warnings.warn(
                 f"{self.procedure_id}: per-step budget alpha_t={alpha_t:.3g} reached 1; "
                 "the decision rule remains well defined but the budget is no longer "
-                "a probability", RuntimeWarning, stacklevel=3)
+                "a probability",
+                RuntimeWarning,
+                stacklevel=3,
+            )
         return alpha_t, decision, over, cost, fdp, rb
 
     def step(self, observation) -> StepResult:
@@ -248,11 +263,15 @@ class OnlineProcedure:
         truth = None
         if isinstance(observation, Observation):
             if observation.kind != self.evidence_kind:
-                raise ValueError(f"{self.procedure_id} consumes {self.evidence_kind!r}-kind "
-                                 f"evidence, got {observation.kind!r}")
+                raise ValueError(
+                    f"{self.procedure_id} consumes {self.evidence_kind!r}-kind evidence, "
+                    f"got {observation.kind!r}"
+                )
             if observation.index != self.t_ + 1:
-                raise ValueError(f"out-of-order observation: expected index {self.t_ + 1}, "
-                                 f"got {observation.index}")
+                raise ValueError(
+                    f"out-of-order observation: expected index {self.t_ + 1}, "
+                    f"got {observation.index}"
+                )
             value = observation.evidence
             truth = observation.truth
         else:
@@ -356,7 +375,8 @@ class _SaffronProcedure(OnlineProcedure):
 
     Evidence missing the candidate threshold (``e < 1 / lambda_t``,
     ``p > lambda_t``) is charged ``alpha_t / (1 - lambda_t)``; the refund cost
-    ``(alpha_t * (1 - lambda_t * e_t) / (1 - lambda_t) - O_t)_+`` never exceeds it.
+    ``(alpha_t * (1 - lambda_t * e_t) / (1 - lambda_t) - O_t)_+`` never exceeds it,
+    and candidates are free under both.
     """
 
     allocation = "saffron"
@@ -461,18 +481,30 @@ class PSaffron(_SaffronProcedure):
 PROCEDURES: dict[str, type[OnlineProcedure]] = {
     cls.procedure_id: cls
     for cls in (
-        ELond, ScoreLond,
-        ELord, ScoreLord, ScorePlusLord,
-        ESaffron, ScoreSaffron, ScorePlusSaffron,
-        PLond, PLord, PSaffron,
+        ELond,
+        ScoreLond,
+        ELord,
+        ScoreLord,
+        ScorePlusLord,
+        ESaffron,
+        ScoreSaffron,
+        ScorePlusSaffron,
+        PLond,
+        PLord,
+        PSaffron,
     )
 }
 
 PROCEDURE_IDS = tuple(PROCEDURES)
 
 
-def make_procedure(procedure_id: str, alpha: float = 0.05, gamma: Schedule | None = None,
-                   omega: Schedule | None = None, lam: Schedule | None = None) -> OnlineProcedure:
+def make_procedure(
+    procedure_id: str,
+    alpha: float = 0.05,
+    gamma: Schedule | None = None,
+    omega: Schedule | None = None,
+    lam: Schedule | None = None,
+) -> OnlineProcedure:
     """Instantiate a procedure by id, supplying only the schedules it uses."""
     try:
         cls = PROCEDURES[procedure_id]
@@ -505,8 +537,10 @@ def run_stream(procedure: OnlineProcedure, observations) -> Trajectory:
             raise ValueError(f"observations must be indexed consecutively from 1; "
                              f"expected {pos}, got {obs.index}")
         if obs.kind != proc.evidence_kind:
-            raise ValueError(f"{proc.procedure_id} consumes {proc.evidence_kind!r}-kind "
-                             f"evidence, got {obs.kind!r} at index {obs.index}")
+            raise ValueError(
+                f"{proc.procedure_id} consumes {proc.evidence_kind!r}-kind evidence, "
+                f"got {obs.kind!r} at index {obs.index}"
+            )
         evidence.append(obs.evidence)
         truths.append(obs.truth)
     known = [v for v in truths if v is not None]

@@ -102,10 +102,16 @@ class TestSaffronCost:
         base = sf.ESaffron(alpha=alpha, lam=lam_schedule).fit([e])
         alpha_t = base.alpha_[0]
         assert score.alpha_[0] == alpha_t
-        # At e = 1 / lambda the continuous penalty is 0 up to the rounding of
-        # 1 - lambda * e, while the indicator charge is exactly 0.
-        rounding = 4.0 * np.finfo(float).eps * alpha_t / (1.0 - lam)
-        assert 0.0 <= score.cost_[0] <= base.cost_[0] + rounding
+        assert 0.0 <= score.cost_[0] <= base.cost_[0]
+
+    @pytest.mark.parametrize("lam", [0.41, 0.47, 0.5, 0.72])
+    def test_candidate_threshold_is_free(self, lam):
+        # For 0.41, 0.47 and 0.72, lam * (1.0 / lam) rounds below 1, so the
+        # continuous penalty alone would charge a few ulp at e = 1.0 / lam.
+        lam_schedule = sf.Schedule.constant(lam)
+        for pid in ("e-saffron", "score-saffron", "score-plus-saffron"):
+            proc = sf.make_procedure(pid, alpha=0.05, lam=lam_schedule).fit([1.0 / lam])
+            assert proc.cost_[0] == 0.0, pid
 
 
 def test_estimator_bound_random_streams():
