@@ -18,13 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationSet, conformal_evalue, vovk_p_to_e
-from .core import Observation
 from .procedures import (
     PROCEDURE_IDS,
     OnlineProcedure,
     Trajectory,
     make_procedure,
-    run_stream,
 )
 from .reference import naive_trajectory, trace_divergence
 from .schedules import Schedule
@@ -283,14 +281,17 @@ def ingest_stream(
     path: str,
     calibrator: str = "none",
     calibration: CalibrationSet | None = None,
-) -> list[Observation]:
+) -> tuple[np.ndarray, str, np.ndarray | None]:
     """Read an evidence stream from CSV, applying the chosen calibrator.
 
     The file must have a header with exactly one evidence column among
     ``p`` (p-values in (0, 1]), ``e`` (non-negative e-values), and ``score``
     (non-negative raw scores, conformal calibration only).  Optional columns:
-    ``index`` (must then run 1..T in file order) and ``truth`` (0/1).
-    Malformed rows are hard errors naming the row.
+    ``index`` (must then run 1..T in file order) and ``truth`` (0/1, on
+    every row or on none).  Malformed rows are hard errors naming the row.
+    Returns ``(evidence, kind, truth)``: the calibrated evidence array, its
+    kind (``"p"`` for a ``p`` column under ``calibrator="none"``, else
+    ``"e"``) and the boolean truth array, or None when no row is labelled.
     """
     if calibrator not in CALIBRATORS:
         raise ConfigError(f"unknown calibrator {calibrator!r}")
@@ -313,86 +314,100 @@ def ingest_stream(
         if calibrator == "conformal" and calibration is None:
             raise ConfigError("conformal calibration needs a calibration set")
 
-        observations: list[Observation] = []
+        values: list[float] = []
+        labels: list[str] = []
         for rownum, row in enumerate(reader, start=2):
-            position = len(observations) + 1
             where = f"{path} row {rownum}"
             if "index" in header:
                 idx = _to_int(row["index"], where, "index", lo=1)
-                if idx != position:
-                    _fail(where, f"index must run 1..T in file order; expected {position}, got {idx}")
+                if idx != rownum - 1:
+                    _fail(where, f"index must run 1..T in file order; expected {rownum - 1}, got {idx}")
             try:
                 value = float(row[col])
             except (TypeError, ValueError):
                 _fail(where, f"bad {col} value {row[col]!r}")
             if not math.isfinite(value):
                 _fail(where, f"{col} must be finite, got {value!r}")
-            truth = None
-            if "truth" in header and row["truth"] not in (None, ""):
-                if row["truth"] not in ("0", "1"):
-                    _fail(where, f"truth must be 0 or 1, got {row['truth']!r}")
-                truth = row["truth"] == "1"
+            label = row.get("truth") or ""
+            if label not in ("", "0", "1"):
+                _fail(where, f"truth must be 0 or 1, got {label!r}")
 
             if col == "p":
                 if not (0.0 < value <= 1.0):
                     _fail(where, f"p-value out of (0, 1]: {value!r}")
-                if calibrator == "vovk":
-                    obs = Observation(position, vovk_p_to_e(value), kind="e", truth=truth)
-                else:
-                    obs = Observation(position, value, kind="p", truth=truth)
             elif col == "e":
                 if value < 0.0:
                     _fail(where, f"negative e-value: {value!r}")
-                obs = Observation(position, value, kind="e", truth=truth)
-            else:
-                if value < 0.0:
-                    _fail(where, f"negative score: {value!r}")
-                obs = Observation(position, conformal_evalue(value, calibration),
-                                  kind="e", truth=truth)
-            observations.append(obs)
-    return observations
+            elif value < 0.0:
+                _fail(where, f"negative score: {value!r}")
+            values.append(value)
+            labels.append(label)
+
+    truth = None
+    if any(labels):
+        if "" in labels:
+            _fail(f"{path} row {labels.index('') + 2}", "truth is blank; label every row or none")
+        truth = np.asarray(labels) == "1"
+    evidence = np.asarray(values, dtype=float)
+    if calibrator == "vovk":
+        evidence = vovk_p_to_e(evidence)
+    elif calibrator == "conformal":
+        evidence = conformal_evalue(evidence, calibration)
+    return evidence, "p" if calibrator == "none" and col == "p" else "e", truth
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _load_stream(cfg: RunConfig, procedure: OnlineProcedure):
+    """The evidence and truth arrays ``cfg`` names, checked against ``procedure``."""
+    calibration = None
+    if cfg.calibrator == "conformal":
+        calibration = _load_calibration_scores(cfg.calibration_scores)
+    evidence, kind, truth = ingest_stream(cfg.input, cfg.calibrator, calibration)
+    if not len(evidence):
+        raise ConfigError(f"{cfg.input}: no data rows")
+    if kind != procedure.evidence_kind:
+        raise ConfigError(
+            f"{cfg.procedure} consumes {procedure.evidence_kind!r} evidence, but "
+            f"calibrator={cfg.calibrator} on {cfg.input} gives {kind!r} evidence"
+        )
+    return evidence, truth
 
 
-def emit_decisions(trajectory: Trajectory, path: str) -> None:
-    """Write the per-step decision ledger as CSV (17 significant digits)."""
+def _fmt(column):
+    return (format(value, ".17g") for value in np.asarray(column, dtype=float).tolist())
+
+
+def _write_csv(path: str, what: str, header, rows) -> None:
     try:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(DECISIONS_HEADER)
-            for i in range(len(trajectory)):
-                writer.writerow([
-                    i + 1,
-                    _fmt(trajectory.alpha[i]),
-                    int(trajectory.decision[i]),
-                    _fmt(trajectory.overshoot[i]),
-                    _fmt(trajectory.cost[i]),
-                    int(trajectory.rejections[i]),
-                    _fmt(trajectory.fdp_hat[i]),
-                ])
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
-        raise OSError(f"cannot write decisions to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def emit_decisions(trajectory: Trajectory, path: str) -> None:
+    """Write the per-step decision ledger as CSV (17 significant digits), a row at a time."""
+    _write_csv(path, "decisions", DECISIONS_HEADER, zip(
+        range(1, len(trajectory) + 1),
+        _fmt(trajectory.alpha),
+        trajectory.decision.astype(int).tolist(),
+        _fmt(trajectory.overshoot),
+        _fmt(trajectory.cost),
+        trajectory.rejections.astype(int).tolist(),
+        _fmt(trajectory.fdp_hat),
+    ))
 
 
 def emit_metrics(report: MetricsReport, path: str) -> None:
     """Write the aggregated FDR / power curves as CSV."""
-    try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(METRICS_HEADER)
-            for i, t in enumerate(report.checkpoints):
-                writer.writerow([
-                    int(t),
-                    _fmt(report.fdr[i]),
-                    _fmt(report.fdr_se[i]),
-                    _fmt(report.power[i]),
-                    _fmt(report.power_se[i]),
-                ])
-    except OSError as exc:
-        raise OSError(f"cannot write metrics to {path}: {exc}") from exc
+    _write_csv(path, "metrics", METRICS_HEADER, zip(
+        np.asarray(report.checkpoints, dtype=int).tolist(),
+        _fmt(report.fdr),
+        _fmt(report.fdr_se),
+        _fmt(report.power),
+        _fmt(report.power_se),
+    ))
 
 
 def read_decisions(path: str) -> dict[str, np.ndarray]:
@@ -457,14 +472,8 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_ingest(cfg: RunConfig) -> int:
-    calibration = None
-    if cfg.calibrator == "conformal":
-        calibration = _load_calibration_scores(cfg.calibration_scores)
-    observations = ingest_stream(cfg.input, cfg.calibrator, calibration)
-    if not observations:
-        raise ConfigError(f"{cfg.input}: no data rows")
     procedure = cfg.build_procedure()
-    trajectory = run_stream(procedure, observations)
+    trajectory = procedure.fit(*_load_stream(cfg, procedure)).trajectory()
     if cfg.decisions_out:
         emit_decisions(trajectory, cfg.decisions_out)
     if cfg.metrics_out:
@@ -483,17 +492,7 @@ def _cmd_ingest(cfg: RunConfig) -> int:
 def _cmd_oracle_check(cfg: RunConfig, tol: float) -> int:
     procedure = cfg.build_procedure()
     if cfg.mode == "ingest":
-        calibration = None
-        if cfg.calibrator == "conformal":
-            calibration = _load_calibration_scores(cfg.calibration_scores)
-        observations = ingest_stream(cfg.input, cfg.calibrator, calibration)
-        evidence = np.asarray([obs.evidence for obs in observations])
-        kinds = {obs.kind for obs in observations}
-        if kinds != {procedure.evidence_kind}:
-            raise ConfigError(
-                f"{cfg.procedure} consumes {procedure.evidence_kind!r} evidence, "
-                f"input carries {sorted(kinds)}"
-            )
+        evidence, _ = _load_stream(cfg, procedure)
     else:
         stream = generate(cfg.build_dgp())
         evidence = stream.evidence(resolve_evidence(procedure, cfg.evidence))

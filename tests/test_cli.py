@@ -1,3 +1,7 @@
+import hashlib
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,20 +113,20 @@ def _write_csv(path, header, rows):
 class TestIngest:
     def test_pvalues_with_vovk(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "p", ["0.05", "0.5"])
-        obs = ingest_stream(path, calibrator="vovk")
-        assert [o.kind for o in obs] == ["e", "e"]
-        assert obs[0].evidence == pytest.approx(1.7833, abs=1e-3)
+        evidence, kind, truth = ingest_stream(path, calibrator="vovk")
+        assert kind == "e" and len(evidence) == 2 and truth is None
+        assert evidence[0] == pytest.approx(1.7833, abs=1e-3)
 
     def test_pvalues_passthrough(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "p,truth", ["0.05,1", "0.5,0"])
-        obs = ingest_stream(path)
-        assert [o.kind for o in obs] == ["p", "p"]
-        assert obs[0].truth is True and obs[1].truth is False
+        evidence, kind, truth = ingest_stream(path)
+        assert kind == "p" and len(evidence) == 2
+        assert truth.tolist() == [True, False]
 
     def test_evalues_passthrough(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "index,e", ["1,4.0", "2,0.2"])
-        obs = ingest_stream(path)
-        assert [o.evidence for o in obs] == [4.0, 0.2]
+        evidence, kind, _ = ingest_stream(path)
+        assert kind == "e" and evidence.tolist() == [4.0, 0.2]
 
     def test_p_out_of_range_names_row(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "p", ["0.05", "1.2"])
@@ -142,6 +146,14 @@ class TestIngest:
     def test_non_binary_truth(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "p,truth", ["0.4,yes"])
         with pytest.raises(ConfigError, match="truth must be 0 or 1"):
+            ingest_stream(path)
+
+    def test_partial_truth_names_first_blank_row(self, tmp_path):
+        path = _write_csv(tmp_path / "s.csv", "p,truth", ["0.4,1", "0.3,", "0.2,0", "0.1,"])
+        with pytest.raises(ConfigError, match=r"s\.csv row 3: truth is blank"):
+            ingest_stream(path)
+        path = _write_csv(tmp_path / "t.csv", "p,truth", ["0.4,", "0.3,1"])
+        with pytest.raises(ConfigError, match=r"t\.csv row 2: truth is blank"):
             ingest_stream(path)
 
     def test_non_numeric_evidence(self, tmp_path):
@@ -175,8 +187,8 @@ class TestIngest:
     def test_conformal_conversion(self, tmp_path):
         path = _write_csv(tmp_path / "sc.csv", "score", ["1.0"])
         cal = sf.CalibrationSet([0.0, 0.0, 0.0])
-        obs = ingest_stream(path, calibrator="conformal", calibration=cal)
-        assert obs[0].kind == "e" and obs[0].evidence == pytest.approx(4.0)
+        evidence, kind, _ = ingest_stream(path, calibrator="conformal", calibration=cal)
+        assert kind == "e" and evidence[0] == pytest.approx(4.0)
 
 
 class TestReports:
@@ -313,6 +325,19 @@ class TestMain:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [["ingest"], ["oracle-check", "--mode", "ingest"]],
+                             ids=["ingest", "oracle-check"])
+    @pytest.mark.parametrize("rows,procedure,message", [
+        ([], "p-lord", r"in\.csv: no data rows"),
+        (["0.01", "0.5"], "e-lord",
+         r"e-lord consumes 'e' evidence, but calibrator=none on .*in\.csv gives 'p'"),
+    ], ids=["header-only", "kind-mismatch"])
+    def test_load_errors_shared(self, tmp_path, capsys, command, rows, procedure, message):
+        stream = _write_csv(tmp_path / "in.csv", "p", rows)
+        rc = main(command + ["--input", stream, "--procedure", procedure])
+        assert rc == 2
+        assert re.search(message, capsys.readouterr().err)
+
     def test_validation_error_exit_code(self, capsys):
         rc = main(["simulate", "--procedure", "score-lord", "--alpha", "1.5"])
         assert rc == 2
@@ -324,3 +349,67 @@ class TestMain:
                    "--input", str(tmp_path / "absent.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+DATA = Path(__file__).parent / "data"
+
+#: SHA-256 of the files ``scorefdr ingest`` writes, and of the generated
+#: score and calibration inputs they are computed from.
+OUTPUT_BYTES = {
+    "vovk/score-lord/decisions":
+        "c9e8d18a2ed296c4a9f4dccab27605ab9cc799583ccdd3109c9600e84d31fd25",
+    "none/p-saffron/decisions":
+        "fb5b7cc9044bce1925dde12f79b4456186cde8ef8b3e3f88a21a51f38173b52a",
+    "conformal/score-plus-lord/scores":
+        "65b15d027ce8eb0167863e938ed6be2345da9e35f54c75a3ee89019f70012ae2",
+    "conformal/score-plus-lord/calibration":
+        "c6c8b89f68b6493d4d8c742ba4f665f7bb27559c5f0c282f9c86a4880a9c3336",
+    "conformal/score-plus-lord/decisions":
+        "8dbe38d5f5f43fec27da043a8727bfdc94907fca88b42d987c0e76932b0a8040",
+    "conformal/score-plus-lord/metrics":
+        "b4d45c8bcdec033d39a96f67a7bcdd3cb2723abf5e0409f7edf74dedcd6c8239",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _write_conformal_inputs(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(20261018))
+    truth = rng.random(2000) < 0.2
+    scores = -np.log1p(-rng.random(2000)) * np.where(truth, 2000.0, 1.0)
+    calibration = -np.log1p(-rng.random(1000))
+    scores_path = _write_csv(
+        tmp_path / "scores.csv", "score,truth",
+        [f"{s:.17g},{int(t)}" for s, t in zip(scores.tolist(), truth.tolist())])
+    cal_path = _write_csv(tmp_path / "cal.csv", "score",
+                          [f"{s:.17g}" for s in calibration.tolist()])
+    return scores_path, cal_path
+
+
+class TestOutputBytes:
+    """The decisions and metrics CSVs that ``ingest`` writes, byte for byte:
+    ``%.17g`` reals, ``\\r\\n`` line ends and the column order."""
+
+    @pytest.mark.parametrize("calibrator,pid", [("vovk", "score-lord"),
+                                                ("none", "p-saffron")])
+    def test_synthetic_pvalues(self, tmp_path, calibrator, pid):
+        out = tmp_path / "d.csv"
+        assert main(["ingest", "--input", str(DATA / "synthetic_pvalues.csv"),
+                     "--calibrator", calibrator, "--procedure", pid,
+                     "--decisions-out", str(out)]) == 0
+        assert _sha256(out) == OUTPUT_BYTES[f"{calibrator}/{pid}/decisions"]
+
+    def test_conformal_with_metrics(self, tmp_path):
+        scores, cal = _write_conformal_inputs(tmp_path)
+        key = "conformal/score-plus-lord"
+        assert _sha256(scores) == OUTPUT_BYTES[f"{key}/scores"]
+        assert _sha256(cal) == OUTPUT_BYTES[f"{key}/calibration"]
+        decisions, metrics = tmp_path / "d.csv", tmp_path / "m.csv"
+        assert main(["ingest", "--input", scores, "--calibrator", "conformal",
+                     "--calibration-scores", cal, "--procedure", "score-plus-lord",
+                     "--decisions-out", str(decisions),
+                     "--metrics-out", str(metrics)]) == 0
+        assert _sha256(decisions) == OUTPUT_BYTES[f"{key}/decisions"]
+        assert _sha256(metrics) == OUTPUT_BYTES[f"{key}/metrics"]
