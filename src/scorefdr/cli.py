@@ -25,7 +25,7 @@ from .procedures import (
     make_procedure,
 )
 from .reference import naive_trajectory, trace_divergence
-from .schedules import Schedule
+from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule
 from .simulation import (
     DgpConfig,
     MetricsReport,
@@ -62,9 +62,9 @@ class RunConfig:
     mode: str
     procedure: str
     alpha: float = 0.05
-    gamma: Schedule = Schedule.geometric(0.5)
-    omega: Schedule = Schedule.constant(0.05)
-    lam: Schedule = Schedule.constant(0.5)
+    gamma: Schedule = DEFAULT_GAMMA
+    omega: Schedule = DEFAULT_OMEGA
+    lam: Schedule = DEFAULT_LAMBDA
     dgp: str = "gaussian_mixture"
     horizon: int = 1000
     pi1: float = 0.3
@@ -83,10 +83,14 @@ class RunConfig:
     metrics_out: str | None = None
 
     def build_procedure(self) -> OnlineProcedure:
-        return make_procedure(
-            self.procedure, alpha=self.alpha, gamma=self.gamma,
-            omega=self.omega, lam=self.lam,
-        )
+        """The configured procedure; a schedule it cannot use is a :class:`ConfigError`."""
+        try:
+            return make_procedure(
+                self.procedure, alpha=self.alpha, gamma=self.gamma,
+                omega=self.omega, lam=self.lam,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"config: {exc}") from None
 
     def build_dgp(self) -> DgpConfig:
         return DgpConfig(
@@ -242,11 +246,6 @@ def build_config(entries: dict[str, tuple[str, str]], mode: str | None = None) -
             raise ConfigError(
                 "config: calibrator=conformal requires 'calibration_scores'"
             )
-
-    try:
-        cfg.build_procedure()
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from None
     return cfg
 
 
@@ -266,11 +265,12 @@ def _load_calibration_scores(path: str) -> CalibrationSet:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "score" not in reader.fieldnames:
             raise ConfigError(f"{path}: calibration file needs a 'score' column")
-        for rownum, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 scores.append(float(row["score"]))
             except (TypeError, ValueError):
-                raise ConfigError(f"{path} row {rownum}: bad score {row['score']!r}") from None
+                raise ConfigError(
+                    f"{path} row {reader.line_num}: bad score {row['score']!r}") from None
     try:
         return CalibrationSet(np.asarray(scores))
     except ValueError as exc:
@@ -288,7 +288,8 @@ def ingest_stream(
     ``p`` (p-values in (0, 1]), ``e`` (non-negative e-values), and ``score``
     (non-negative raw scores, conformal calibration only).  Optional columns:
     ``index`` (must then run 1..T in file order) and ``truth`` (0/1, on
-    every row or on none).  Malformed rows are hard errors naming the row.
+    every row or on none).  Malformed rows are hard errors naming the row
+    by its file line, the header being line 1.
     Returns ``(evidence, kind, truth)``: the calibrated evidence array, its
     kind (``"p"`` for a ``p`` column under ``calibrator="none"``, else
     ``"e"``) and the boolean truth array, or None when no row is labelled.
@@ -316,12 +317,13 @@ def ingest_stream(
 
         values: list[float] = []
         labels: list[str] = []
-        for rownum, row in enumerate(reader, start=2):
-            where = f"{path} row {rownum}"
+        first_blank = None
+        for record, row in enumerate(reader, start=1):
+            where = f"{path} row {reader.line_num}"
             if "index" in header:
                 idx = _to_int(row["index"], where, "index", lo=1)
-                if idx != rownum - 1:
-                    _fail(where, f"index must run 1..T in file order; expected {rownum - 1}, got {idx}")
+                if idx != record:
+                    _fail(where, f"index must run 1..T in file order; expected {record}, got {idx}")
             try:
                 value = float(row[col])
             except (TypeError, ValueError):
@@ -331,6 +333,8 @@ def ingest_stream(
             label = row.get("truth") or ""
             if label not in ("", "0", "1"):
                 _fail(where, f"truth must be 0 or 1, got {label!r}")
+            if not label and first_blank is None:
+                first_blank = reader.line_num
 
             if col == "p":
                 if not (0.0 < value <= 1.0):
@@ -345,8 +349,8 @@ def ingest_stream(
 
     truth = None
     if any(labels):
-        if "" in labels:
-            _fail(f"{path} row {labels.index('') + 2}", "truth is blank; label every row or none")
+        if first_blank is not None:
+            _fail(f"{path} row {first_blank}", "truth is blank; label every row or none")
         truth = np.asarray(labels) == "1"
     evidence = np.asarray(values, dtype=float)
     if calibrator == "vovk":
@@ -460,8 +464,8 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     )
     if cfg.decisions_out:
         stream = generate(dgp)
-        fitted = procedure.clone().fit(stream.evidence(evidence), stream.truth)
-        emit_decisions(fitted.trajectory(), cfg.decisions_out)
+        procedure.fit(stream.evidence(evidence), stream.truth)
+        emit_decisions(procedure.trajectory(), cfg.decisions_out)
     if cfg.metrics_out:
         emit_metrics(report, cfg.metrics_out)
     print(
@@ -496,7 +500,7 @@ def _cmd_oracle_check(cfg: RunConfig, tol: float) -> int:
     else:
         stream = generate(cfg.build_dgp())
         evidence = stream.evidence(resolve_evidence(procedure, cfg.evidence))
-    trajectory = procedure.clone().fit(evidence).trajectory()
+    trajectory = procedure.fit(evidence).trajectory()
     trace = naive_trajectory(procedure, evidence)
     divergence = trace_divergence(trace, trajectory)
     worst = max(divergence.values())

@@ -41,13 +41,7 @@ import numpy as np
 
 from ._validation import check_evidence_array, check_open_unit, check_truth_array
 from .core import Observation, StepRecord
-from .schedules import (
-    DEFAULT_GAMMA,
-    DEFAULT_LAMBDA,
-    DEFAULT_OMEGA,
-    Schedule,
-    compile_schedule,
-)
+from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule, check_gamma
 
 #: Tolerance below which a wealth value is treated as an implementation bug
 #: rather than rounding noise; the update rules guarantee non-negativity.
@@ -150,10 +144,9 @@ class OnlineProcedure:
         self._refund = self.refund
         self._global = self.global_denominator
         self._e_kind = self.evidence_kind == "e"
-        role = "gamma" if self._lond else "omega"
-        self._weight_at = compile_schedule(getattr(self, role), role=role)
+        self._weight_at = self._formula("gamma" if self._lond else "omega")
         if self._saffron:
-            self._lam_at = compile_schedule(self.lam, role="lambda")
+            self._lam_at = self._formula("lam")
         # LOND's pot: alpha plus the banked refunds sum_j min(O_j, alpha_j) / (R_{j-1} + 1).
         self._pot = self.alpha
         # Sum of raw charges under the global denominator.
@@ -166,12 +159,17 @@ class OnlineProcedure:
         self._decisions: list[bool] = []
         self._overshoots: list[float] = []
         self._costs: list[float] = []
-        self._rej_before: list[int] = []
         self._fdp: list[float] = []
-        self._wealths: list[float] = []
         self._truths: list = []
         self._warned_large_alpha = False
         return self
+
+    def _formula(self, name: str):
+        """Schedule ``name`` bound for the step loop; a gamma must be summable."""
+        schedule = getattr(self, name)
+        if not isinstance(schedule, Schedule):
+            raise TypeError(f"expected a Schedule for {name}, got {type(schedule).__name__}")
+        return (check_gamma(schedule) if name == "gamma" else schedule).formula()
 
     # -- the budget recurrence ------------------------------------------------
 
@@ -238,15 +236,12 @@ class OnlineProcedure:
             if decision:
                 self.n_rejections_ += 1
         self._fdp_hat = fdp
-        wealth = math.nan if self._lond else self.alpha - fdp
         self.t_ += 1
         self._alphas.append(alpha_t)
         self._decisions.append(decision)
         self._overshoots.append(over)
         self._costs.append(cost)
-        self._rej_before.append(rb)
         self._fdp.append(fdp)
-        self._wealths.append(wealth)
         if alpha_t >= 1.0 and not self._warned_large_alpha:
             self._warned_large_alpha = True
             warnings.warn(
@@ -321,13 +316,22 @@ class OnlineProcedure:
     decision_ = _view("_decisions", bool)
     overshoot_ = _view("_overshoots", float)
     cost_ = _view("_costs", float)
-    rejections_before_ = _view("_rej_before", int)
     fdp_hat_ = _view("_fdp", float)
-    wealth_ = _view("_wealths", float)
 
     @property
     def rejections_(self) -> np.ndarray:
         return np.cumsum(self._decisions).astype(int)
+
+    @property
+    def rejections_before_(self) -> np.ndarray:
+        return self.rejections_ - self.decision_
+
+    @property
+    def wealth_(self) -> np.ndarray:
+        """``alpha - fdp_hat_`` after each step, the step loop's wealth; NaN for LOND."""
+        if self._lond:
+            return np.full(self.t_, math.nan)
+        return self.alpha - self.fdp_hat_
 
     def trajectory(self) -> Trajectory:
         truth = None

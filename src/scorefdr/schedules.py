@@ -1,6 +1,9 @@
 """Predictable parameter sequences (gamma, omega, lambda) used by the procedures.
 
-Three kinds are supported:
+Each kind has one entry in :data:`KINDS`: its parameter names and its single
+formula, the value at step ``t`` given the ``rejections`` made before it.  The
+entry drives :class:`Schedule` validation and parsing, :func:`gamma_at`,
+:func:`weight_at`, :func:`rai_omega` and the engine's :meth:`Schedule.formula`.
 
 ``constant``
     The same value at every step.
@@ -17,6 +20,8 @@ Three kinds are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 from ._validation import check_open_unit, check_positive_int
 
@@ -24,8 +29,43 @@ from ._validation import check_open_unit, check_positive_int
 #: recurrence can leave (0, 1) for extreme phi/psi, but procedures require
 #: a weight strictly inside the unit interval.
 RAI_WEIGHT_MIN = 1e-6
+_RAI_WEIGHT_MAX = 1.0 - RAI_WEIGHT_MIN
 
-SCHEDULE_KINDS = ("constant", "geometric", "rai")
+
+def _constant(value, t, rejections):
+    return value
+
+
+def _geometric(scale, ratio, t, rejections):
+    # scale = 1 - ratio is bound once, not recomputed per step; same bits as (1 - q) * q**(t-1)
+    return scale * ratio ** (t - 1)
+
+
+def _rai(omega1, phi, psi, t, rejections):
+    if t == 1:
+        return omega1
+    # sum_{j=1..k} r**j in closed form, exact enough for r in (0, 1), for
+    # k = quiet steps (phi) and k = rejections (psi)
+    quiet = t - 1 - rejections
+    up = phi * (1.0 - phi**quiet) / (1.0 - phi) if quiet > 0 else 0.0
+    down = psi * (1.0 - psi**rejections) / (1.0 - psi) if rejections > 0 else 0.0
+    raw = omega1 + omega1 * (up - down)
+    return RAI_WEIGHT_MIN if raw < RAI_WEIGHT_MIN else (
+        _RAI_WEIGHT_MAX if raw > _RAI_WEIGHT_MAX else raw)
+
+
+class _Kind(NamedTuple):
+    params: tuple[str, ...]  # parameter names, in order; each value lies in (0, 1)
+    formula: Callable[..., float]  # formula(*bind(*params), t, rejections)
+    bind: Callable[..., tuple] = lambda *params: params
+
+
+KINDS = {
+    "constant": _Kind(("value",), _constant),
+    "geometric": _Kind(("ratio",), _geometric, lambda ratio: (1.0 - ratio, ratio)),
+    "rai": _Kind(("omega1", "phi", "psi"), _rai),
+}
+SCHEDULE_KINDS = tuple(KINDS)
 
 
 @dataclass(frozen=True)
@@ -36,19 +76,14 @@ class Schedule:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind == "constant":
-            (c,) = self.params
-            check_open_unit(c, "constant value")
-        elif self.kind == "geometric":
-            (q,) = self.params
-            check_open_unit(q, "geometric ratio")
-        elif self.kind == "rai":
-            omega1, phi, psi = self.params
-            check_open_unit(omega1, "rai omega1")
-            check_open_unit(phi, "rai phi")
-            check_open_unit(psi, "rai psi")
-        else:
+        if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
+        names = KINDS[self.kind].params
+        if len(self.params) != len(names):
+            raise ValueError(f"schedule kind {self.kind!r} takes {len(names)} "
+                             f"parameter(s), got {len(self.params)}")
+        for name, value in zip(names, self.params):
+            check_open_unit(value, f"{self.kind} {name}")
 
     @classmethod
     def constant(cls, value: float) -> "Schedule":
@@ -71,43 +106,40 @@ class Schedule:
             params = tuple(float(p) for p in parts[1:])
         except ValueError as exc:
             raise ValueError(f"bad schedule parameter in {text!r}") from exc
-        n_expected = {"constant": 1, "geometric": 1, "rai": 3}.get(kind)
-        if n_expected is None:
+        if kind not in KINDS:
             raise ValueError(f"unknown schedule kind {kind!r}")
-        if len(params) != n_expected:
-            raise ValueError(
-                f"schedule kind {kind!r} takes {n_expected} parameter(s), got {len(params)}"
-            )
         return cls(kind, params)
 
     def spec(self) -> str:
         """Inverse of :meth:`parse`."""
         return ",".join([self.kind] + [repr(p) for p in self.params])
 
+    def formula(self) -> partial:
+        """``(t, rejections) -> value``: the kind's formula with these parameters bound.
 
-def _geometric_sum(r: float, k: int) -> float:
-    # sum_{j=1..k} r**j in closed form; exact enough for r in (0,1).
-    if k <= 0:
-        return 0.0
-    return r * (1.0 - r**k) / (1.0 - r)
+        A :class:`functools.partial` of a module-level function, so it pickles
+        and does no kind dispatch per call.
+        """
+        kind = KINDS[self.kind]
+        return partial(kind.formula, *kind.bind(*self.params))
+
+
+def check_gamma(schedule: Schedule) -> Schedule:
+    """``schedule``, if it can serve as a discovery-spreading gamma sequence.
+
+    Only ``constant`` and ``geometric`` kinds qualify: LOND-type rules need a
+    sequence fixed in advance (geometric additionally sums to one).
+    """
+    if schedule.kind == "rai":
+        raise ValueError("rai schedules adapt to the rejection history and cannot serve "
+                         "as a summable gamma sequence")
+    return schedule
 
 
 def gamma_at(schedule: Schedule, t: int) -> float:
-    """The t-th element of a discovery-spreading sequence.
-
-    Only ``constant`` and ``geometric`` kinds qualify: LOND-type rules need
-    a sequence fixed in advance (geometric additionally sums to one).
-    """
+    """The t-th element of a discovery-spreading sequence (see :func:`check_gamma`)."""
     t = check_positive_int(t, "t")
-    if schedule.kind == "constant":
-        return schedule.params[0]
-    if schedule.kind == "geometric":
-        q = schedule.params[0]
-        return (1.0 - q) * q ** (t - 1)
-    raise ValueError(
-        "rai schedules adapt to the rejection history and cannot serve as a "
-        "summable gamma sequence"
-    )
+    return check_gamma(schedule).formula()(t, 0)
 
 
 def rai_omega(omega1: float, phi: float, psi: float, t: int, rejections: int) -> float:
@@ -117,66 +149,19 @@ def rai_omega(omega1: float, phi: float, psi: float, t: int, rejections: int) ->
     of rejections among them.  The result is clamped to
     ``[RAI_WEIGHT_MIN, 1 - RAI_WEIGHT_MIN]`` so it remains a valid weight.
     """
-    omega1 = check_open_unit(omega1, "omega1")
-    phi = check_open_unit(phi, "phi")
-    psi = check_open_unit(psi, "psi")
+    omega1, phi, psi = map(check_open_unit, (omega1, phi, psi), KINDS["rai"].params)
     t = check_positive_int(t, "t")
     if rejections < 0 or rejections > t:
         raise ValueError(f"rejections must lie in [0, t], got {rejections} with t={t}")
-    raw = omega1 + omega1 * (
-        _geometric_sum(phi, t - rejections) - _geometric_sum(psi, rejections)
-    )
-    return min(max(raw, RAI_WEIGHT_MIN), 1.0 - RAI_WEIGHT_MIN)
+    return _rai(omega1, phi, psi, t + 1, rejections)
 
 
 def weight_at(schedule: Schedule, t: int, rejections: int) -> float:
     """Weight for step ``t`` given ``rejections`` made strictly before it."""
     t = check_positive_int(t, "t")
-    if schedule.kind == "constant":
-        return schedule.params[0]
-    if schedule.kind == "geometric":
-        return gamma_at(schedule, t)
-    omega1, phi, psi = schedule.params
-    if t == 1:
-        return omega1
-    return rai_omega(omega1, phi, psi, t - 1, rejections)
-
-
-def compile_schedule(schedule: Schedule, role: str = "omega"):
-    """Turn a schedule into a fast ``(t, rejections) -> value`` callable.
-
-    Parameters are validated once here instead of on every step; the
-    returned closures compute exactly what :func:`gamma_at` /
-    :func:`weight_at` compute.  ``role="gamma"`` rejects rai schedules,
-    which cannot serve as a summable spreading sequence.
-    """
-    if not isinstance(schedule, Schedule):
-        raise TypeError(f"expected a Schedule for {role}, got {type(schedule).__name__}")
-    if schedule.kind == "constant":
-        c = schedule.params[0]
-        return lambda t, rejections: c
-    if schedule.kind == "geometric":
-        q = schedule.params[0]
-        scale = 1.0 - q
-        return lambda t, rejections: scale * q ** (t - 1)
-    if role == "gamma":
-        raise ValueError(
-            "rai schedules adapt to the rejection history and cannot serve as a "
-            "summable gamma sequence"
-        )
-    omega1, phi, psi = schedule.params
-    lo, hi = RAI_WEIGHT_MIN, 1.0 - RAI_WEIGHT_MIN
-
-    def rai_weight(t, rejections):
-        if t == 1:
-            return omega1
-        steps = t - 1
-        up = _geometric_sum(phi, steps - rejections)
-        down = _geometric_sum(psi, rejections)
-        raw = omega1 + omega1 * (up - down)
-        return lo if raw < lo else (hi if raw > hi else raw)
-
-    return rai_weight
+    if schedule.kind == "rai" and t > 1:
+        return rai_omega(*schedule.params, t - 1, rejections)
+    return schedule.formula()(t, rejections)
 
 
 #: Defaults mirroring the benchmark settings used throughout the test suite.

@@ -156,6 +156,25 @@ class TestIngest:
         with pytest.raises(ConfigError, match=r"t\.csv row 2: truth is blank"):
             ingest_stream(path)
 
+    @pytest.mark.parametrize("header, rows, message", [
+        ("p", ["0.1", "", "0.2", "1.5"], r"s\.csv row 5: p-value out of"),
+        ("p,truth", ["0.1,1", "", "0.2,"], r"s\.csv row 4: truth is blank"),
+        # index counts data rows, the row in the message counts file lines
+        ("index,p", ["1,0.1", "", "2,0.2", "2,0.3"], r"row 5: .*expected 3, got 2"),
+    ], ids=["p", "truth", "index"])
+    def test_row_is_file_line(self, tmp_path, header, rows, message):
+        path = _write_csv(tmp_path / "s.csv", header, rows)
+        with pytest.raises(ConfigError, match=message):
+            ingest_stream(path)
+
+    def test_calibration_row_is_file_line(self, tmp_path, capsys):
+        scores = _write_csv(tmp_path / "s.csv", "score", ["1.0"])
+        cal = _write_csv(tmp_path / "cal.csv", "score", ["1", "", "x"])
+        code = main(["ingest", "--input", scores, "--calibrator", "conformal",
+                     "--calibration-scores", cal, "--procedure", "score-lord"])
+        assert code == 2
+        assert "cal.csv row 4: bad score 'x'" in capsys.readouterr().err
+
     def test_non_numeric_evidence(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "e", ["abc"])
         with pytest.raises(ConfigError, match="bad e value"):

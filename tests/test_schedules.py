@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from scorefdr import Schedule, gamma_at, rai_omega, weight_at
-from scorefdr.schedules import RAI_WEIGHT_MIN, compile_schedule
+from scorefdr import ELond, Schedule, gamma_at, rai_omega, weight_at
+from scorefdr.schedules import RAI_WEIGHT_MIN
 
 
 def test_geometric_examples():
@@ -26,7 +26,7 @@ def test_gamma_rejects_rai():
     with pytest.raises(ValueError, match="summable"):
         gamma_at(Schedule.rai(0.05, 0.5, 0.5), 1)
     with pytest.raises(ValueError, match="summable"):
-        compile_schedule(Schedule.rai(0.05, 0.5, 0.5), role="gamma")
+        ELond(gamma=Schedule.rai(0.05, 0.5, 0.5))
 
 
 def test_gamma_rejects_bad_t():
@@ -72,16 +72,18 @@ def test_weight_at_matches_rai_indexing():
     assert weight_at(sched, 10, 4) == rai_omega(0.05, 0.5, 0.5, 9, 4)
 
 
-def test_compiled_schedules_match_reference():
+def test_bound_formula_matches_public_functions():
+    # The engine's per-step evaluator against gamma_at / weight_at, which
+    # add argument checks and, for rai, the rai_omega step indexing.
     rng = np.random.default_rng(1)
     cases = [
-        (Schedule.constant(0.05), "omega"),
-        (Schedule.geometric(0.37), "gamma"),
-        (Schedule.rai(0.05, 0.5, 0.5), "omega"),
-        (Schedule.rai(0.2, 0.8, 0.3), "lambda"),
+        Schedule.constant(0.05),
+        Schedule.geometric(0.37),
+        Schedule.rai(0.05, 0.5, 0.5),
+        Schedule.rai(0.2, 0.8, 0.3),
     ]
-    for sched, role in cases:
-        fast = compile_schedule(sched, role=role)
+    for sched in cases:
+        fast = sched.formula()
         for _ in range(50):
             t = int(rng.integers(1, 200))
             r = int(rng.integers(0, t))
