@@ -2,9 +2,9 @@
 apply calibrators, run procedures, and emit decision / metrics reports.
 
 Configuration is a flat ``key = value`` file with ``#`` comments; every key
-is also available as a command-line flag, and flags override the file.  The
-exact file formats, config keys, and serialization rules are documented in
-FORMATS.md at the repository root.
+is also a flag of each subcommand it applies to, and flags override the
+file.  The exact file formats, config keys, and serialization rules are
+documented in FORMATS.md at the repository root.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .procedures import (
 from .reference import naive_trajectory, trace_divergence
 from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule
 from .simulation import (
+    DGP_NAMES,
     DgpConfig,
     MetricsReport,
     evaluate,
@@ -40,15 +42,7 @@ METRICS_HEADER = ("t", "fdr", "fdr_se", "power", "power_se")
 
 CALIBRATORS = ("none", "vovk", "conformal")
 EVIDENCE_CHOICES = ("auto", "e", "p_conditional", "p_marginal")
-
-_COMMON_KEYS = {
-    "mode", "procedure", "alpha", "gamma", "omega", "lambda", "seed",
-    "checkpoints", "decisions_out", "metrics_out",
-}
-_SIMULATE_KEYS = {"dgp", "horizon", "pi1", "rho", "mu_set", "phi0", "phi1",
-                  "replicates", "evidence"}
-_INGEST_KEYS = {"input", "calibrator", "calibration_scores"}
-ALL_KEYS = _COMMON_KEYS | _SIMULATE_KEYS | _INGEST_KEYS
+MODES = ("simulate", "ingest")
 
 
 class ConfigError(ValueError):
@@ -66,13 +60,13 @@ class RunConfig:
     omega: Schedule = DEFAULT_OMEGA
     lam: Schedule = DEFAULT_LAMBDA
     dgp: str = "gaussian_mixture"
-    horizon: int = 1000
-    pi1: float = 0.3
-    rho: float = 0.5
-    mu_set: tuple[float, ...] = (3.0, 20.0)
-    phi0: float = 0.5
-    phi1: float = 3.0
-    seed: int = 0
+    horizon: int = DgpConfig.horizon
+    pi1: float = DgpConfig.pi1
+    rho: float = DgpConfig.rho
+    mu_set: tuple[float, ...] = DgpConfig.mu_set
+    phi0: float = DgpConfig.phi0
+    phi1: float = DgpConfig.phi1
+    seed: int = DgpConfig.seed
     replicates: int = 1
     checkpoints: tuple[int, ...] | None = None
     evidence: str = "auto"
@@ -141,6 +135,56 @@ def _to_schedule(raw, where, key):
         _fail(where, f"{key}: {exc}")
 
 
+def _to_float_list(raw, where, key):
+    return tuple(_to_float(part, where, key) for part in raw.split(",") if part.strip())
+
+
+def _to_checkpoints(raw, where, key):
+    points = tuple(_to_int(part, where, key, lo=1) for part in raw.split(",") if part.strip())
+    if not points:
+        _fail(where, "checkpoints must be a comma-separated list of indices")
+    if any(later <= earlier for earlier, later in zip(points, points[1:])):
+        _fail(where, "checkpoints must be strictly increasing")
+    return points
+
+
+def _to_path(raw, where, key):
+    return raw
+
+
+_SIMULATE = ("simulate",)
+_INGEST = ("ingest",)
+
+#: Every config key but ``mode``: the modes it applies to, its converter
+#: ``(raw, where, key) -> value`` and its :class:`RunConfig` field.  Keys are
+#: converted in this order, so the first bad key reported does not depend on
+#: the order of the file or the flags.
+_KEYS = {
+    "procedure": (MODES, partial(_to_choice, choices=PROCEDURE_IDS), "procedure"),
+    "alpha": (MODES, partial(_to_float, lo=0.0, hi=1.0, lo_open=True, hi_open=True), "alpha"),
+    "gamma": (MODES, _to_schedule, "gamma"),
+    "omega": (MODES, _to_schedule, "omega"),
+    "lambda": (MODES, _to_schedule, "lam"),
+    "seed": (_SIMULATE, partial(_to_int, lo=0), "seed"),
+    "checkpoints": (MODES, _to_checkpoints, "checkpoints"),
+    "decisions_out": (MODES, _to_path, "decisions_out"),
+    "metrics_out": (MODES, _to_path, "metrics_out"),
+    "dgp": (_SIMULATE, partial(_to_choice, choices=DGP_NAMES), "dgp"),
+    "horizon": (_SIMULATE, partial(_to_int, lo=1), "horizon"),
+    "pi1": (_SIMULATE, partial(_to_float, lo=0.0, hi=1.0), "pi1"),
+    "rho": (_SIMULATE, partial(_to_float, lo=0.0), "rho"),
+    "mu_set": (_SIMULATE, _to_float_list, "mu_set"),
+    "phi0": (_SIMULATE, _to_float, "phi0"),
+    "phi1": (_SIMULATE, _to_float, "phi1"),
+    "replicates": (_SIMULATE, partial(_to_int, lo=1), "replicates"),
+    "evidence": (_SIMULATE, partial(_to_choice, choices=EVIDENCE_CHOICES), "evidence"),
+    "calibrator": (_INGEST, partial(_to_choice, choices=CALIBRATORS), "calibrator"),
+    "input": (_INGEST, _to_path, "input"),
+    "calibration_scores": (_INGEST, _to_path, "calibration_scores"),
+}
+ALL_KEYS = {"mode", *_KEYS}
+
+
 def read_raw_config(text: str) -> dict[str, tuple[str, str]]:
     """Parse ``key = value`` lines into ``{key: (value, location)}``."""
     entries: dict[str, tuple[str, str]] = {}
@@ -161,91 +205,35 @@ def read_raw_config(text: str) -> dict[str, tuple[str, str]]:
 
 def build_config(entries: dict[str, tuple[str, str]], mode: str | None = None) -> RunConfig:
     """Validate raw entries (from file and/or flags) into a :class:`RunConfig`."""
-    def where(key):
-        return entries[key][1]
-
     if "mode" in entries:
-        file_mode = _to_choice(entries["mode"][0], where("mode"), "mode",
-                               ("simulate", "ingest"))
+        raw, where = entries["mode"]
+        file_mode = _to_choice(raw, where, "mode", MODES)
         if mode is not None and file_mode != mode:
-            _fail(where("mode"), f"mode {file_mode!r} conflicts with the {mode!r} command")
+            _fail(where, f"mode {file_mode!r} conflicts with the {mode!r} command")
         mode = file_mode
     if mode is None:
         raise ConfigError("config: missing key 'mode'")
 
-    allowed = _COMMON_KEYS | (_SIMULATE_KEYS if mode == "simulate" else _INGEST_KEYS)
-    for key in entries:
-        if key not in allowed:
-            _fail(where(key), f"key {key!r} does not apply to mode {mode!r}")
+    for key, (_, where) in entries.items():
+        if key != "mode" and mode not in _KEYS[key][0]:
+            _fail(where, f"key {key!r} does not apply to mode {mode!r}")
 
     if "procedure" not in entries:
         raise ConfigError("config: missing key 'procedure'")
-    cfg = RunConfig(
-        mode=mode,
-        procedure=_to_choice(entries["procedure"][0], where("procedure"),
-                             "procedure", PROCEDURE_IDS),
-    )
-
-    if "alpha" in entries:
-        cfg.alpha = _to_float(entries["alpha"][0], where("alpha"), "alpha",
-                              lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-    for key, attr in (("gamma", "gamma"), ("omega", "omega"), ("lambda", "lam")):
-        if key in entries:
-            setattr(cfg, attr, _to_schedule(entries[key][0], where(key), key))
-    if "seed" in entries:
-        cfg.seed = _to_int(entries["seed"][0], where("seed"), "seed", lo=0)
-    if "checkpoints" in entries:
-        raw, loc = entries["checkpoints"]
-        points = tuple(_to_int(part, loc, "checkpoints", lo=1)
-                       for part in raw.split(",") if part.strip())
-        if not points:
-            _fail(loc, "checkpoints must be a comma-separated list of indices")
-        cfg.checkpoints = points
-    for key, attr in (("decisions_out", "decisions_out"), ("metrics_out", "metrics_out")):
-        if key in entries:
-            setattr(cfg, attr, entries[key][0])
+    cfg = RunConfig(mode=mode, **{
+        field: convert(*entries[key], key)
+        for key, (_, convert, field) in _KEYS.items() if key in entries
+    })
 
     if mode == "simulate":
-        if "dgp" in entries:
-            cfg.dgp = _to_choice(entries["dgp"][0], where("dgp"), "dgp",
-                                 ("gaussian_mixture", "ar_exponential", "ar1_gaussian"))
-        if "horizon" in entries:
-            cfg.horizon = _to_int(entries["horizon"][0], where("horizon"), "horizon", lo=1)
-        if "pi1" in entries:
-            cfg.pi1 = _to_float(entries["pi1"][0], where("pi1"), "pi1", lo=0.0, hi=1.0)
-        if "rho" in entries:
-            cfg.rho = _to_float(entries["rho"][0], where("rho"), "rho", lo=0.0)
-        if "mu_set" in entries:
-            raw, loc = entries["mu_set"]
-            cfg.mu_set = tuple(_to_float(part, loc, "mu_set")
-                               for part in raw.split(",") if part.strip())
-        if "phi0" in entries:
-            cfg.phi0 = _to_float(entries["phi0"][0], where("phi0"), "phi0")
-        if "phi1" in entries:
-            cfg.phi1 = _to_float(entries["phi1"][0], where("phi1"), "phi1")
-        if "replicates" in entries:
-            cfg.replicates = _to_int(entries["replicates"][0], where("replicates"),
-                                     "replicates", lo=1)
-        if "evidence" in entries:
-            cfg.evidence = _to_choice(entries["evidence"][0], where("evidence"),
-                                      "evidence", EVIDENCE_CHOICES)
         try:
             cfg.build_dgp()
         except ValueError as exc:
             raise ConfigError(f"config: {exc}") from None
-    else:
-        if "calibrator" in entries:
-            cfg.calibrator = _to_choice(entries["calibrator"][0], where("calibrator"),
-                                        "calibrator", CALIBRATORS)
-        for key in ("input", "calibration_scores"):
-            if key in entries:
-                setattr(cfg, key, entries[key][0])
-        if cfg.input is None:
-            raise ConfigError("config: ingest mode requires the 'input' key")
-        if cfg.calibrator == "conformal" and cfg.calibration_scores is None:
-            raise ConfigError(
-                "config: calibrator=conformal requires 'calibration_scores'"
-            )
+    elif cfg.input is None:
+        raise ConfigError("config: ingest mode requires the 'input' key")
+    elif cfg.calibrator == "conformal" and cfg.calibration_scores is None:
+        raise ConfigError("config: calibrator=conformal requires 'calibration_scores'")
     return cfg
 
 
@@ -513,14 +501,6 @@ def _cmd_oracle_check(cfg: RunConfig, tol: float) -> int:
     return 0
 
 
-def _add_override_flags(parser: argparse.ArgumentParser, with_mode: bool = False) -> None:
-    for key in sorted(ALL_KEYS):
-        if key == "mode" and not with_mode:
-            continue
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
-                            metavar="VALUE", help=f"override config key '{key}'")
-
-
 def _collect_entries(args) -> dict[str, tuple[str, str]]:
     entries: dict[str, tuple[str, str]] = {}
     if args.config:
@@ -551,7 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", help="path to a key = value config file")
         # oracle-check sources evidence from either mode; the others imply theirs
-        _add_override_flags(cmd, with_mode=(name == "oracle-check"))
+        keys = ALL_KEYS if name == "oracle-check" else {
+            key for key, (modes, _, _) in _KEYS.items() if name in modes}
+        for key in sorted(keys):
+            cmd.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
+                             metavar="VALUE", help=f"override config key '{key}'")
         if name == "oracle-check":
             cmd.add_argument("--tol", type=float, default=1e-10,
                              help="per-field divergence tolerance (default 1e-10)")

@@ -28,6 +28,8 @@ from .calibration import (
 from .procedures import OnlineProcedure, Trajectory
 
 DGP_NAMES = ("gaussian_mixture", "ar_exponential", "ar1_gaussian")
+# evidence name -> the kind of evidence it carries
+_EVIDENCE_KINDS = {"e": "e", "p_conditional": "p", "p_marginal": "p"}
 
 
 @dataclass(frozen=True)
@@ -234,9 +236,21 @@ def _one_replicate(dgp: DgpConfig, procedure: OnlineProcedure, evidence: str,
 
 
 def resolve_evidence(procedure: OnlineProcedure, evidence: str = "auto") -> str:
-    if evidence != "auto":
-        return evidence
-    return "e" if procedure.evidence_kind == "e" else "p_conditional"
+    """The stream evidence ``procedure`` runs on; ``auto`` picks its own kind.
+
+    Naming evidence of the other kind (p-values for an e-value procedure,
+    or the reverse) is a ``ValueError``.
+    """
+    if evidence == "auto":
+        return "e" if procedure.evidence_kind == "e" else "p_conditional"
+    # an unknown name is left for GeneratedStream.evidence to reject
+    kind = _EVIDENCE_KINDS.get(evidence, procedure.evidence_kind)
+    if kind != procedure.evidence_kind:
+        raise ValueError(
+            f"{procedure.procedure_id} consumes {procedure.evidence_kind!r} evidence, "
+            f"but evidence={evidence} gives {kind!r} evidence"
+        )
+    return evidence
 
 
 def replicate(

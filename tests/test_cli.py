@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import re
 from pathlib import Path
@@ -7,7 +8,11 @@ import pytest
 
 import scorefdr as sf
 from scorefdr.cli import (
+    _KEYS,
+    ALL_KEYS,
+    MODES,
     ConfigError,
+    build_parser,
     emit_decisions,
     emit_metrics,
     ingest_stream,
@@ -100,6 +105,83 @@ class TestParseConfig:
     def test_bad_schedule_reports_location(self):
         with pytest.raises(ConfigError, match="line 3: omega"):
             parse_config("mode = simulate\nprocedure = score-lord\nomega = rai,0.05\n")
+
+
+#: A valid value for every key, none of them its default.
+SAMPLE_VALUES = {
+    "procedure": "score-lord", "alpha": "0.1", "gamma": "geometric,0.25",
+    "omega": "constant,0.1", "lambda": "constant,0.25", "seed": "3",
+    "checkpoints": "1,2", "decisions_out": "d.csv", "metrics_out": "m.csv",
+    "dgp": "ar1_gaussian", "horizon": "50", "pi1": "0.2", "rho": "0.25",
+    "mu_set": "4,20", "phi0": "0.4", "phi1": "2.0", "replicates": "2",
+    "evidence": "e", "calibrator": "vovk", "input": "in.csv",
+    "calibration_scores": "cal.csv",
+}
+
+
+def _config_text(mode, **extra):
+    options = {"mode": mode, "procedure": "e-lord"}
+    if mode == "ingest":
+        options["input"] = "x.csv"
+    options.update(extra)
+    return "".join(f"{key} = {value}\n" for key, value in options.items())
+
+
+def _subcommand_flags(command):
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for action in sub.choices[command]._actions for opt in action.option_strings}
+    return options - {"-h", "--help", "--config", "--tol"}
+
+
+def _formats_key_table():
+    """``{key: modes}`` from the config-key table in FORMATS.md."""
+    lines = (Path(__file__).parent.parent / "FORMATS.md").read_text().splitlines()
+    start = lines.index("| key | applies to | default | meaning |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        keys, applies = line.split("|")[1:3]
+        modes = MODES if applies.strip() == "both" else (applies.strip(),)
+        table.update({key: modes for key in re.findall(r"`(\w+)`", keys)})
+    return table
+
+
+class TestKeyTable:
+    """The key table, the subcommand flags and FORMATS.md state the same keys."""
+
+    @pytest.mark.parametrize("key", sorted(_KEYS))
+    def test_accepted_where_it_applies(self, key):
+        modes, _, field = _KEYS[key]
+        for mode in modes:
+            base = parse_config(_config_text(mode))
+            cfg = parse_config(_config_text(mode, **{key: SAMPLE_VALUES[key]}))
+            assert getattr(cfg, field) != getattr(base, field)
+
+    @pytest.mark.parametrize("key", sorted(k for k, v in _KEYS.items() if v[0] != MODES))
+    def test_rejected_elsewhere(self, key):
+        (mode,) = set(MODES) - set(_KEYS[key][0])
+        text = _config_text(mode, **{key: SAMPLE_VALUES[key]})
+        line = len(text.splitlines())
+        with pytest.raises(ConfigError,
+                           match=rf"^line {line}: key '{key}' does not apply to mode '{mode}'$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("command, count", [
+        ("simulate", 18), ("ingest", 11), ("oracle-check", 22),
+    ])
+    def test_subcommand_flags(self, command, count):
+        keys = ALL_KEYS if command == "oracle-check" else {
+            key for key, (modes, _, _) in _KEYS.items() if command in modes}
+        assert _subcommand_flags(command) == {f"--{k.replace('_', '-')}" for k in keys}
+        assert len(keys) == count
+
+    def test_formats_md_lists_the_same_keys(self):
+        table = _formats_key_table()
+        assert set(table) == ALL_KEYS
+        assert table.pop("mode") == MODES
+        assert table == {key: modes for key, (modes, _, _) in _KEYS.items()}
 
 
 def _write_csv(path, header, rows):
@@ -356,6 +438,41 @@ class TestMain:
         rc = main(command + ["--input", stream, "--procedure", procedure])
         assert rc == 2
         assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["simulate", "ingest"])
+    @pytest.mark.parametrize("points", ["4,2", "2,2"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_checkpoints_must_increase(self, tmp_path, capsys, command, points, source):
+        metrics = tmp_path / "m.csv"
+        argv = [command, "--procedure", "p-lord", "--metrics-out", str(metrics)]
+        if command == "ingest":
+            stream = _write_csv(tmp_path / "in.csv", "p,truth",
+                                ["0.001,1", "0.3,0", "0.002,1", "0.8,0"])
+            argv += ["--input", stream]
+        if source == "flag":
+            argv += ["--checkpoints", points]
+            where = "flag --checkpoints"
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"# report points\ncheckpoints = {points}\n")
+            argv += ["--config", str(config)]
+            where = "line 2"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {where}: checkpoints must be strictly increasing\n"
+        assert not metrics.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+    @pytest.mark.parametrize("pid, evidence, kind", [
+        ("e-lord", "p_conditional", "p"), ("p-lord", "e", "e"),
+    ])
+    def test_evidence_of_the_other_kind(self, capsys, command, pid, evidence, kind):
+        rc = main([command, "--procedure", pid, "--dgp", "ar1_gaussian",
+                   "--horizon", "50", "--evidence", evidence])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {pid} consumes '{pid[0]}' evidence, "
+            f"but evidence={evidence} gives '{kind}' evidence\n")
 
     def test_validation_error_exit_code(self, capsys):
         rc = main(["simulate", "--procedure", "score-lord", "--alpha", "1.5"])

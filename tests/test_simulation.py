@@ -163,6 +163,16 @@ class TestReplicate:
         with pytest.raises(ValueError, match="p_conditional"):
             sf.replicate(GM, build("p-lord"), n_reps=1)
 
+    @pytest.mark.parametrize("pid, evidence, kind", [
+        ("e-lord", "p_marginal", "p"), ("e-lord", "p_conditional", "p"), ("p-lord", "e", "e"),
+    ])
+    def test_evidence_of_the_other_kind_rejected(self, pid, evidence, kind):
+        dgp = sf.DgpConfig("ar1_gaussian", horizon=50)
+        message = (f"{pid} consumes '{pid[0]}' evidence, "
+                   f"but evidence={evidence} gives '{kind}' evidence")
+        with pytest.raises(ValueError, match=message):
+            sf.replicate(dgp, build(pid), n_reps=3, evidence=evidence)
+
     def test_report_ranges(self):
         report = sf.replicate(GM, build("score-plus-lord"), n_reps=20, base_seed=9,
                               checkpoints=[100, 250, 400])
