@@ -549,3 +549,39 @@ class TestOutputBytes:
                      "--metrics-out", str(metrics)]) == 0
         assert _sha256(decisions) == OUTPUT_BYTES[f"{key}/decisions"]
         assert _sha256(metrics) == OUTPUT_BYTES[f"{key}/metrics"]
+
+
+#: SHA-256 of the metrics and decisions CSVs of three ``simulate`` runs, each
+#: at horizon 300, 4 replicates and seed 1.
+SIMULATE_BYTES = {
+    "gaussian_mixture/score-lord/metrics":
+        "2f1e22322c9b0281d1bec820e9d34596853ab8e05d40085c3cc328fd450a982a",
+    "gaussian_mixture/score-lord/decisions":
+        "0d529466a6622964524f25cc71870028578a5dbc51caa1f9bd9827a6c03d3b5e",
+    "ar_exponential/score-plus-lord/metrics":
+        "c67dd3b3dbeffa1d2a83b78c489bc250617d962731c6a2666c2ff266ab502047",
+    "ar_exponential/score-plus-lord/decisions":
+        "b9ff6172e2b4370dcad5eeb7341bc67151cdb4afa00e9c7a364a21acea67683d",
+    "ar1_gaussian/p-saffron/metrics":
+        "a6fcda47a61ade8026dd8487181c8ddd062fd43fb243893d25e8c8a307c3bfa8",
+    "ar1_gaussian/p-saffron/decisions":
+        "e344cc3c57c5b0c84331f4757ffe9a1b50c6909b297d3aa782d7089850fa5967",
+}
+
+
+class TestSimulateBytes:
+    """The metrics and decisions CSVs that ``simulate`` writes, byte for byte:
+    the generators, the replicate aggregation and both writers."""
+
+    @pytest.mark.parametrize("dgp,pid,extra", [
+        ("gaussian_mixture", "score-lord", []),
+        ("ar_exponential", "score-plus-lord", ["--omega", "rai,0.05,0.5,0.5"]),
+        ("ar1_gaussian", "p-saffron", ["--evidence", "p_conditional"]),
+    ])
+    def test_simulate_outputs(self, tmp_path, dgp, pid, extra):
+        metrics, decisions = tmp_path / "m.csv", tmp_path / "d.csv"
+        assert main(["simulate", "--dgp", dgp, "--procedure", pid, "--horizon", "300",
+                     "--replicates", "4", "--seed", "1", *extra,
+                     "--metrics-out", str(metrics), "--decisions-out", str(decisions)]) == 0
+        assert _sha256(metrics) == SIMULATE_BYTES[f"{dgp}/{pid}/metrics"]
+        assert _sha256(decisions) == SIMULATE_BYTES[f"{dgp}/{pid}/decisions"]
