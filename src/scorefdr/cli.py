@@ -14,7 +14,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -183,6 +183,9 @@ _KEYS = {
     "calibration_scores": (_INGEST, _to_path, "calibration_scores"),
 }
 ALL_KEYS = {"mode", *_KEYS}
+#: Keys that shape only the report files ``simulate`` and ``ingest`` write;
+#: ``oracle-check`` writes none, so it refuses them (in ``_KEYS`` order).
+_REPORT_KEYS = ("checkpoints", "decisions_out", "metrics_out", "replicates")
 
 
 def read_raw_config(text: str) -> dict[str, tuple[str, str]]:
@@ -364,41 +367,46 @@ def _load_stream(cfg: RunConfig, procedure: OnlineProcedure):
     return evidence, truth
 
 
-def _fmt(column):
-    return (format(value, ".17g") for value in np.asarray(column, dtype=float).tolist())
+# One %-format per row: integers as %d, reals as %.17g, \r\n line ends.
+_DECISIONS_ROW = "%d,%.17g,%d,%.17g,%.17g,%d,%.17g\r\n"
+_METRICS_ROW = "%d,%.17g,%.17g,%.17g,%.17g\r\n"
 
 
-def _write_csv(path: str, what: str, header, rows) -> None:
+def _reals(column) -> list[float]:
+    return np.asarray(column, dtype=float).tolist()
+
+
+def _write_csv(path: str, what: str, header, row_format: str, rows) -> None:
+    """Write ``header`` and then each row of ``rows`` through ``row_format``."""
     try:
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
+            handle.write(",".join(header) + "\r\n")
+            handle.writelines(row_format % row for row in rows)
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def emit_decisions(trajectory: Trajectory, path: str) -> None:
     """Write the per-step decision ledger as CSV (17 significant digits), a row at a time."""
-    _write_csv(path, "decisions", DECISIONS_HEADER, zip(
+    _write_csv(path, "decisions", DECISIONS_HEADER, _DECISIONS_ROW, zip(
         range(1, len(trajectory) + 1),
-        _fmt(trajectory.alpha),
+        _reals(trajectory.alpha),
         trajectory.decision.astype(int).tolist(),
-        _fmt(trajectory.overshoot),
-        _fmt(trajectory.cost),
+        _reals(trajectory.overshoot),
+        _reals(trajectory.cost),
         trajectory.rejections.astype(int).tolist(),
-        _fmt(trajectory.fdp_hat),
+        _reals(trajectory.fdp_hat),
     ))
 
 
 def emit_metrics(report: MetricsReport, path: str) -> None:
-    """Write the aggregated FDR / power curves as CSV."""
-    _write_csv(path, "metrics", METRICS_HEADER, zip(
+    """Write the aggregated FDR / power curves as CSV, a row at a time."""
+    _write_csv(path, "metrics", METRICS_HEADER, _METRICS_ROW, zip(
         np.asarray(report.checkpoints, dtype=int).tolist(),
-        _fmt(report.fdr),
-        _fmt(report.fdr_se),
-        _fmt(report.power),
-        _fmt(report.power_se),
+        _reals(report.fdr),
+        _reals(report.fdr_se),
+        _reals(report.power),
+        _reals(report.power_se),
     ))
 
 
@@ -517,7 +525,9 @@ def _collect_entries(args) -> dict[str, tuple[str, str]]:
     return entries
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``scorefdr`` argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="scorefdr",
         description="Online FDR control with overshoot-refund procedures.",
@@ -552,6 +562,9 @@ def main(argv=None) -> int:
         if args.command == "ingest":
             cfg = build_config(entries, mode="ingest")
             return _cmd_ingest(cfg)
+        for key in _REPORT_KEYS:
+            if key in entries:
+                _fail(entries[key][1], f"key {key!r} does not apply to oracle-check")
         mode = entries.get("mode", ("simulate", ""))[0]
         cfg = build_config(entries, mode=mode)
         return _cmd_oracle_check(cfg, args.tol)

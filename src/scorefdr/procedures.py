@@ -284,7 +284,7 @@ class OnlineProcedure:
         X = check_evidence_array(X, self.evidence_kind)
         if y is not None:
             y = check_truth_array(y, len(X))
-            self._truths.extend(bool(v) for v in y)
+            self._truths.extend(y.tolist())
         else:
             self._truths.extend([None] * len(X))
         advance = self._advance

@@ -1,6 +1,11 @@
 """Synthetic data-generating processes, trajectory metrics, and the
 Monte-Carlo replication runner.
 
+The runner evaluates each replicate from the fitted procedure's decisions
+and the generated stream's truth labels, through the same curves that
+:func:`evaluate` computes from a :class:`~scorefdr.procedures.Trajectory`;
+no trajectory is built per replicate.
+
 Reproducibility
 ---------------
 Streams are driven by numpy's PCG64 generator.  Each replicate r of a run
@@ -157,20 +162,25 @@ def generate(config: DgpConfig) -> GeneratedStream:
         mu_idx = np.minimum((rng.random(T) * len(mu_choices)).astype(int), len(mu_choices) - 1)
         mu = mu_choices[mu_idx]
         u_x = _uniforms(rng, T)
-        x = np.empty(T)
-        eta = np.empty(T)
+        # The recursion runs on Python floats; math.log1p, not np.log1p,
+        # whose results differ from it in the last bit.
+        rho = config.rho
+        xs = []
+        etas = []
         x_prev = 0.0
-        for t in range(T):
-            rate = 1.0 + config.rho * x_prev
+        for t, (alt, mu_t, u) in enumerate(zip(theta.tolist(), mu.tolist(), u_x.tolist())):
+            rate = 1.0 + rho * x_prev
             if rate <= 0.0:
                 raise ValueError(f"non-positive rate {rate} at step {t + 1}")
-            eta[t] = rate
-            if theta[t]:
-                rate = rate / mu[t]
-            x_prev = -math.log1p(-u_x[t]) / rate
-            x[t] = x_prev
+            etas.append(rate)
+            if alt:
+                rate = rate / mu_t
+            x_prev = -math.log1p(-u) / rate
+            xs.append(x_prev)
+        x = np.array(xs)
         spec = LikelihoodRatioSpec("exponential_scale", scale=3.0)
-        return GeneratedStream(x=x, truth=theta, evalue=lr_evalue(spec, x, context=eta))
+        return GeneratedStream(x=x, truth=theta,
+                               evalue=lr_evalue(spec, x, context=np.array(etas)))
 
     # ar1_gaussian
     init_sd = math.sqrt(1.0 / (1.0 - config.phi0**2))
@@ -178,11 +188,12 @@ def generate(config: DgpConfig) -> GeneratedStream:
     theta = _uniforms(rng, T) < config.pi1
     eps = _std_normals(rng, T)
     phi = np.where(theta, config.phi1, config.phi0)
-    x = np.empty(T)
+    xs = []
     x_prev = x0
-    for t in range(T):
-        x_prev = phi[t] * x_prev + eps[t]
-        x[t] = x_prev
+    for phi_t, eps_t in zip(phi.tolist(), eps.tolist()):
+        x_prev = phi_t * x_prev + eps_t
+        xs.append(x_prev)
+    x = np.array(xs)
     lagged = np.concatenate(([x0], x[:-1]))
     spec = LikelihoodRatioSpec("ar1_gaussian", phi0=config.phi0, phi1=config.phi1)
     return GeneratedStream(
@@ -204,8 +215,10 @@ def evaluate(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """
     if trajectory.truth is None:
         raise ValueError("trajectory carries no ground-truth labels")
-    decision = trajectory.decision
-    truth = trajectory.truth
+    return _curves(trajectory.decision, trajectory.truth)
+
+
+def _curves(decision: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rejections = np.cumsum(decision)
     false_rej = np.cumsum(decision & ~truth)
     true_rej = np.cumsum(decision & truth)
@@ -224,15 +237,6 @@ def default_checkpoints(horizon: int, max_points: int = 1000) -> np.ndarray:
     if points[-1] != horizon:
         points = np.append(points, horizon)
     return points
-
-
-def _one_replicate(dgp: DgpConfig, procedure: OnlineProcedure, evidence: str,
-                   idx: np.ndarray):
-    stream = generate(dgp)
-    proc = procedure.clone()
-    proc.fit(stream.evidence(evidence), stream.truth)
-    fdp, power = evaluate(proc.trajectory())
-    return fdp[idx], power[idx]
 
 
 def resolve_evidence(procedure: OnlineProcedure, evidence: str = "auto") -> str:
@@ -285,8 +289,13 @@ def replicate(
     fdp_sq = np.zeros(k)
     pow_sum = np.zeros(k)
     pow_sq = np.zeros(k)
+    proc = procedure.clone()
     for r in range(n_reps):
-        fdp, power = _one_replicate(replace(dgp, seed=base_seed + r), procedure, evidence, idx)
+        stream = generate(replace(dgp, seed=base_seed + r))
+        proc.fit(stream.evidence(evidence))
+        fdp, power = _curves(proc.decision_, stream.truth)
+        fdp = fdp[idx]
+        power = power[idx]
         fdp_sum += fdp
         fdp_sq += fdp * fdp
         pow_sum += power

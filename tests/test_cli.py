@@ -418,6 +418,31 @@ class TestMain:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key", ["checkpoints", "decisions_out", "metrics_out",
+                                     "replicates"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_oracle_check_refuses_report_keys(self, tmp_path, capsys, monkeypatch,
+                                              key, source):
+        # oracle-check writes no report, so a key that shapes one is an error,
+        # not silently ignored.
+        monkeypatch.chdir(tmp_path)
+        argv = ["oracle-check", "--procedure", "score-lord", "--horizon", "100"]
+        if source == "flag":
+            flag = f"--{key.replace('_', '-')}"
+            argv += [flag, SAMPLE_VALUES[key]]
+            where = f"flag {flag}"
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"# oracle run\n{key} = {SAMPLE_VALUES[key]}\n")
+            argv += ["--config", str(config)]
+            where = "line 2"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {where}: key '{key}' does not apply to oracle-check\n"
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == (
+            ["run.cfg"] if source == "file" else [])
+
     def test_oracle_check_on_csv(self, tmp_path, capsys):
         stream = tmp_path / "in.csv"
         stream.write_text("e\n" + "\n".join(str(v) for v in (30.0, 0.5, 900.0)) + "\n")

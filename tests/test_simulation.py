@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,52 @@ class TestReplicate:
         assert (report.fdr_se >= 0.0).all() and (report.power_se >= 0.0).all()
         assert report.procedure_id == "score-plus-lord"
         assert report.dgp == GM
+
+
+def _public_path_report(dgp, proc, n_reps, base_seed, evidence):
+    """``replicate``'s curves, rebuilt through ``trajectory()`` and ``evaluate``
+    and aggregated in the same order and by the same formulas."""
+    curves = []
+    for r in range(n_reps):
+        stream = sf.generate(replace(dgp, seed=base_seed + r))
+        fitted = proc.clone().fit(stream.evidence(evidence), stream.truth)
+        curves.append(sf.evaluate(fitted.trajectory()))
+    n = float(n_reps)
+    out = []
+    for which in (0, 1):
+        total = np.zeros(dgp.horizon)
+        squares = np.zeros(dgp.horizon)
+        for curve in curves:
+            total += curve[which]
+            squares += curve[which] * curve[which]
+        mean = total / n
+        var = np.maximum(squares - n * mean * mean, 0.0) / (n - 1.0)
+        out += [mean, np.sqrt(var / n)]
+    return out
+
+
+def _procedure_dgp_cases():
+    for pid in sf.PROCEDURE_IDS:
+        for name in ("gaussian_mixture", "ar_exponential", "ar1_gaussian"):
+            if pid.startswith("p-") and name != "ar1_gaussian":
+                continue
+            yield pid, name
+
+
+@pytest.mark.parametrize("pid, name", list(_procedure_dgp_cases()))
+def test_replicate_matches_trajectory_path(pid, name):
+    # replicate() evaluates from decisions and truth without a Trajectory;
+    # every curve at every step must equal the public path's bit for bit.
+    dgp = sf.DgpConfig(name, horizon=150, pi1=0.3)
+    proc = build(pid)
+    evidence = "p_conditional" if pid.startswith("p-") else "e"
+    report = sf.replicate(dgp, proc, n_reps=3, base_seed=4,
+                          checkpoints=np.arange(1, dgp.horizon + 1), evidence=evidence)
+    fdr, fdr_se, power, power_se = _public_path_report(dgp, proc, 3, 4, evidence)
+    assert np.array_equal(report.fdr, fdr)
+    assert np.array_equal(report.fdr_se, fdr_se)
+    assert np.array_equal(report.power, power)
+    assert np.array_equal(report.power_se, power_se)
 
 
 def test_dominance_transfers_to_generated_streams():
