@@ -294,8 +294,7 @@ def replicate(
         stream = generate(replace(dgp, seed=base_seed + r))
         proc.fit(stream.evidence(evidence))
         fdp, power = _curves(proc.decision_, stream.truth)
-        fdp = fdp[idx]
-        power = power[idx]
+        fdp, power = fdp[idx], power[idx]
         fdp_sum += fdp
         fdp_sq += fdp * fdp
         pow_sum += power
