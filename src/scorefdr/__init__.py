@@ -39,7 +39,6 @@ from .procedures import (
     StepResult,
     Trajectory,
     make_procedure,
-    run_stream,
 )
 from .calibration import (
     CalibrationSet,
@@ -63,7 +62,6 @@ from .simulation import (
 )
 from .reference import (
     BoundScanReport,
-    OracleTrace,
     bound_scan,
     bound_slack,
     naive_trajectory,
@@ -101,7 +99,6 @@ __all__ = [
     "StepResult",
     "Trajectory",
     "make_procedure",
-    "run_stream",
     "CalibrationSet",
     "LikelihoodRatioSpec",
     "vovk_p_to_e",
@@ -118,7 +115,6 @@ __all__ = [
     "evaluate",
     "replicate",
     "default_checkpoints",
-    "OracleTrace",
     "BoundScanReport",
     "bound_scan",
     "bound_slack",

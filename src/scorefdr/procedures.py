@@ -480,7 +480,7 @@ class PSaffron(_SaffronProcedure):
     global_denominator = True
 
 
-# -- Registry and stream runner. ---------------------------------------------
+# -- Registry. ----------------------------------------------------------------
 
 PROCEDURES: dict[str, type[OnlineProcedure]] = {
     cls.procedure_id: cls
@@ -522,34 +522,3 @@ def make_procedure(
         if name in accepted and value is not None:
             kwargs[name] = value
     return cls(**kwargs)
-
-
-def run_stream(procedure: OnlineProcedure, observations) -> Trajectory:
-    """Run a fresh copy of ``procedure`` over a sequence of observations.
-
-    Observations must be indexed 1..T consecutively and carry the evidence
-    kind the procedure consumes.  Ground-truth labels, when present on all
-    observations, are carried into the trajectory.
-    """
-    proc = procedure.clone()
-    evidence = []
-    truths = []
-    for pos, obs in enumerate(observations, start=1):
-        if not isinstance(obs, Observation):
-            raise TypeError(f"expected Observation, got {type(obs).__name__}")
-        if obs.index != pos:
-            raise ValueError(f"observations must be indexed consecutively from 1; "
-                             f"expected {pos}, got {obs.index}")
-        if obs.kind != proc.evidence_kind:
-            raise ValueError(
-                f"{proc.procedure_id} consumes {proc.evidence_kind!r}-kind evidence, "
-                f"got {obs.kind!r} at index {obs.index}"
-            )
-        evidence.append(obs.evidence)
-        truths.append(obs.truth)
-    known = [v for v in truths if v is not None]
-    if known and len(known) != len(truths):
-        raise ValueError("truth labels must be present on all observations or none")
-    y = np.asarray(truths, dtype=bool) if known else None
-    proc.fit(np.asarray(evidence, dtype=float), y)
-    return proc.trajectory()

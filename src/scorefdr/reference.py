@@ -3,8 +3,9 @@
 The naive trajectory recomputes every step of a procedure directly from the
 displayed budget formulas, re-summing the entire ledger at each step with no
 incremental accumulators.  It deliberately shares nothing with
-:mod:`scorefdr.procedures` beyond the pure schedule accessors and the core
-arithmetic, so agreement between the two is meaningful evidence that the
+:mod:`scorefdr.procedures` beyond a procedure's id and parameters, the
+:class:`~scorefdr.procedures.Trajectory` result type and the pure schedule
+accessors, so agreement between the two is meaningful evidence that the
 incremental bookkeeping is right.  It is intentionally quadratic.
 """
 
@@ -15,31 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .procedures import PROCEDURES, OnlineProcedure, Trajectory
-from .schedules import (
-    DEFAULT_GAMMA,
-    DEFAULT_LAMBDA,
-    DEFAULT_OMEGA,
-    Schedule,
-    gamma_at,
-    weight_at,
-)
-
-
-@dataclass(frozen=True)
-class OracleTrace:
-    """Per-step quantities recomputed from scratch at every step."""
-
-    alpha: np.ndarray
-    decision: np.ndarray
-    overshoot: np.ndarray
-    cost: np.ndarray
-    rejections: np.ndarray
-    fdp_hat: np.ndarray
-    wealth: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.alpha)
+from .procedures import OnlineProcedure, Trajectory
+from .schedules import gamma_at, weight_at
 
 
 @dataclass(frozen=True)
@@ -88,40 +66,20 @@ def bound_scan(grid_step: float = 1e-3, y_max: float = 10.0) -> BoundScanReport:
     )
 
 
-def _resolve(procedure, alpha, gamma, omega, lam):
-    if isinstance(procedure, OnlineProcedure):
-        params = procedure.get_params()
-        return (
-            procedure.procedure_id,
-            params["alpha"],
-            params.get("gamma"),
-            params.get("omega"),
-            params.get("lam"),
-        )
-    if procedure not in PROCEDURES:
-        raise ValueError(f"unknown procedure {procedure!r}")
-    return procedure, alpha, gamma, omega, lam
+def naive_trajectory(procedure: OnlineProcedure, evidence) -> Trajectory:
+    """Replay a configured procedure over ``evidence`` by brute force.
 
-
-def naive_trajectory(
-    procedure,
-    evidence,
-    alpha: float = 0.05,
-    gamma: Schedule | None = None,
-    omega: Schedule | None = None,
-    lam: Schedule | None = None,
-) -> OracleTrace:
-    """Replay a procedure over ``evidence`` by brute force.
-
-    ``procedure`` is a procedure id or a configured
-    :class:`~scorefdr.procedures.OnlineProcedure` instance (whose parameters
-    are then used).  At every step the budget is rebuilt by summing the full
-    history of per-step records; nothing is carried forward.
+    The procedure's id and parameters select the displayed budget formula;
+    the procedure itself is never stepped.  At every step the budget is
+    rebuilt by summing the full history of per-step records; nothing is
+    carried forward.  The returned trajectory has no truth labels.
     """
-    pid, alpha, gamma, omega, lam = _resolve(procedure, alpha, gamma, omega, lam)
-    gamma = gamma if gamma is not None else DEFAULT_GAMMA
-    omega = omega if omega is not None else DEFAULT_OMEGA
-    lam = lam if lam is not None else DEFAULT_LAMBDA
+    if not isinstance(procedure, OnlineProcedure):
+        raise TypeError(f"expected an OnlineProcedure, got {type(procedure).__name__}")
+    pid = procedure.procedure_id
+    params = procedure.get_params()
+    alpha = params["alpha"]
+    gamma, omega, lam = params.get("gamma"), params.get("omega"), params.get("lam")
     evidence = np.asarray(evidence, dtype=float)
     T = len(evidence)
     is_p = pid.startswith("p-")
@@ -142,11 +100,9 @@ def naive_trajectory(
         # -- budget from the full ledger ------------------------------------
         if pid in ("e-lond", "p-lond"):
             alpha_t = gamma_at(gamma, t) * (r_prev + 1.0) * alpha
-            w_after = math.nan
         elif pid == "score-lond":
             refunds = np.minimum(overs[:k], alphas[:k]) / (rej_before[:k] + 1.0)
             alpha_t = gamma_at(gamma, t) * (r_prev + 1.0) * (alpha + refunds.sum())
-            w_after = math.nan
         elif pid == "e-lord":
             spent = (alphas[:k] / (rej_before[:k] + 1.0)).sum()
             alpha_t = weight_at(omega, t, r_prev) * (r_prev + 1.0) * (alpha - spent)
@@ -240,7 +196,7 @@ def naive_trajectory(
 
         r_prev = r_now
 
-    return OracleTrace(
+    return Trajectory(
         alpha=alphas,
         decision=decisions,
         overshoot=overs,
@@ -261,8 +217,8 @@ def _scaled_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / scale))
 
 
-def trace_divergence(trace: OracleTrace, trajectory: Trajectory) -> dict[str, float]:
-    """Worst per-field divergence between an oracle trace and a trajectory.
+def trace_divergence(trace: Trajectory, trajectory: Trajectory) -> dict[str, float]:
+    """Worst per-field divergence between the oracle's and the engine's trajectory.
 
     Float fields report ``|a - b| / max(1, |a|, |b|)``, i.e. absolute
     difference for ordinarily-sized values and relative difference for huge

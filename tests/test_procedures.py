@@ -218,33 +218,11 @@ class TestStreamContract:
 
 class TestRunStream:
     def test_empty_stream(self):
-        traj = sf.run_stream(build("e-lord"), [])
+        traj = build("e-lord").fit([]).trajectory()
         assert len(traj) == 0 and traj.n_rejections == 0
 
-    def test_matches_fit(self):
-        rng = np.random.default_rng(3)
-        stream = random_e_stream(rng, 80)
-        obs = [sf.Observation(i + 1, v, kind="e", truth=bool(i % 3 == 0))
-               for i, v in enumerate(stream)]
-        traj = sf.run_stream(build("score-lord"), obs)
-        fitted = build("score-lord").fit(stream)
-        assert np.array_equal(traj.alpha, fitted.alpha_)
-        assert np.array_equal(traj.decision, fitted.decision_)
-        assert traj.truth is not None and traj.truth[0] and not traj.truth[1]
-
-    def test_index_gap_rejected(self):
-        obs = [sf.Observation(1, 1.0), sf.Observation(3, 1.0)]
-        with pytest.raises(ValueError, match="consecutively"):
-            sf.run_stream(build("e-lord"), obs)
-
-    def test_mixed_truth_rejected(self):
-        obs = [sf.Observation(1, 1.0, truth=True), sf.Observation(2, 1.0)]
-        with pytest.raises(ValueError, match="all observations or none"):
-            sf.run_stream(build("e-lord"), obs)
-
     def test_no_rejections_when_evidence_weak(self):
-        obs = [sf.Observation(i + 1, 1.1, kind="e") for i in range(50)]
-        traj = sf.run_stream(build("e-lord"), obs)
+        traj = build("e-lord").fit(np.full(50, 1.1)).trajectory()
         assert traj.n_rejections == 0
         assert not traj.decision.any()
 

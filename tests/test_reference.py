@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 import scorefdr as sf
-from scorefdr.reference import bound_scan, bound_slack, naive_trajectory, trace_divergence
-from helpers import GAMMA, LAMBDA, OMEGA, build, evidence_for
+from scorefdr.reference import (
+    bound_scan,
+    bound_slack,
+    naive_trajectory,
+    trace_divergence,
+)
+from helpers import OMEGA, build, evidence_for
 
 
 def test_bound_slack_pointwise():
@@ -29,7 +34,8 @@ def test_bound_scan_validation():
 
 
 def test_naive_score_lond_trace():
-    trace = naive_trajectory("score-lond", [100.0, 1.0], alpha=0.05, gamma=GAMMA)
+    trace = naive_trajectory(build("score-lond"), [100.0, 1.0])
+    assert isinstance(trace, sf.Trajectory) and trace.truth is None
     assert trace.alpha == pytest.approx([0.025, 0.0375], abs=1e-12)
     assert list(trace.decision) == [True, False]
     assert trace.overshoot[0] == pytest.approx(1.5, abs=1e-12)
@@ -38,8 +44,7 @@ def test_naive_score_lond_trace():
 
 def test_naive_all_zero_stream():
     for pid in ("e-lond", "score-lord", "score-plus-saffron"):
-        trace = naive_trajectory(pid, np.zeros(20), alpha=0.05,
-                                 gamma=GAMMA, omega=OMEGA, lam=LAMBDA)
+        trace = naive_trajectory(build(pid), np.zeros(20))
         assert not trace.decision.any()
         assert trace.rejections[-1] == 0
 
@@ -52,9 +57,9 @@ def test_naive_accepts_procedure_instance():
     assert np.allclose(trace.alpha, traj.alpha, atol=1e-15)
 
 
-def test_unknown_procedure():
-    with pytest.raises(ValueError, match="unknown procedure"):
-        naive_trajectory("score-bh", [1.0])
+def test_naive_requires_procedure_instance():
+    with pytest.raises(TypeError, match="expected an OnlineProcedure"):
+        naive_trajectory("score-lord", [1.0])
 
 
 def test_oracle_matches_incremental_on_random_streams():
@@ -73,7 +78,7 @@ def test_oracle_matches_incremental_on_random_streams():
 
 
 def test_trace_divergence_length_mismatch():
-    trace = naive_trajectory("e-lord", [1.0, 2.0], omega=OMEGA)
+    trace = naive_trajectory(build("e-lord"), [1.0, 2.0])
     traj = build("e-lord").fit([1.0]).trajectory()
     with pytest.raises(ValueError, match="equal length"):
         trace_divergence(trace, traj)
@@ -81,9 +86,10 @@ def test_trace_divergence_length_mismatch():
 
 def test_trace_divergence_reports_mismatches():
     stream = np.array([30.0, 0.5, 800.0, 2.0])
-    trace = naive_trajectory("score-lord", stream, omega=OMEGA)
+    trace = naive_trajectory(build("score-lord"), stream)
     traj = build("score-lord").fit(stream).trajectory()
     gaps = trace_divergence(trace, traj)
     assert set(gaps) == {"alpha", "overshoot", "cost", "fdp_hat", "decision",
                          "rejections", "wealth"}
     assert all(v <= 1e-12 for v in gaps.values())
+
