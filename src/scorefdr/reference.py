@@ -210,11 +210,17 @@ def naive_trajectory(procedure: OnlineProcedure, evidence) -> Trajectory:
 def _scaled_gap(a: np.ndarray, b: np.ndarray) -> float:
     # Absolute gap for O(1) quantities, relative for large ones: overshoots
     # scale with the raw e-values, so a fixed absolute tolerance would be
-    # meaningless when the evidence reaches 1e10 and beyond.
+    # meaningless when the evidence reaches 1e10 and beyond.  Equal values
+    # (equal infinities included) are no gap; any other NaN gap, from an
+    # infinity or a NaN on either side, is an infinite one.
     if a.size == 0:
         return 0.0
-    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.abs(a - b) / scale))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        gap = np.abs(a - b) / scale
+    gap[a == b] = 0.0
+    gap[np.isnan(gap)] = np.inf
+    return float(gap.max())
 
 
 def trace_divergence(trace: Trajectory, trajectory: Trajectory) -> dict[str, float]:
@@ -224,7 +230,7 @@ def trace_divergence(trace: Trajectory, trajectory: Trajectory) -> dict[str, flo
     difference for ordinarily-sized values and relative difference for huge
     ones.  Wealth is compared only where the procedure defines it (NaN rows
     are skipped); decisions and rejection counts are exact and reported as
-    mismatch counts.
+    mismatch counts.  No value is NaN.
     """
     if len(trace) != len(trajectory):
         raise ValueError("trace and trajectory must have equal length")

@@ -487,6 +487,18 @@ class TestMain:
         assert err == f"error: {where}: checkpoints must be strictly increasing\n"
         assert not metrics.exists()
 
+    def test_oracle_check_fails_on_non_finite_gap(self, capsys):
+        # The oracle's wealth re-sum overflows to inf on this stream while the
+        # engine's stays finite; an infinite gap must fail, not compare as NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["oracle-check", "--mode", "ingest",
+                       "--input", str(DATA / "synthetic_pvalues.csv"),
+                       "--calibrator", "vovk", "--procedure", "score-saffron"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        assert out.endswith("FAIL: divergence inf exceeds tolerance 1.0e-10\n")
+
     @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
     @pytest.mark.parametrize("pid, evidence, kind", [
         ("e-lord", "p_conditional", "p"), ("p-lord", "e", "e"),

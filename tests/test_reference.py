@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import scorefdr as sf
 from scorefdr.reference import (
+    _scaled_gap,
     bound_scan,
     bound_slack,
     naive_trajectory,
@@ -93,3 +96,31 @@ def test_trace_divergence_reports_mismatches():
                          "rejections", "wealth"}
     assert all(v <= 1e-12 for v in gaps.values())
 
+
+class TestScaledGap:
+    def test_equal_values_are_no_gap(self):
+        a = np.array([0.5, np.inf, -np.inf, 1e300])
+        assert _scaled_gap(a, a.copy()) == 0.0
+
+    def test_infinity_against_finite_is_infinite(self):
+        assert _scaled_gap(np.array([0.0, np.inf]), np.array([0.0, 3.0])) == np.inf
+        assert _scaled_gap(np.array([-np.inf]), np.array([np.inf])) == np.inf
+
+    def test_nan_on_one_side_is_infinite(self):
+        assert _scaled_gap(np.array([1.0, np.nan]), np.array([1.0, 2.0])) == np.inf
+        assert _scaled_gap(np.array([1.0, 2.0]), np.array([1.0, np.nan])) == np.inf
+
+    def test_finite_gap_is_scaled(self):
+        a, b = np.array([0.1, 1e12]), np.array([0.1 + 1e-12, 1e12 + 1.0])
+        assert _scaled_gap(a, b) == pytest.approx(1e-12, rel=1e-3)
+
+
+def test_trace_divergence_never_reports_nan():
+    stream = np.array([30.0, 0.5, 800.0])
+    trace = naive_trajectory(build("score-lord"), stream)
+    traj = build("score-lord").fit(stream).trajectory()
+    broken = dataclasses.replace(trace, alpha=np.array([np.inf, 0.1, np.nan]),
+                                 wealth=np.full(3, np.nan))
+    gaps = trace_divergence(broken, traj)
+    assert gaps["alpha"] == np.inf and gaps["wealth"] == np.inf
+    assert not any(np.isnan(v) for v in gaps.values())
