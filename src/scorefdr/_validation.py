@@ -22,14 +22,14 @@ def check_positive_int(value, name: str) -> int:
 
 
 def check_evidence_array(x, kind: str) -> np.ndarray:
-    """Coerce a stream of evidence values to a validated 1-d float array.
+    """Coerce a 1-d stream of evidence values to a validated float array.
 
     ``kind`` is ``"e"`` (non-negative reals) or ``"p"`` (values in [0, 1]).
     Non-finite entries are rejected for both kinds.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
-        arr = arr.reshape(-1)
+        raise ValueError(f"evidence must be 1-d, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("evidence must be finite; found nan or inf")
     if kind == "e":

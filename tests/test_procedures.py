@@ -226,6 +226,14 @@ class TestRunStream:
         assert traj.n_rejections == 0
         assert not traj.decision.any()
 
+    def test_multidimensional_evidence_rejected(self):
+        proc = build("score-lord")
+        with pytest.raises(ValueError, match=r"1-d, got shape \(2, 2\)"):
+            proc.fit([[1000.0, 0.3], [2.0, 400.0]])
+        with pytest.raises(ValueError, match=r"1-d, got shape \(\)"):
+            proc.partial_fit(1000.0)
+        assert proc.t_ == 0
+
 
 class TestEstimatorProtocol:
     def test_partial_fit_equals_fit(self):
