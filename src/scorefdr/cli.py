@@ -233,6 +233,9 @@ def build_config(entries: dict[str, tuple[str, str]], mode: str | None = None) -
             cfg.build_dgp()
         except ValueError as exc:
             raise ConfigError(f"config: {exc}") from None
+        if cfg.checkpoints and cfg.checkpoints[-1] > cfg.horizon:
+            _fail(entries["checkpoints"][1],
+                  f"checkpoint {cfg.checkpoints[-1]} exceeds the horizon {cfg.horizon}")
     elif cfg.input is None:
         raise ConfigError("config: ingest mode requires the 'input' key")
     elif cfg.calibrator == "conformal" and cfg.calibration_scores is None:

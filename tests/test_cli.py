@@ -487,6 +487,24 @@ class TestMain:
         assert err == f"error: {where}: checkpoints must be strictly increasing\n"
         assert not metrics.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_simulate_checkpoints_beyond_horizon(self, tmp_path, capsys, source):
+        metrics = tmp_path / "m.csv"
+        argv = ["simulate", "--procedure", "score-lord", "--horizon", "100",
+                "--metrics-out", str(metrics)]
+        if source == "flag":
+            argv += ["--checkpoints", "50,200"]
+            where = "flag --checkpoints"
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("# report points\ncheckpoints = 50,200\n")
+            argv += ["--config", str(config)]
+            where = "line 2"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {where}: checkpoint 200 exceeds the horizon 100\n"
+        assert captured.out == "" and not metrics.exists()
+
     def test_oracle_check_fails_on_non_finite_gap(self, capsys):
         # The oracle's wealth re-sum overflows to inf on this stream while the
         # engine's stays finite; an infinite gap must fail, not compare as NaN.
