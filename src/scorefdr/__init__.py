@@ -6,11 +6,7 @@ e-values or p-values, synthetic benchmark generators with a Monte-Carlo
 runner, a brute-force reference oracle, and a CSV-driven command line.
 """
 
-from .core import (
-    MAX_EVALUE,
-    Observation,
-    StepRecord,
-)
+from .core import MAX_EVALUE, Observation
 from .schedules import (
     DEFAULT_GAMMA,
     DEFAULT_LAMBDA,
@@ -73,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_EVALUE",
     "Observation",
-    "StepRecord",
     "Schedule",
     "gamma_at",
     "weight_at",

@@ -21,6 +21,15 @@ def check_positive_int(value, name: str) -> int:
     return int(value)
 
 
+def check_evidence_value(value: float, kind: str) -> float:
+    """Validate one evidence value: finite, non-negative, and at most 1 for ``kind="p"``."""
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"evidence must be a finite non-negative real, got {value!r}")
+    if kind == "p" and value > 1.0:
+        raise ValueError(f"p-value evidence must lie in [0, 1], got {value}")
+    return value
+
+
 def check_evidence_array(x, kind: str) -> np.ndarray:
     """Coerce a 1-d stream of evidence values to a validated float array.
 

@@ -1,16 +1,11 @@
-"""Domain types shared by every testing procedure.
-
-A :class:`StepRecord` carries the step's *overshoot*: when scaled evidence
-``alpha * e`` clears the rejection threshold 1 with room to spare, the excess
-``(alpha * e - 1)_+`` is refunded to the error budget by the ``score-*``
-procedures instead of being discarded.
-"""
+"""Domain types shared by every testing procedure."""
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
+
+from ._validation import check_evidence_value
 
 #: Largest representable e-value.  Calibrators and likelihood ratios clamp
 #: to this instead of returning inf so that ``alpha * e`` stays NaN-free.
@@ -46,34 +41,4 @@ class Observation:
             raise ValueError(f"index must be a positive integer, got {self.index!r}")
         if self.kind not in EVIDENCE_KINDS:
             raise ValueError(f"kind must be one of {EVIDENCE_KINDS}, got {self.kind!r}")
-        if not math.isfinite(self.evidence):
-            raise ValueError("evidence must be finite")
-        if self.evidence < 0.0:
-            raise ValueError("evidence must be non-negative")
-        if self.kind == "p" and self.evidence > 1.0:
-            raise ValueError(f"p-value evidence must lie in [0, 1], got {self.evidence}")
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Audit record of a single testing step.
-
-    ``cost`` is the amount actually charged against the budget by the
-    procedure that produced the record (refund-adjusted where the procedure
-    refunds).  ``rejections_before`` is the rejection count entering the
-    step, i.e. the denominator driver R_{t-1}.
-    """
-
-    alpha: float
-    decision: bool
-    overshoot: float
-    cost: float
-    rejections_before: int
-
-    def __post_init__(self):
-        if not (self.alpha >= 0.0):
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.overshoot < 0.0 or self.cost < 0.0:
-            raise ValueError("overshoot and cost must be non-negative")
-        if self.rejections_before < 0:
-            raise ValueError("rejections_before must be non-negative")
+        check_evidence_value(self.evidence, self.kind)

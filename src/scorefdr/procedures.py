@@ -39,8 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validation import check_evidence_array, check_open_unit, check_truth_array
-from .core import Observation, StepRecord
+from ._validation import (check_evidence_array, check_evidence_value, check_open_unit,
+                          check_truth_array)
+from .core import Observation
 from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule, check_gamma
 
 #: Tolerance below which a wealth value is treated as an implementation bug
@@ -49,9 +50,20 @@ WEALTH_UNDERFLOW_TOL = -1e-12
 
 
 class StepResult(NamedTuple):
-    """Outcome of one step: the audit record plus the running FDP estimate."""
+    """One step's row, as :meth:`OnlineProcedure.step` returns it.
 
-    record: StepRecord
+    ``overshoot`` is ``(alpha * e - 1)_+``, the excess by which scaled evidence
+    clears the rejection threshold 1; the ``score-*`` procedures refund it to the
+    budget instead of discarding it.  ``cost`` is the charge actually made
+    (refund-adjusted where the procedure refunds), and ``rejections_before`` the
+    rejection count R_{t-1} entering the step.
+    """
+
+    alpha: float
+    decision: bool
+    overshoot: float
+    cost: float
+    rejections_before: int
     fdp_hat: float
 
 
@@ -251,7 +263,7 @@ class OnlineProcedure:
                 RuntimeWarning,
                 stacklevel=3,
             )
-        return alpha_t, decision, over, cost, fdp, rb
+        return alpha_t, decision, over, cost, rb, fdp
 
     def step(self, observation) -> StepResult:
         """Consume a single observation (an :class:`Observation` or a bare value)."""
@@ -270,14 +282,10 @@ class OnlineProcedure:
             value = observation.evidence
             truth = observation.truth
         else:
-            value = float(observation)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"evidence must be a finite non-negative real, got {value!r}")
-            if self.evidence_kind == "p" and value > 1.0:
-                raise ValueError(f"p-value evidence must lie in [0, 1], got {value}")
-        alpha_t, decision, over, cost, fdp, rb = self._advance(value)
+            value = check_evidence_value(float(observation), self.evidence_kind)
+        result = StepResult._make(self._advance(value))
         self._truths.append(truth)
-        return StepResult(StepRecord(alpha_t, decision, over, cost, rb), fdp)
+        return result
 
     def partial_fit(self, X, y=None):
         """Consume more of the evidence stream without resetting state."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scorefdr as sf
-from scorefdr import Observation, StepRecord
+from scorefdr import Observation
 
 finite_nonneg = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 HALF = sf.Schedule.constant(0.5)
@@ -118,16 +118,3 @@ class TestObservation:
         with pytest.raises(ValueError):
             Observation(1, 1.0, kind="q")
 
-
-class TestStepRecord:
-    def test_valid(self):
-        rec = StepRecord(alpha=0.01, decision=True, overshoot=0.5, cost=0.0, rejections_before=2)
-        assert rec.decision and rec.rejections_before == 2
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            StepRecord(alpha=-0.1, decision=False, overshoot=0.0, cost=0.0, rejections_before=0)
-        with pytest.raises(ValueError):
-            StepRecord(alpha=0.1, decision=False, overshoot=-1.0, cost=0.0, rejections_before=0)
-        with pytest.raises(ValueError):
-            StepRecord(alpha=0.1, decision=False, overshoot=0.0, cost=0.0, rejections_before=-1)

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scorefdr as sf
 from helpers import (
@@ -207,13 +208,60 @@ class TestStreamContract:
         with pytest.raises(ValueError, match="expected index 2"):
             proc.step(sf.Observation(3, 1.0))
 
-    def test_step_matches_arrays(self):
-        proc = build("score-saffron")
-        results = [proc.step(v) for v in (40.0, 0.2, 900.0)]
-        assert [r.record.alpha for r in results] == list(proc.alpha_)
-        assert [r.record.decision for r in results] == list(proc.decision_)
-        assert [r.fdp_hat for r in results] == list(proc.fdp_hat_)
-        assert [r.record.rejections_before for r in results] == list(proc.rejections_before_)
+    @pytest.mark.parametrize("pid", sf.PROCEDURE_IDS)
+    def test_step_matches_arrays(self, pid):
+        # a strong first value, so that every procedure rejects at least once
+        strong = 1e-6 if pid.startswith("p-") else 1e4
+        values = [strong] + evidence_for(pid, np.random.default_rng(12), 200).tolist()
+        proc = build(pid)
+        results = [proc.step(v) for v in values]
+        fitted = build(pid).fit(values)
+        for field in sf.StepResult._fields:
+            column = [getattr(r, field) for r in results]
+            assert column == getattr(fitted, field + "_").tolist(), field
+            assert column == getattr(proc, field + "_").tolist(), field
+        assert fitted.decision_.any()
+
+
+# Extreme evidence of each kind, weakest to strongest: zero, subnormal and huge
+# e-values; p-values at 1, one half, tiny, subnormal and 0.
+EXTREME_E = (0.0, 5e-324, 1.0, 1e300, sf.MAX_EVALUE)
+EXTREME_P = (1.0, 0.5, 1e-300, 5e-324, 0.0)
+BOLD = sf.Schedule.constant(0.99)
+TINY_LAMBDA = sf.Schedule.constant(0.01)
+STRONGEST = len(EXTREME_E) - 1
+
+
+@pytest.mark.parametrize("pid", sf.PROCEDURE_IDS)
+@settings(max_examples=25, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(0, STRONGEST), st.integers(1, 1000)),
+                     min_size=1, max_size=3),
+       repeat=st.integers(1, 3), bold=st.booleans())
+@example(runs=[(STRONGEST, 3000)], repeat=1, bold=True)
+@example(runs=[(0, 1500), (STRONGEST, 1500)], repeat=1, bold=True)
+@example(runs=[(STRONGEST, 1), (0, 1)], repeat=1500, bold=True)
+@example(runs=[(STRONGEST, 1), (0, 1)], repeat=1500, bold=False)
+def test_step_invariants_on_extreme_streams(pid, runs, repeat, bold):
+    """alpha, overshoot, cost and fdp_hat stay >= 0 and never NaN, and the
+    rejection count rises from 0 by exactly the decisions, on fit and step."""
+    atoms = EXTREME_P if pid.startswith("p-") else EXTREME_E
+    values = [atoms[i] for i, length in runs for _ in range(length)] * repeat
+    schedules = dict(gamma=BOLD, omega=BOLD, lam=TINY_LAMBDA) if bold else {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # alpha_t >= 1 is expected here
+        fitted = build(pid, **schedules).fit(values)
+        stepper = build(pid, **schedules)
+        rows = [stepper.step(v) for v in values]
+    paths = {
+        "fit": {name: getattr(fitted, name + "_") for name in sf.StepResult._fields},
+        "step": dict(zip(sf.StepResult._fields, map(np.asarray, zip(*rows)))),
+    }
+    for path, columns in paths.items():
+        for name in ("alpha", "overshoot", "cost", "fdp_hat"):
+            assert np.all(columns[name] >= 0.0), (path, name)  # NaN fails this too
+        before = columns["rejections_before"]
+        assert before[0] == 0, path
+        assert np.array_equal(np.diff(before), columns["decision"][:-1]), path
 
 
 class TestRunStream:
