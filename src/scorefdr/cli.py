@@ -435,19 +435,15 @@ def read_decisions(path: str) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _metrics_from_single(trajectory: Trajectory, dgp: DgpConfig | None, procedure_id: str,
+def _metrics_from_single(trajectory: Trajectory, procedure_id: str,
                          checkpoints) -> MetricsReport:
     fdp, power = evaluate(trajectory)
     checkpoints = np.asarray(checkpoints, dtype=int)
-    if checkpoints.min() < 1 or checkpoints.max() > len(trajectory):
-        raise ConfigError(
-            f"checkpoints must lie in [1, {len(trajectory)}] for this stream"
-        )
     idx = checkpoints - 1
     zeros = np.zeros(len(idx))
     return MetricsReport(
         checkpoints=checkpoints, fdr=fdp[idx], fdr_se=zeros,
-        power=power[idx], power_se=zeros, n_reps=1, dgp=dgp,
+        power=power[idx], power_se=zeros, n_reps=1, dgp=None,
         procedure_id=procedure_id,
     )
 
@@ -476,15 +472,23 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 def _cmd_ingest(cfg: RunConfig) -> int:
     procedure = cfg.build_procedure()
-    trajectory = procedure.fit(*_load_stream(cfg, procedure)).trajectory()
+    evidence, truth = _load_stream(cfg, procedure)
+    # The metrics request is checked before either output file is written.
+    if cfg.metrics_out:
+        if truth is None:
+            raise ConfigError(f"{cfg.input}: metrics_out requires a truth column in the input")
+        checkpoints = cfg.checkpoints or tuple(range(1, len(evidence) + 1))
+        if checkpoints[-1] > len(evidence):
+            raise ConfigError(
+                f"{cfg.input}: checkpoints must lie in [1, {len(evidence)}] for this "
+                f"stream, got {checkpoints[-1]}"
+            )
+    trajectory = procedure.fit(evidence, truth).trajectory()
     if cfg.decisions_out:
         emit_decisions(trajectory, cfg.decisions_out)
     if cfg.metrics_out:
-        if trajectory.truth is None:
-            raise ConfigError("metrics_out requires a truth column in the input")
-        checkpoints = cfg.checkpoints or tuple(range(1, len(trajectory) + 1))
-        report = _metrics_from_single(trajectory, None, cfg.procedure, checkpoints)
-        emit_metrics(report, cfg.metrics_out)
+        emit_metrics(_metrics_from_single(trajectory, cfg.procedure, checkpoints),
+                     cfg.metrics_out)
     print(
         f"ingest {cfg.procedure}: {trajectory.n_rejections} discoveries "
         f"in {len(trajectory)} hypotheses"

@@ -28,7 +28,8 @@ class Observation:
     kind : str
         ``"e"`` or ``"p"``.
     truth : bool or None
-        True when the hypothesis is a genuine non-null, when known.
+        True when the hypothesis is a genuine non-null, when known; 0 and 1
+        are accepted as False and True.
     """
 
     index: int
@@ -42,3 +43,5 @@ class Observation:
         if self.kind not in EVIDENCE_KINDS:
             raise ValueError(f"kind must be one of {EVIDENCE_KINDS}, got {self.kind!r}")
         check_evidence_value(self.evidence, self.kind)
+        if self.truth is not None and self.truth not in (0, 1):
+            raise ValueError(f"truth must be None, a bool, 0 or 1, got {self.truth!r}")

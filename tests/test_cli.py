@@ -406,6 +406,21 @@ class TestMain:
         assert rc == 2
         assert "checkpoints" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, rows, extra, message", [
+        ("p,truth", ["0.1,0", "0.2,1"], ["--checkpoints", "1,5"],
+         r"checkpoints must lie in \[1, 2\] for this stream, got 5"),
+        ("p", ["0.1", "0.2"], [], "metrics_out requires a truth column in the input"),
+    ], ids=["checkpoints-beyond-stream", "no-truth-column"])
+    def test_ingest_bad_metrics_request_writes_nothing(self, tmp_path, capsys, header, rows,
+                                                       extra, message):
+        stream = _write_csv(tmp_path / "in.csv", header, rows)
+        metrics, decisions = tmp_path / "m.csv", tmp_path / "d.csv"
+        rc = main(["ingest", "--input", stream, "--procedure", "p-lord",
+                   "--metrics-out", str(metrics), "--decisions-out", str(decisions)] + extra)
+        assert rc == 2
+        assert re.search(f"^error: {re.escape(stream)}: {message}\n$", capsys.readouterr().err)
+        assert not metrics.exists() and not decisions.exists()
+
     def test_simulate_invalid_dgp_combination(self, capsys):
         rc = main(["simulate", "--procedure", "e-lord", "--dgp", "ar1_gaussian",
                    "--phi0", "1.0"])

@@ -118,3 +118,17 @@ class TestObservation:
         with pytest.raises(ValueError):
             Observation(1, 1.0, kind="q")
 
+    @pytest.mark.parametrize("bad", ["0", "yes", 2, 0.5, -1, math.nan])
+    def test_truth_must_be_binary(self, bad):
+        with pytest.raises(ValueError, match=f"truth must be .*, got {bad!r}"):
+            Observation(1, 2.0, truth=bad)
+
+    @pytest.mark.parametrize("label, expected", [
+        (None, None), (True, True), (False, False), (np.bool_(True), True),
+        (np.bool_(False), False), (1, True), (0, False), (1.0, True), (np.int64(0), False),
+    ])
+    def test_truth_accepts_bools_and_binary_numbers(self, label, expected):
+        proc = sf.ScoreLord()
+        proc.step(Observation(1, 2.0, truth=label))
+        truth = proc.trajectory().truth
+        assert truth is None if expected is None else truth.tolist() == [expected]
