@@ -1,10 +1,13 @@
 import argparse
+import csv
 import hashlib
+import io
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import scorefdr as sf
 from scorefdr.cli import (
@@ -290,6 +293,145 @@ class TestIngest:
         cal = sf.CalibrationSet([0.0, 0.0, 0.0])
         evidence, kind, _ = ingest_stream(path, calibrator="conformal", calibration=cal)
         assert kind == "e" and evidence[0] == pytest.approx(4.0)
+
+
+def _ingest_error(path, **kwargs) -> str:
+    with pytest.raises(ConfigError) as excinfo:
+        ingest_stream(str(path), **kwargs)
+    return str(excinfo.value)
+
+
+def _ingest_stderr(capsys, *args) -> str:
+    assert main(["ingest", *args]) == 2
+    return capsys.readouterr().err
+
+
+def _conformal_args(tmp_path, cal):
+    scores = _write_csv(tmp_path / "scores.csv", "score", ["1.0"])
+    return ["--input", scores, "--calibrator", "conformal", "--calibration-scores", str(cal),
+            "--procedure", "score-lord"]
+
+
+class TestReader:
+    """How an input CSV is read: blank lines, line ends, quoting, index
+    spellings, the order of checks within a row and the file line an error
+    names."""
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("index,p,truth\n\n1,0.1,1\n\n\n2,0.2,0\n\n\n")
+        evidence, kind, truth = ingest_stream(str(path))
+        assert evidence.tolist() == [0.1, 0.2] and kind == "p"
+        assert truth.tolist() == [True, False]
+
+    def test_header_is_the_first_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("\np\n0.1\n")
+        assert "found none" in _ingest_error(path)
+
+    def test_crlf_and_no_final_newline(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"p,truth\r\n0.1,1\r\n\r\n0.2,0")
+        evidence, _, truth = ingest_stream(str(path))
+        assert evidence.tolist() == [0.1, 0.2] and truth.tolist() == [True, False]
+        path.write_bytes(b"p\r\n0.1\r\n\r\n2")
+        assert _ingest_error(path) == f"{path} row 4: p-value out of (0, 1]: 2.0"
+
+    def test_quoted_fields(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text('"index","e","note","truth"\n'
+                        '"1","4.0","a, ""b""","1"\n'
+                        '2,"0.5","two\nlines",0\n'
+                        '3,0.25,,1\n')
+        evidence, kind, truth = ingest_stream(str(path))
+        assert evidence.tolist() == [4.0, 0.5, 0.25] and kind == "e"
+        assert truth.tolist() == [True, False, True]
+        # a record spanning lines 3-4 moves every later row down one line
+        with open(path, "a") as handle:
+            handle.write('4,"-1",x,0\n')
+        assert _ingest_error(path) == f"{path} row 6: negative e-value: -1.0"
+
+    def test_index_spellings(self, tmp_path):
+        path = _write_csv(tmp_path / "s.csv", "index,e",
+                          ["1,1.0", " 2 ,2.0", "+3,3.0", "04,4.0", '"5",5.0'])
+        evidence, _, _ = ingest_stream(path)
+        assert evidence.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("row, message", [
+        ("x,abc,yes", "index must be an integer, got 'x'"),
+        ("0,abc,yes", "index must be >= 1, got 0"),
+        ("2,abc,yes", "index must run 1..T in file order; expected 1, got 2"),
+        ("1,abc,yes", "bad p value 'abc'"),
+        ("1,nan,yes", "p must be finite, got nan"),
+        ("1,1.5,yes", "truth must be 0 or 1, got 'yes'"),
+        ("01,1.5,1", "p-value out of (0, 1]: 1.5"),
+    ], ids=["index-int", "index-range", "index-order", "parse", "finite", "truth", "range"])
+    def test_check_order_within_a_row(self, tmp_path, row, message):
+        path = _write_csv(tmp_path / "s.csv", "index,p,truth", [row])
+        assert _ingest_error(path) == f"{path} row 2: {message}"
+
+    def test_calibration_row_is_file_line(self, tmp_path, capsys):
+        cal = tmp_path / "cal.csv"
+        cal.write_bytes(b'score\r\n\r\n1\r\n"2"\r\n\r\nx')
+        assert f"{cal} row 6: bad score 'x'" in _ingest_stderr(
+            capsys, *_conformal_args(tmp_path, cal))
+
+
+_LINE_ENDS = ("\n", "\r\n")
+
+
+@st.composite
+def _well_formed_csv(draw):
+    """A well-formed evidence file: its text, calibrator and evidence column."""
+    col, calibrator = draw(st.sampled_from([("p", "none"), ("p", "vovk"), ("e", "none")]))
+    n = draw(st.integers(min_value=1, max_value=12))
+    if col == "p":
+        values = st.floats(min_value=1e-300, max_value=1.0)
+    else:
+        values = st.floats(min_value=0.0, max_value=1e300)
+    columns = {col: [repr(v) for v in draw(st.lists(values, min_size=n, max_size=n))]}
+    if draw(st.booleans()):
+        columns["index"] = [draw(st.sampled_from([f"{i}", f" {i} ", f"+{i}", f"0{i}"]))
+                            for i in range(1, n + 1)]
+    if draw(st.booleans()):
+        columns["truth"] = draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        note = st.text(alphabet='x ,"\n', max_size=4)
+        columns["note"] = draw(st.lists(note, min_size=n, max_size=n))
+    header = draw(st.permutations(sorted(columns)))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    end = draw(st.sampled_from(_LINE_ENDS))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, quoting=quoting, lineterminator=end)
+    writer.writerow(header)
+    for i in range(n):
+        buffer.write(end * draw(st.integers(min_value=0, max_value=2)))
+        writer.writerow([columns[name][i] for name in header])
+    text = buffer.getvalue()
+    if draw(st.booleans()):
+        text = text[:-len(end)]
+    return text, calibrator, col
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_well_formed_csv())
+def test_ingest_matches_dictreader(tmp_path, case):
+    text, calibrator, col = case
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    expected = np.asarray([float(row[col]) for row in rows])
+    if calibrator == "vovk":
+        expected = sf.vovk_p_to_e(expected)
+    labelled = "truth" in rows[0]
+    evidence, kind, truth = ingest_stream(str(path), calibrator)
+    assert evidence.tobytes() == expected.tobytes()
+    assert kind == ("p" if col == "p" and calibrator == "none" else "e")
+    if labelled:
+        assert truth.tolist() == [row["truth"] == "1" for row in rows]
+    else:
+        assert truth is None
 
 
 class TestReports:
