@@ -22,8 +22,16 @@ def check_positive_int(value, name: str) -> int:
 
 
 def check_evidence_value(value: float, kind: str) -> float:
-    """Validate one evidence value: finite, non-negative, and at most 1 for ``kind="p"``."""
-    if not math.isfinite(value) or value < 0.0:
+    """Validate one evidence value: finite, non-negative, and at most 1 for ``kind="p"``.
+
+    A value that is not a real number, such as the string ``"2.0"``, fails
+    with the same ``ValueError`` as a negative one.
+    """
+    try:
+        valid = math.isfinite(value) and value >= 0.0
+    except TypeError:
+        valid = False
+    if not valid:
         raise ValueError(f"evidence must be a finite non-negative real, got {value!r}")
     if kind == "p" and value > 1.0:
         raise ValueError(f"p-value evidence must lie in [0, 1], got {value}")

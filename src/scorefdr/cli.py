@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -253,18 +255,44 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _at(path: str, reader) -> str:
+    """``"<path> row N"``: the file line ``reader`` read last, the header being line 1."""
+    return f"{path} row {reader.line_num}"
+
+
+def _read_header(path: str, reader) -> list[str]:
+    """The first line of ``reader`` as column names; a repeated name is an error."""
+    header = next(reader, [])
+    if len(set(header)) != len(header):
+        repeated = next(name for i, name in enumerate(header) if name in header[:i])
+        _fail(path, f"duplicate column {repeated!r}")
+    return header
+
+
+def _data_rows(path: str, reader, width: int):
+    """The data rows of ``reader``: blank lines are skipped, and any other row
+    must have ``width`` fields."""
+    for row in reader:
+        if len(row) != width:
+            if row:
+                _fail(_at(path, reader), f"expected {width} fields, got {len(row)}")
+            continue
+        yield row
+
+
 def _load_calibration_scores(path: str) -> CalibrationSet:
-    scores = []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "score" not in reader.fieldnames:
+        reader = csv.reader(handle)
+        header = _read_header(path, reader)
+        if "score" not in header:
             raise ConfigError(f"{path}: calibration file needs a 'score' column")
-        for row in reader:
+        at = header.index("score")
+        scores = []
+        for row in _data_rows(path, reader, len(header)):
             try:
-                scores.append(float(row["score"]))
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{path} row {reader.line_num}: bad score {row['score']!r}") from None
+                scores.append(float(row[at]))
+            except ValueError:
+                _fail(_at(path, reader), f"bad score {row[at]!r}")
     try:
         return CalibrationSet(np.asarray(scores))
     except ValueError as exc:
@@ -282,8 +310,10 @@ def ingest_stream(
     ``p`` (p-values in (0, 1]), ``e`` (non-negative e-values), and ``score``
     (non-negative raw scores, conformal calibration only).  Optional columns:
     ``index`` (must then run 1..T in file order) and ``truth`` (0/1, on
-    every row or on none).  Malformed rows are hard errors naming the row
-    by its file line, the header being line 1.
+    every row or on none).  Blank lines are skipped; a repeated column name,
+    a row with a field count other than the header's and any other
+    malformed row are hard errors, a row named by its file line, the header
+    being line 1.
     Returns ``(evidence, kind, truth)``: the calibrated evidence array, its
     kind (``"p"`` for a ``p`` column under ``calibrator="none"``, else
     ``"e"``) and the boolean truth array, or None when no row is labelled.
@@ -291,8 +321,8 @@ def ingest_stream(
     if calibrator not in CALIBRATORS:
         raise ConfigError(f"unknown calibrator {calibrator!r}")
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = _read_header(path, reader)
         evidence_cols = [c for c in ("p", "e", "score") if c in header]
         if len(evidence_cols) != 1:
             raise ConfigError(
@@ -309,35 +339,41 @@ def ingest_stream(
         if calibrator == "conformal" and calibration is None:
             raise ConfigError("conformal calibration needs a calibration set")
 
+        # Field positions are resolved once; a row's location and message are
+        # built only when it fails.
+        at = header.index(col)
+        ix = header.index("index") if "index" in header else None
+        tx = header.index("truth") if "truth" in header else None
         values: list[float] = []
         labels: list[str] = []
         first_blank = None
-        for record, row in enumerate(reader, start=1):
-            where = f"{path} row {reader.line_num}"
-            if "index" in header:
-                idx = _to_int(row["index"], where, "index", lo=1)
+        for record, row in enumerate(_data_rows(path, reader, len(header)), start=1):
+            # the index is checked as written first; " 2", "+2" and "02" parse
+            if ix is not None and row[ix] != str(record):
+                idx = _to_int(row[ix], _at(path, reader), "index", lo=1)
                 if idx != record:
-                    _fail(where, f"index must run 1..T in file order; expected {record}, got {idx}")
+                    _fail(_at(path, reader),
+                          f"index must run 1..T in file order; expected {record}, got {idx}")
             try:
-                value = float(row[col])
-            except (TypeError, ValueError):
-                _fail(where, f"bad {col} value {row[col]!r}")
+                value = float(row[at])
+            except ValueError:
+                _fail(_at(path, reader), f"bad {col} value {row[at]!r}")
             if not math.isfinite(value):
-                _fail(where, f"{col} must be finite, got {value!r}")
-            label = row.get("truth") or ""
+                _fail(_at(path, reader), f"{col} must be finite, got {value!r}")
+            label = row[tx] if tx is not None else ""
             if label not in ("", "0", "1"):
-                _fail(where, f"truth must be 0 or 1, got {label!r}")
+                _fail(_at(path, reader), f"truth must be 0 or 1, got {label!r}")
             if not label and first_blank is None:
                 first_blank = reader.line_num
 
             if col == "p":
                 if not (0.0 < value <= 1.0):
-                    _fail(where, f"p-value out of (0, 1]: {value!r}")
+                    _fail(_at(path, reader), f"p-value out of (0, 1]: {value!r}")
             elif col == "e":
                 if value < 0.0:
-                    _fail(where, f"negative e-value: {value!r}")
+                    _fail(_at(path, reader), f"negative e-value: {value!r}")
             elif value < 0.0:
-                _fail(where, f"negative score: {value!r}")
+                _fail(_at(path, reader), f"negative score: {value!r}")
             values.append(value)
             labels.append(label)
 
@@ -413,6 +449,22 @@ def emit_metrics(report: MetricsReport, path: str) -> None:
     ))
 
 
+def _write_reports(reports) -> None:
+    """Run each ``(emit, data, path)`` of ``reports`` in order.  When one write
+    fails, the files written before it are removed, so that a refused run
+    leaves no partial output set."""
+    written = []
+    try:
+        for emit, data, path in reports:
+            emit(data, path)
+            written.append(path)
+    except OSError:
+        for path in written:
+            with suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def read_decisions(path: str) -> dict[str, np.ndarray]:
     """Read back a decisions CSV into arrays (used for round-trip checks)."""
     columns = {name: [] for name in DECISIONS_HEADER}
@@ -457,12 +509,14 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         dgp, procedure, n_reps=cfg.replicates, base_seed=cfg.seed,
         checkpoints=checkpoints, evidence=evidence,
     )
+    reports = []
     if cfg.decisions_out:
         stream = generate(dgp)
         procedure.fit(stream.evidence(evidence), stream.truth)
-        emit_decisions(procedure.trajectory(), cfg.decisions_out)
+        reports.append((emit_decisions, procedure.trajectory(), cfg.decisions_out))
     if cfg.metrics_out:
-        emit_metrics(report, cfg.metrics_out)
+        reports.append((emit_metrics, report, cfg.metrics_out))
+    _write_reports(reports)
     print(
         f"simulate {cfg.procedure} dgp={cfg.dgp} replicates={cfg.replicates} "
         f"fdr(T)={report.fdr[-1]:.4f} power(T)={report.power[-1]:.4f}"
@@ -484,11 +538,14 @@ def _cmd_ingest(cfg: RunConfig) -> int:
                 f"stream, got {checkpoints[-1]}"
             )
     trajectory = procedure.fit(evidence, truth).trajectory()
+    reports = []
     if cfg.decisions_out:
-        emit_decisions(trajectory, cfg.decisions_out)
+        reports.append((emit_decisions, trajectory, cfg.decisions_out))
     if cfg.metrics_out:
-        emit_metrics(_metrics_from_single(trajectory, cfg.procedure, checkpoints),
-                     cfg.metrics_out)
+        reports.append((emit_metrics,
+                         _metrics_from_single(trajectory, cfg.procedure, checkpoints),
+                         cfg.metrics_out))
+    _write_reports(reports)
     print(
         f"ingest {cfg.procedure}: {trajectory.n_rejections} discoveries "
         f"in {len(trajectory)} hypotheses"

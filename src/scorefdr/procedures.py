@@ -282,7 +282,7 @@ class OnlineProcedure:
             value = observation.evidence
             truth = observation.truth
         else:
-            value = check_evidence_value(float(observation), self.evidence_kind)
+            value = float(check_evidence_value(observation, self.evidence_kind))
         result = StepResult._make(self._advance(value))
         self._truths.append(truth)
         return result

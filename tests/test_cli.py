@@ -376,6 +376,27 @@ class TestReader:
         assert f"{cal} row 6: bad score 'x'" in _ingest_stderr(
             capsys, *_conformal_args(tmp_path, cal))
 
+    @pytest.mark.parametrize("header, rows, message", [
+        ("p,truth", ["0.4", "0.3"], " row 2: expected 2 fields, got 1"),
+        ("p,truth", ["0.4,1", "", "0.3"], " row 4: expected 2 fields, got 1"),
+        ("p,truth", ["0.4,1,7"], " row 2: expected 2 fields, got 3"),
+        ("p,p", ["0.4,0.5"], ": duplicate column 'p'"),
+        ("index,note,p,note", ["1,a,0.4,b"], ": duplicate column 'note'"),
+    ], ids=["unlabelled", "after-blank", "extra-field", "evidence", "other"])
+    def test_ragged_rows_and_repeated_columns(self, tmp_path, header, rows, message):
+        path = _write_csv(tmp_path / "s.csv", header, rows)
+        assert _ingest_error(path) == f"{path}{message}"
+
+    @pytest.mark.parametrize("header, rows, message", [
+        ("score", ["1", "3,4"], " row 3: expected 1 fields, got 2"),
+        ("score,score", ["1,2"], ": duplicate column 'score'"),
+    ], ids=["ragged", "repeated"])
+    def test_calibration_ragged_rows_and_repeated_columns(self, tmp_path, capsys, header,
+                                                          rows, message):
+        cal = _write_csv(tmp_path / "cal.csv", header, rows)
+        assert f"error: {cal}{message}\n" == _ingest_stderr(
+            capsys, *_conformal_args(tmp_path, cal))
+
 
 _LINE_ENDS = ("\n", "\r\n")
 
@@ -562,6 +583,20 @@ class TestMain:
         assert rc == 2
         assert re.search(f"^error: {re.escape(stream)}: {message}\n$", capsys.readouterr().err)
         assert not metrics.exists() and not decisions.exists()
+
+    @pytest.mark.parametrize("command, args", [
+        ("ingest", ["--procedure", "p-lord"]),
+        ("simulate", ["--procedure", "score-lord", "--horizon", "50"]),
+    ])
+    def test_refused_metrics_write_leaves_no_decisions(self, tmp_path, capsys, command, args):
+        if command == "ingest":
+            args += ["--input", _write_csv(tmp_path / "in.csv", "p,truth", ["0.1,0", "0.2,1"])]
+        decisions = tmp_path / "d.csv"
+        rc = main([command, *args, "--decisions-out", str(decisions),
+                   "--metrics-out", str(tmp_path / "nodir" / "m.csv")])
+        assert rc == 2
+        assert "cannot write metrics to" in capsys.readouterr().err
+        assert not decisions.exists()
 
     def test_simulate_invalid_dgp_combination(self, capsys):
         rc = main(["simulate", "--procedure", "e-lord", "--dgp", "ar1_gaussian",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,22 @@ def test_overshoot_rejects_negative_evidence():
         sf.ScoreLond().fit([-1.0])
     with pytest.raises(ValueError):
         sf.ScoreLond().step(-1.0)
+
+
+@pytest.mark.parametrize("value", ["2.0", None, 1j])
+def test_non_numeric_evidence_has_one_error(value):
+    message = f"evidence must be a finite non-negative real, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sf.ScoreLord().step(value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Observation(1, value)
+
+
+@pytest.mark.parametrize("value", [2, 2.0, True, np.float64(2.0), np.float32(2.0), np.int64(2)])
+def test_real_scalar_evidence_steps(value):
+    by_value = sf.ScoreLord().step(value)
+    by_observation = sf.ScoreLord().step(Observation(1, value))
+    assert by_value == by_observation == sf.ScoreLord().step(float(value))
 
 
 def test_refund_examples():
