@@ -310,10 +310,10 @@ def ingest_stream(
     ``p`` (p-values in (0, 1]), ``e`` (non-negative e-values), and ``score``
     (non-negative raw scores, conformal calibration only).  Optional columns:
     ``index`` (must then run 1..T in file order) and ``truth`` (0/1, on
-    every row or on none).  Blank lines are skipped; a repeated column name,
-    a row with a field count other than the header's and any other
-    malformed row are hard errors, a row named by its file line, the header
-    being line 1.
+    every row or on none).  Blank lines are skipped.  A repeated column name
+    is an error naming the file; a row with another field count than the
+    header, or any other malformed row, is an error naming its file line,
+    the header being line 1.
     Returns ``(evidence, kind, truth)``: the calibrated evidence array, its
     kind (``"p"`` for a ``p`` column under ``calibrator="none"``, else
     ``"e"``) and the boolean truth array, or None when no row is labelled.

@@ -195,6 +195,23 @@ def _write_csv(path, header, rows):
     return str(path)
 
 
+def _ingest_error(path) -> str:
+    with pytest.raises(ConfigError) as excinfo:
+        ingest_stream(str(path))
+    return str(excinfo.value)
+
+
+def _ingest_stderr(capsys, *args) -> str:
+    assert main(["ingest", *args]) == 2
+    return capsys.readouterr().err
+
+
+def _conformal_args(tmp_path, cal):
+    scores = _write_csv(tmp_path / "scores.csv", "score", ["1.0"])
+    return ["--input", scores, "--calibrator", "conformal", "--calibration-scores", str(cal),
+            "--procedure", "score-lord"]
+
+
 class TestIngest:
     def test_pvalues_with_vovk(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "p", ["0.05", "0.5"])
@@ -253,12 +270,11 @@ class TestIngest:
             ingest_stream(path)
 
     def test_calibration_row_is_file_line(self, tmp_path, capsys):
-        scores = _write_csv(tmp_path / "s.csv", "score", ["1.0"])
-        cal = _write_csv(tmp_path / "cal.csv", "score", ["1", "", "x"])
-        code = main(["ingest", "--input", scores, "--calibrator", "conformal",
-                     "--calibration-scores", cal, "--procedure", "score-lord"])
-        assert code == 2
-        assert "cal.csv row 4: bad score 'x'" in capsys.readouterr().err
+        cal = tmp_path / "cal.csv"
+        for text, line in ((b"score\n1\n\nx\n", 4), (b'score\r\n\r\n1\r\n"2"\r\n\r\nx', 6)):
+            cal.write_bytes(text)
+            assert f"{cal} row {line}: bad score 'x'" in _ingest_stderr(
+                capsys, *_conformal_args(tmp_path, cal))
 
     def test_non_numeric_evidence(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "e", ["abc"])
@@ -293,23 +309,6 @@ class TestIngest:
         cal = sf.CalibrationSet([0.0, 0.0, 0.0])
         evidence, kind, _ = ingest_stream(path, calibrator="conformal", calibration=cal)
         assert kind == "e" and evidence[0] == pytest.approx(4.0)
-
-
-def _ingest_error(path, **kwargs) -> str:
-    with pytest.raises(ConfigError) as excinfo:
-        ingest_stream(str(path), **kwargs)
-    return str(excinfo.value)
-
-
-def _ingest_stderr(capsys, *args) -> str:
-    assert main(["ingest", *args]) == 2
-    return capsys.readouterr().err
-
-
-def _conformal_args(tmp_path, cal):
-    scores = _write_csv(tmp_path / "scores.csv", "score", ["1.0"])
-    return ["--input", scores, "--calibrator", "conformal", "--calibration-scores", str(cal),
-            "--procedure", "score-lord"]
 
 
 class TestReader:
@@ -370,12 +369,6 @@ class TestReader:
         path = _write_csv(tmp_path / "s.csv", "index,p,truth", [row])
         assert _ingest_error(path) == f"{path} row 2: {message}"
 
-    def test_calibration_row_is_file_line(self, tmp_path, capsys):
-        cal = tmp_path / "cal.csv"
-        cal.write_bytes(b'score\r\n\r\n1\r\n"2"\r\n\r\nx')
-        assert f"{cal} row 6: bad score 'x'" in _ingest_stderr(
-            capsys, *_conformal_args(tmp_path, cal))
-
     @pytest.mark.parametrize("header, rows, message", [
         ("p,truth", ["0.4", "0.3"], " row 2: expected 2 fields, got 1"),
         ("p,truth", ["0.4,1", "", "0.3"], " row 4: expected 2 fields, got 1"),
@@ -398,9 +391,6 @@ class TestReader:
             capsys, *_conformal_args(tmp_path, cal))
 
 
-_LINE_ENDS = ("\n", "\r\n")
-
-
 @st.composite
 def _well_formed_csv(draw):
     """A well-formed evidence file: its text, calibrator and evidence column."""
@@ -421,7 +411,7 @@ def _well_formed_csv(draw):
         columns["note"] = draw(st.lists(note, min_size=n, max_size=n))
     header = draw(st.permutations(sorted(columns)))
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
-    end = draw(st.sampled_from(_LINE_ENDS))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=quoting, lineterminator=end)
     writer.writerow(header)
@@ -434,7 +424,8 @@ def _well_formed_csv(draw):
     return text, calibrator, col
 
 
-@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_well_formed_csv())
 def test_ingest_matches_dictreader(tmp_path, case):
     text, calibrator, col = case
@@ -445,11 +436,10 @@ def test_ingest_matches_dictreader(tmp_path, case):
     expected = np.asarray([float(row[col]) for row in rows])
     if calibrator == "vovk":
         expected = sf.vovk_p_to_e(expected)
-    labelled = "truth" in rows[0]
     evidence, kind, truth = ingest_stream(str(path), calibrator)
     assert evidence.tobytes() == expected.tobytes()
     assert kind == ("p" if col == "p" and calibrator == "none" else "e")
-    if labelled:
+    if "truth" in rows[0]:
         assert truth.tolist() == [row["truth"] == "1" for row in rows]
     else:
         assert truth is None
