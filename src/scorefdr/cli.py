@@ -502,17 +502,13 @@ def _metrics_from_single(trajectory: Trajectory, procedure_id: str,
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     procedure = cfg.build_procedure()
-    dgp = cfg.build_dgp()
-    evidence = resolve_evidence(procedure, cfg.evidence)
-    checkpoints = cfg.checkpoints
+    # replicate() leaves procedure fitted on replicate 0, the seed's stream
     report = replicate(
-        dgp, procedure, n_reps=cfg.replicates, base_seed=cfg.seed,
-        checkpoints=checkpoints, evidence=evidence,
+        cfg.build_dgp(), procedure, n_reps=cfg.replicates, base_seed=cfg.seed,
+        checkpoints=cfg.checkpoints, evidence=cfg.evidence,
     )
     reports = []
     if cfg.decisions_out:
-        stream = generate(dgp)
-        procedure.fit(stream.evidence(evidence), stream.truth)
         reports.append((emit_decisions, procedure.trajectory(), cfg.decisions_out))
     if cfg.metrics_out:
         reports.append((emit_metrics, report, cfg.metrics_out))

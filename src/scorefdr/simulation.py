@@ -269,7 +269,8 @@ def replicate(
 
     Replicate r uses seed ``base_seed + r``.  Means and standard errors
     (sample sd over sqrt(n)) of FDP and average power are reported at the
-    requested checkpoints.
+    requested checkpoints.  Replicate 0 runs on ``procedure``, which is left
+    fitted on the ``base_seed`` stream's evidence; the rest run on one clone.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
@@ -289,8 +290,10 @@ def replicate(
     fdp_sq = np.zeros(k)
     pow_sum = np.zeros(k)
     pow_sq = np.zeros(k)
-    proc = procedure.clone()
+    proc = procedure
     for r in range(n_reps):
+        if r == 1:
+            proc = procedure.clone()
         stream = generate(replace(dgp, seed=base_seed + r))
         proc.fit(stream.evidence(evidence))
         fdp, power = _curves(proc.decision_, stream.truth)

@@ -512,6 +512,25 @@ class TestMain:
         out = capsys.readouterr().out
         assert "fdr(T)=" in out and "score-lord" in out
 
+    def test_simulate_fits_each_replicate_once(self, tmp_path, capsys, monkeypatch):
+        # the decisions CSV is replicate 0's ledger, not a fresh run of its stream
+        calls = {"generate": 0, "fit": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        generate = counted("generate", sf.generate)
+        # the CLI imports generate by name, so both bindings are counted
+        monkeypatch.setattr("scorefdr.simulation.generate", generate)
+        monkeypatch.setattr("scorefdr.cli.generate", generate)
+        monkeypatch.setattr(sf.OnlineProcedure, "fit", counted("fit", sf.OnlineProcedure.fit))
+        assert main(["simulate", "--procedure", "score-lord", "--horizon", "100",
+                     "--replicates", "3", "--decisions-out", str(tmp_path / "d.csv")]) == 0
+        assert calls == {"generate": 3, "fit": 3}
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -159,6 +159,21 @@ class TestReplicate:
             sf.replicate(GM, build("e-lord"), n_reps=1, checkpoints=[10, 10])
         with pytest.raises(ValueError, match="n_reps"):
             sf.replicate(GM, build("e-lord"), n_reps=0)
+
+    @pytest.mark.parametrize("pid", sf.PROCEDURE_IDS)
+    def test_procedure_left_fitted_on_replicate_zero(self, pid):
+        dgp = sf.DgpConfig("ar1_gaussian", horizon=150, pi1=0.3)
+        evidence = "p_conditional" if pid.startswith("p-") else "e"
+        proc = build(pid)
+        sf.replicate(dgp, proc, n_reps=3, base_seed=4, evidence=evidence)
+        stream = sf.generate(replace(dgp, seed=4))
+        direct = build(pid).fit(stream.evidence(evidence)).trajectory()
+        fitted = proc.trajectory()
+        assert fitted.truth is None and direct.truth is None
+        for f in fields(sf.Trajectory):
+            if f.name != "truth":
+                got, want = getattr(fitted, f.name), getattr(direct, f.name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
 
     def test_pvalue_procedure_needs_pvalue_stream(self):
         with pytest.raises(ValueError, match="p_conditional"):
