@@ -31,6 +31,7 @@ from .reference import naive_trajectory, trace_divergence
 from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule
 from .simulation import (
     DGP_NAMES,
+    STREAM_EVIDENCE,
     DgpConfig,
     MetricsReport,
     evaluate,
@@ -43,7 +44,7 @@ DECISIONS_HEADER = ("index", "alpha", "decision", "overshoot", "cost", "rejectio
 METRICS_HEADER = ("t", "fdr", "fdr_se", "power", "power_se")
 
 CALIBRATORS = ("none", "vovk", "conformal")
-EVIDENCE_CHOICES = ("auto", "e", "p_conditional", "p_marginal")
+EVIDENCE_CHOICES = ("auto", *STREAM_EVIDENCE)
 MODES = ("simulate", "ingest")
 
 
@@ -290,9 +291,14 @@ def _load_calibration_scores(path: str) -> CalibrationSet:
         scores = []
         for row in _data_rows(path, reader, len(header)):
             try:
-                scores.append(float(row[at]))
+                score = float(row[at])
             except ValueError:
                 _fail(_at(path, reader), f"bad score {row[at]!r}")
+            if not math.isfinite(score):
+                _fail(_at(path, reader), f"score must be finite, got {score!r}")
+            if score < 0.0:
+                _fail(_at(path, reader), f"negative score: {score!r}")
+            scores.append(score)
     try:
         return CalibrationSet(np.asarray(scores))
     except ValueError as exc:

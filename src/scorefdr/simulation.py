@@ -32,9 +32,15 @@ from .calibration import (
 )
 from .procedures import OnlineProcedure, Trajectory
 
-DGP_NAMES = ("gaussian_mixture", "ar_exponential", "ar1_gaussian")
-# evidence name -> the kind of evidence it carries
-_EVIDENCE_KINDS = {"e": "e", "p_conditional": "p", "p_marginal": "p"}
+#: The parameters each data-generating process reads besides horizon, pi1 and seed.
+_DGP_PARAMS = {
+    "gaussian_mixture": (),
+    "ar_exponential": ("rho", "mu_set"),
+    "ar1_gaussian": ("phi0", "phi1"),
+}
+DGP_NAMES = tuple(_DGP_PARAMS)
+#: Evidence name -> the kind of evidence it carries.
+STREAM_EVIDENCE = {"e": "e", "p_conditional": "p", "p_marginal": "p"}
 
 
 @dataclass(frozen=True)
@@ -58,11 +64,11 @@ class DgpConfig:
     def __post_init__(self):
         if self.dgp not in DGP_NAMES:
             raise ValueError(f"dgp must be one of {DGP_NAMES}, got {self.dgp!r}")
-        if self.horizon < 1 or self.horizon != int(self.horizon):
+        if not 1 <= self.horizon < math.inf or self.horizon != int(self.horizon):
             raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
         if not (0.0 <= self.pi1 <= 1.0):
             raise ValueError(f"pi1 must lie in [0, 1], got {self.pi1!r}")
-        if self.seed < 0 or self.seed != int(self.seed):
+        if not 0 <= self.seed < math.inf or self.seed != int(self.seed):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.dgp == "ar_exponential":
             if self.rho < 0.0:
@@ -71,6 +77,11 @@ class DgpConfig:
                 raise ValueError("mu_set entries must exceed 1")
         if self.dgp == "ar1_gaussian" and not (abs(self.phi0) < 1.0):
             raise ValueError("ar1_gaussian needs |phi0| < 1 for a stationary null")
+        # after the range checks, so that a value they refuse keeps their message
+        for name in _DGP_PARAMS[self.dgp]:
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -248,7 +259,7 @@ def resolve_evidence(procedure: OnlineProcedure, evidence: str = "auto") -> str:
     if evidence == "auto":
         return "e" if procedure.evidence_kind == "e" else "p_conditional"
     # an unknown name is left for GeneratedStream.evidence to reject
-    kind = _EVIDENCE_KINDS.get(evidence, procedure.evidence_kind)
+    kind = STREAM_EVIDENCE.get(evidence, procedure.evidence_kind)
     if kind != procedure.evidence_kind:
         raise ValueError(
             f"{procedure.procedure_id} consumes {procedure.evidence_kind!r} evidence, "

@@ -276,6 +276,17 @@ class TestIngest:
             assert f"{cal} row {line}: bad score 'x'" in _ingest_stderr(
                 capsys, *_conformal_args(tmp_path, cal))
 
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "negative score: -1.0"),
+        ("inf", "score must be finite, got inf"),
+        ("-inf", "score must be finite, got -inf"),
+        ("nan", "score must be finite, got nan"),
+    ])
+    def test_calibration_bad_score_names_row(self, tmp_path, capsys, value, message):
+        cal = _write_csv(tmp_path / "c.csv", "score", ["0.3", value, "0.8"])
+        assert f"error: {cal} row 3: {message}\n" == _ingest_stderr(
+            capsys, *_conformal_args(tmp_path, cal))
+
     def test_non_numeric_evidence(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "e", ["abc"])
         with pytest.raises(ConfigError, match="bad e value"):

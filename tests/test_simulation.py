@@ -29,6 +29,26 @@ class TestDgpConfig:
             sf.DgpConfig("gaussian_mixture", seed=-1)
 
 
+    @pytest.mark.parametrize("dgp, name, value", [
+        ("ar_exponential", "rho", math.nan),
+        ("ar_exponential", "rho", math.inf),
+        ("ar_exponential", "mu_set", (math.nan,)),
+        ("ar_exponential", "mu_set", (3.0, math.inf)),
+        ("ar1_gaussian", "phi1", math.nan),
+        ("ar1_gaussian", "phi1", -math.inf),
+        ("gaussian_mixture", "horizon", math.inf),
+        ("gaussian_mixture", "horizon", math.nan),
+        ("gaussian_mixture", "seed", math.inf),
+        ("gaussian_mixture", "seed", math.nan),
+    ])
+    def test_non_finite_parameter_named(self, dgp, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            sf.DgpConfig(dgp, **{name: value})
+
+    def test_unread_parameters_are_not_checked(self):
+        sf.DgpConfig("gaussian_mixture", rho=math.nan, mu_set=(math.inf,), phi1=math.nan)
+
+
 class TestGenerate:
     def test_deterministic(self):
         for name in ("gaussian_mixture", "ar_exponential", "ar1_gaussian"):
