@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scorefdr as sf
+from scorefdr.procedures import WEALTH_UNDERFLOW_TOL
 from helpers import (
     E_PROCEDURE_IDS,
     GAMMA,
@@ -262,6 +264,55 @@ def test_step_invariants_on_extreme_streams(pid, runs, repeat, bold):
         before = columns["rejections_before"]
         assert before[0] == 0, path
         assert np.array_equal(np.diff(before), columns["decision"][:-1]), path
+
+
+def _fit_all(pid, values):
+    """``pid`` with the default schedules, fitted on ``values`` with warnings
+    raised as errors; a wealth below ``WEALTH_UNDERFLOW_TOL`` raises too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proc = sf.make_procedure(pid).fit(values)
+    wealth = proc.wealth_
+    assert not np.any(wealth < WEALTH_UNDERFLOW_TOL)
+    return proc
+
+
+class TestExtremeInputs:
+    """Deliberate behaviour at ``MAX_EVALUE``, at p = 0 and p = 1, and once
+    ``alpha_t`` reaches 1 (FORMATS.md, "Extreme inputs")."""
+
+    def test_score_lord_budget_grows_past_one(self):
+        # every step rejects at no cost, so alpha_t = omega * (R_{t-1} + 1) * alpha
+        proc = build("score-lord")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for t in range(1, 1001):
+                proc.step(sf.MAX_EVALUE)
+                assert len(caught) == (t >= 400), t
+        assert issubclass(caught[0].category, RuntimeWarning)
+        t = np.arange(1, 1001)
+        assert proc.alpha_.tobytes() == (0.05 * t * 0.05).tobytes()
+        assert proc.decision_.all()
+        assert not np.any(proc.wealth_ < WEALTH_UNDERFLOW_TOL)
+
+    @pytest.mark.parametrize("pid, last", [("e-lond", 1029), ("score-lond", 1030)])
+    def test_lond_stops_once_gamma_underflows(self, pid, last):
+        # geometric(0.5) gamma drives alpha_t subnormal, then 1 / alpha_t > MAX_EVALUE
+        proc = _fit_all(pid, np.full(3000, sf.MAX_EVALUE))
+        assert proc.decision_[:last].all() and not proc.decision_[last:].any()
+        assert proc.alpha_[-1] == 0.0
+
+    def test_score_lond_fdp_hat_goes_subnormal(self):
+        fdp_hat = _fit_all("score-lond", np.full(3000, sf.MAX_EVALUE)).fdp_hat_[-1]
+        assert 0.0 < fdp_hat < sys.float_info.min
+        assert fdp_hat == pytest.approx(1.04e-311, rel=0.01)
+
+    @pytest.mark.parametrize("pid", P_PROCEDURE_IDS)
+    @pytest.mark.parametrize("values", [[0.0, 1.0] * 500, [1.0] * 500 + [0.0] * 500],
+                             ids=["alternating", "ones-then-zeros"])
+    def test_p_at_zero_and_one(self, pid, values):
+        proc = _fit_all(pid, values)
+        assert np.array_equal(proc.decision_, np.asarray(values) == 0.0)
 
 
 class TestRunStream:
