@@ -267,13 +267,12 @@ def test_step_invariants_on_extreme_streams(pid, runs, repeat, bold):
 
 
 def _fit_all(pid, values):
-    """``pid`` with the default schedules, fitted on ``values`` with warnings
-    raised as errors; a wealth below ``WEALTH_UNDERFLOW_TOL`` raises too."""
+    """``pid`` with the default schedules fitted on ``values``, with warnings
+    raised as errors; its wealth never falls below ``WEALTH_UNDERFLOW_TOL``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         proc = sf.make_procedure(pid).fit(values)
-    wealth = proc.wealth_
-    assert not np.any(wealth < WEALTH_UNDERFLOW_TOL)
+    assert not np.any(proc.wealth_ < WEALTH_UNDERFLOW_TOL)
     return proc
 
 
@@ -283,7 +282,7 @@ class TestExtremeInputs:
 
     def test_score_lord_budget_grows_past_one(self):
         # every step rejects at no cost, so alpha_t = omega * (R_{t-1} + 1) * alpha
-        proc = build("score-lord")
+        proc = sf.make_procedure("score-lord")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for t in range(1, 1001):
