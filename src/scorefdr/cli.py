@@ -34,7 +34,7 @@ from .simulation import (
     STREAM_EVIDENCE,
     DgpConfig,
     MetricsReport,
-    evaluate,
+    aggregate,
     generate,
     replicate,
     resolve_evidence,
@@ -493,26 +493,11 @@ def read_decisions(path: str) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _metrics_from_single(trajectory: Trajectory, procedure_id: str,
-                         checkpoints) -> MetricsReport:
-    fdp, power = evaluate(trajectory)
-    checkpoints = np.asarray(checkpoints, dtype=int)
-    idx = checkpoints - 1
-    zeros = np.zeros(len(idx))
-    return MetricsReport(
-        checkpoints=checkpoints, fdr=fdp[idx], fdr_se=zeros,
-        power=power[idx], power_se=zeros, n_reps=1, dgp=None,
-        procedure_id=procedure_id,
-    )
-
-
 def _cmd_simulate(cfg: RunConfig) -> int:
     procedure = cfg.build_procedure()
     # replicate() leaves procedure fitted on replicate 0, the seed's stream
-    report = replicate(
-        cfg.build_dgp(), procedure, n_reps=cfg.replicates, base_seed=cfg.seed,
-        checkpoints=cfg.checkpoints, evidence=cfg.evidence,
-    )
+    report = replicate(cfg.build_dgp(), procedure, n_reps=cfg.replicates,
+                       checkpoints=cfg.checkpoints, evidence=cfg.evidence)
     reports = []
     if cfg.decisions_out:
         reports.append((emit_decisions, procedure.trajectory(), cfg.decisions_out))
@@ -539,14 +524,13 @@ def _cmd_ingest(cfg: RunConfig) -> int:
                 f"{cfg.input}: checkpoints must lie in [1, {len(evidence)}] for this "
                 f"stream, got {checkpoints[-1]}"
             )
-    trajectory = procedure.fit(evidence, truth).trajectory()
+    trajectory = procedure.fit(evidence).trajectory()
     reports = []
     if cfg.decisions_out:
         reports.append((emit_decisions, trajectory, cfg.decisions_out))
     if cfg.metrics_out:
-        reports.append((emit_metrics,
-                         _metrics_from_single(trajectory, cfg.procedure, checkpoints),
-                         cfg.metrics_out))
+        report = aggregate([(procedure.decision_, truth)], checkpoints, procedure)
+        reports.append((emit_metrics, report, cfg.metrics_out))
     _write_reports(reports)
     print(
         f"ingest {cfg.procedure}: {trajectory.n_rejections} discoveries "

@@ -138,8 +138,7 @@ def check_gamma(schedule: Schedule) -> Schedule:
 
 def gamma_at(schedule: Schedule, t: int) -> float:
     """The t-th element of a discovery-spreading sequence (see :func:`check_gamma`)."""
-    t = check_positive_int(t, "t")
-    return check_gamma(schedule).formula()(t, 0)
+    return weight_at(check_gamma(schedule), t, 0)
 
 
 def rai_omega(omega1: float, phi: float, psi: float, t: int, rejections: int) -> float:
@@ -149,18 +148,14 @@ def rai_omega(omega1: float, phi: float, psi: float, t: int, rejections: int) ->
     of rejections among them.  The result is clamped to
     ``[RAI_WEIGHT_MIN, 1 - RAI_WEIGHT_MIN]`` so it remains a valid weight.
     """
-    omega1, phi, psi = map(check_open_unit, (omega1, phi, psi), KINDS["rai"].params)
-    t = check_positive_int(t, "t")
-    if rejections < 0 or rejections > t:
-        raise ValueError(f"rejections must lie in [0, t], got {rejections} with t={t}")
-    return _rai(omega1, phi, psi, t + 1, rejections)
+    return weight_at(Schedule.rai(omega1, phi, psi), t + 1, rejections)
 
 
 def weight_at(schedule: Schedule, t: int, rejections: int) -> float:
-    """Weight for step ``t`` given ``rejections`` made strictly before it."""
+    """Weight for step ``t`` given the ``rejections`` made strictly before it."""
     t = check_positive_int(t, "t")
-    if schedule.kind == "rai" and t > 1:
-        return rai_omega(*schedule.params, t - 1, rejections)
+    if not 0 <= rejections < t:
+        raise ValueError(f"rejections must lie in [0, t), got {rejections} with t={t}")
     return schedule.formula()(t, rejections)
 
 

@@ -8,11 +8,11 @@ no trajectory is built per replicate.
 
 Reproducibility
 ---------------
-Streams are driven by numpy's PCG64 generator.  Each replicate r of a run
-seeded with ``base_seed`` uses its own ``PCG64(base_seed + r)``, and every
-random quantity is derived from uniform draws pushed through inverse CDFs
-(``ndtri`` for normals, ``-log1p(-u) / rate`` for exponentials) in the fixed
-order documented on each generator.  Replicates are aggregated in replicate
+Streams are driven by numpy's PCG64 generator.  Replicate r of a study of
+``dgp`` uses its own ``PCG64(dgp.seed + r)``, and every random quantity is
+derived from uniform draws pushed through inverse CDFs (``ndtri`` for
+normals, ``-log1p(-u) / rate`` for exponentials) in the fixed order
+documented on each generator.  Replicates are aggregated in replicate
 order, so reports are bit-identical across runs.
 """
 
@@ -30,6 +30,7 @@ from .calibration import (
     lr_evalue,
     normal_ppf,
 )
+from ._validation import check_positive_int
 from .procedures import OnlineProcedure, Trajectory
 
 #: The parameters each data-generating process reads besides horizon, pi1 and seed.
@@ -41,6 +42,8 @@ _DGP_PARAMS = {
 DGP_NAMES = tuple(_DGP_PARAMS)
 #: Evidence name -> the kind of evidence it carries.
 STREAM_EVIDENCE = {"e": "e", "p_conditional": "p", "p_marginal": "p"}
+#: :func:`default_checkpoints` reports every step up to this many steps.
+_MAX_CHECKPOINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,13 @@ class DgpConfig:
     def __post_init__(self):
         if self.dgp not in DGP_NAMES:
             raise ValueError(f"dgp must be one of {DGP_NAMES}, got {self.dgp!r}")
-        if not 1 <= self.horizon < math.inf or self.horizon != int(self.horizon):
+        if (isinstance(self.horizon, bool) or not 1 <= self.horizon < math.inf
+                or self.horizon != int(self.horizon)):
             raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
         if not (0.0 <= self.pi1 <= 1.0):
             raise ValueError(f"pi1 must lie in [0, 1], got {self.pi1!r}")
-        if not 0 <= self.seed < math.inf or self.seed != int(self.seed):
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.dgp == "ar_exponential":
             if self.rho < 0.0:
@@ -100,12 +105,10 @@ class GeneratedStream:
     x0: float = 0.0
 
     def evidence(self, which: str) -> np.ndarray:
-        """Evidence array by name: ``e``, ``p_conditional``, or ``p_marginal``."""
-        chosen = {
-            "e": self.evalue,
-            "p_conditional": self.p_conditional,
-            "p_marginal": self.p_marginal,
-        }.get(which)
+        """Evidence array by :data:`STREAM_EVIDENCE` name; ``e`` is :attr:`evalue`."""
+        chosen = None
+        if which in STREAM_EVIDENCE:
+            chosen = getattr(self, "evalue" if which == "e" else which)
         if chosen is None:
             raise ValueError(f"this stream carries no {which!r} evidence")
         return chosen
@@ -239,11 +242,11 @@ def _curves(decision: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.nda
     return fdp, power
 
 
-def default_checkpoints(horizon: int, max_points: int = 1000) -> np.ndarray:
+def default_checkpoints(horizon: int) -> np.ndarray:
     """Every step up to 1000 steps; a uniform stride beyond that."""
-    if horizon <= max_points:
+    if horizon <= _MAX_CHECKPOINTS:
         return np.arange(1, horizon + 1)
-    stride = math.ceil(horizon / max_points)
+    stride = math.ceil(horizon / _MAX_CHECKPOINTS)
     points = np.arange(stride, horizon + 1, stride)
     if points[-1] != horizon:
         points = np.append(points, horizon)
@@ -253,13 +256,15 @@ def default_checkpoints(horizon: int, max_points: int = 1000) -> np.ndarray:
 def resolve_evidence(procedure: OnlineProcedure, evidence: str = "auto") -> str:
     """The stream evidence ``procedure`` runs on; ``auto`` picks its own kind.
 
-    Naming evidence of the other kind (p-values for an e-value procedure,
-    or the reverse) is a ``ValueError``.
+    An unknown name, or evidence of the other kind (p-values for an e-value
+    procedure, or the reverse), is a ``ValueError``.
     """
     if evidence == "auto":
         return "e" if procedure.evidence_kind == "e" else "p_conditional"
-    # an unknown name is left for GeneratedStream.evidence to reject
-    kind = STREAM_EVIDENCE.get(evidence, procedure.evidence_kind)
+    if evidence not in STREAM_EVIDENCE:
+        raise ValueError(f"evidence must be auto or one of {', '.join(STREAM_EVIDENCE)}; "
+                         f"got {evidence!r}")
+    kind = STREAM_EVIDENCE[evidence]
     if kind != procedure.evidence_kind:
         raise ValueError(
             f"{procedure.procedure_id} consumes {procedure.evidence_kind!r} evidence, "
@@ -268,73 +273,83 @@ def resolve_evidence(procedure: OnlineProcedure, evidence: str = "auto") -> str:
     return evidence
 
 
-def replicate(
-    dgp: DgpConfig,
-    procedure: OnlineProcedure,
-    n_reps: int,
-    base_seed: int = 0,
-    checkpoints=None,
-    evidence: str = "auto",
-) -> MetricsReport:
-    """Monte-Carlo study: run ``n_reps`` independent streams and aggregate.
+def aggregate(runs, checkpoints, procedure: OnlineProcedure, dgp: DgpConfig | None = None,
+              evidence: str = "e") -> MetricsReport:
+    """FDR and average power at ``checkpoints`` over labelled runs of ``procedure``.
 
-    Replicate r uses seed ``base_seed + r``.  Means and standard errors
-    (sample sd over sqrt(n)) of FDP and average power are reported at the
-    requested checkpoints.  Replicate 0 runs on ``procedure``, which is left
-    fitted on the ``base_seed`` stream's evidence; the rest run on one clone.
+    ``runs`` yields one ``(decision, truth)`` pair of boolean arrays per
+    stream.  Means and standard errors (sample sd over sqrt(n), zero for a
+    single run) of the :func:`evaluate` curves are taken in run order, so a
+    report is bit-identical across calls.  ``dgp`` and ``evidence`` label it.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be at least 1")
-    evidence = resolve_evidence(procedure, evidence)
-    if checkpoints is None:
-        checkpoints = default_checkpoints(dgp.horizon)
-    checkpoints = np.asarray(checkpoints, dtype=int)
-    if checkpoints.size == 0 or checkpoints.min() < 1 or checkpoints.max() > dgp.horizon:
-        raise ValueError("checkpoints must be indices in [1, horizon]")
-    if np.any(np.diff(checkpoints) <= 0):
-        raise ValueError("checkpoints must be strictly increasing")
+    checkpoints = np.asarray(checkpoints)
     idx = checkpoints - 1
+    # row 0 is FDP, row 1 average power
+    total = np.zeros((2, len(idx)))
+    squares = np.zeros((2, len(idx)))
+    n_runs = 0
+    for decision, truth in runs:
+        curves = np.array(_curves(decision, truth))[:, idx]
+        total += curves
+        squares += curves * curves
+        n_runs += 1
+    if n_runs == 0:
+        raise ValueError("no runs to aggregate")
 
-    # Fixed-order aggregation keeps the report bit-identical across runs.
-    k = len(idx)
-    fdp_sum = np.zeros(k)
-    fdp_sq = np.zeros(k)
-    pow_sum = np.zeros(k)
-    pow_sq = np.zeros(k)
-    proc = procedure
-    for r in range(n_reps):
-        if r == 1:
-            proc = procedure.clone()
-        stream = generate(replace(dgp, seed=base_seed + r))
-        proc.fit(stream.evidence(evidence))
-        fdp, power = _curves(proc.decision_, stream.truth)
-        fdp, power = fdp[idx], power[idx]
-        fdp_sum += fdp
-        fdp_sq += fdp * fdp
-        pow_sum += power
-        pow_sq += power * power
-
-    n = float(n_reps)
-    fdr = fdp_sum / n
-    power_mean = pow_sum / n
-    if n_reps > 1:
-        fdr_var = np.maximum(fdp_sq - n * fdr * fdr, 0.0) / (n - 1.0)
-        pow_var = np.maximum(pow_sq - n * power_mean * power_mean, 0.0) / (n - 1.0)
-        fdr_se = np.sqrt(fdr_var / n)
-        power_se = np.sqrt(pow_var / n)
-    else:
-        fdr_se = np.zeros(k)
-        power_se = np.zeros(k)
-
+    n = float(n_runs)
+    mean = total / n
+    se = np.zeros_like(mean)
+    if n_runs > 1:
+        var = np.maximum(squares - n * mean * mean, 0.0) / (n - 1.0)
+        se = np.sqrt(var / n)
     return MetricsReport(
         checkpoints=checkpoints,
-        fdr=fdr,
-        fdr_se=fdr_se,
-        power=power_mean,
-        power_se=power_se,
-        n_reps=n_reps,
+        fdr=mean[0],
+        fdr_se=se[0],
+        power=mean[1],
+        power_se=se[1],
+        n_reps=n_runs,
         dgp=dgp,
         procedure_id=procedure.procedure_id,
         procedure_params={k: repr(v) for k, v in procedure.get_params().items()},
         evidence=evidence,
     )
+
+
+def replicate(
+    dgp: DgpConfig,
+    procedure: OnlineProcedure,
+    n_reps: int,
+    checkpoints=None,
+    evidence: str = "auto",
+) -> MetricsReport:
+    """Monte-Carlo study: run ``n_reps`` independent streams and :func:`aggregate` them.
+
+    Replicate r uses seed ``dgp.seed + r``, so ``report.dgp`` is the
+    configuration of replicate 0.  Replicate 0 runs on ``procedure``, which is
+    left fitted on that stream's evidence; the rest run on one clone.  Every
+    argument is checked before the first stream is generated.
+    """
+    n_reps = check_positive_int(n_reps, "n_reps")
+    evidence = resolve_evidence(procedure, evidence)
+    if checkpoints is None:
+        checkpoints = default_checkpoints(dgp.horizon)
+    points = np.asarray(checkpoints)
+    if points.size and points.dtype.kind not in "iu":
+        raise ValueError(f"checkpoints must be integers, got {checkpoints!r}")
+    points = points.astype(int)
+    if points.size == 0 or points.min() < 1 or points.max() > dgp.horizon:
+        raise ValueError("checkpoints must be indices in [1, horizon]")
+    if np.any(np.diff(points) <= 0):
+        raise ValueError("checkpoints must be strictly increasing")
+
+    def runs():
+        proc = procedure
+        for r in range(n_reps):
+            if r == 1:
+                proc = procedure.clone()
+            stream = generate(replace(dgp, seed=dgp.seed + r))
+            proc.fit(stream.evidence(evidence))
+            yield proc.decision_, stream.truth
+
+    return aggregate(runs(), points, procedure, dgp, evidence)

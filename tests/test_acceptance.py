@@ -171,12 +171,11 @@ FAMILY_SIX = ("e-lord", "score-lord", "score-plus-lord",
               "e-saffron", "score-saffron", "score-plus-saffron")
 
 
-def _family_reports(dgp, omega, n_reps, base_seed):
+def _family_reports(dgp, omega, n_reps):
     out = {}
     for pid in FAMILY_SIX:
         proc = sf.make_procedure(pid, alpha=ALPHA, omega=omega, lam=LAMBDA)
-        out[pid] = sf.replicate(dgp, proc, n_reps=n_reps, base_seed=base_seed,
-                                checkpoints=[dgp.horizon])
+        out[pid] = sf.replicate(dgp, proc, n_reps=n_reps, checkpoints=[dgp.horizon])
     return out
 
 
@@ -190,8 +189,8 @@ def test_criterion_06_gaussian_mixture_fdr_and_ordering():
     ok = True
     lines = []
     for pi1 in (0.3, 0.8):
-        dgp = sf.DgpConfig("gaussian_mixture", horizon=1000, pi1=pi1)
-        reports = _family_reports(dgp, OMEGA, n_reps=500, base_seed=2025_06)
+        dgp = sf.DgpConfig("gaussian_mixture", horizon=1000, pi1=pi1, seed=2025_06)
+        reports = _family_reports(dgp, OMEGA, n_reps=500)
         for pid, rep in reports.items():
             fdr, se = rep.fdr[-1], rep.fdr_se[-1]
             if fdr > ALPHA + 3.0 * se:
@@ -211,9 +210,8 @@ def test_criterion_06_gaussian_mixture_fdr_and_ordering():
 
 def test_criterion_07_ar_exponential_rai():
     start = time.perf_counter()
-    dgp = sf.DgpConfig("ar_exponential", horizon=1000, pi1=0.3, rho=0.5)
-    reports = _family_reports(dgp, sf.Schedule.rai(0.05, 0.5, 0.5),
-                              n_reps=500, base_seed=2025_07)
+    dgp = sf.DgpConfig("ar_exponential", horizon=1000, pi1=0.3, rho=0.5, seed=2025_07)
+    reports = _family_reports(dgp, sf.Schedule.rai(0.05, 0.5, 0.5), n_reps=500)
     ok = True
     for pid, rep in reports.items():
         if rep.fdr[-1] > ALPHA + 3.0 * rep.fdr_se[-1]:
@@ -231,15 +229,15 @@ def test_criterion_07_ar_exponential_rai():
 
 def test_criterion_08_conditional_vs_marginal_validity():
     start = time.perf_counter()
-    dgp = sf.DgpConfig("ar1_gaussian", horizon=1000, pi1=0.3, phi0=0.5, phi1=3.0)
+    dgp = sf.DgpConfig("ar1_gaussian", horizon=1000, pi1=0.3, phi0=0.5, phi1=3.0, seed=2025_08)
     ok = True
     lines = []
     for pid in ("p-lord", "p-saffron"):
         proc = build(pid, alpha=ALPHA)
-        cond = sf.replicate(dgp, proc, n_reps=200, base_seed=2025_08,
-                            checkpoints=[1000], evidence="p_conditional")
-        marg = sf.replicate(dgp, proc, n_reps=200, base_seed=2025_08,
-                            checkpoints=[1000], evidence="p_marginal")
+        cond = sf.replicate(dgp, proc, n_reps=200, checkpoints=[1000],
+                            evidence="p_conditional")
+        marg = sf.replicate(dgp, proc, n_reps=200, checkpoints=[1000],
+                            evidence="p_marginal")
         cond_ok = cond.fdr[-1] <= ALPHA + 3.0 * cond.fdr_se[-1]
         marg_broken = marg.fdr[-1] - 3.0 * marg.fdr_se[-1] > ALPHA
         if not (cond_ok and marg_broken):

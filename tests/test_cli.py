@@ -492,8 +492,8 @@ class TestReports:
 
     def test_metrics_shape(self, tmp_path):
         report = sf.replicate(
-            sf.DgpConfig("gaussian_mixture", horizon=200, pi1=0.3),
-            build("score-lord"), n_reps=5, base_seed=0, checkpoints=[50, 200],
+            sf.DgpConfig("gaussian_mixture", horizon=200, pi1=0.3, seed=0),
+            build("score-lord"), n_reps=5, checkpoints=[50, 200],
         )
         path = tmp_path / "metrics.csv"
         emit_metrics(report, str(path))

@@ -63,6 +63,11 @@ def test_rai_clamped_to_unit_interval():
 def test_rai_rejects_inconsistent_counts():
     with pytest.raises(ValueError):
         rai_omega(0.05, 0.5, 0.5, 2, 3)
+    for sched in (Schedule.constant(0.05), Schedule.rai(0.05, 0.5, 0.5)):
+        with pytest.raises(ValueError, match="rejections"):
+            weight_at(sched, 3, 3)
+        with pytest.raises(ValueError, match="rejections"):
+            weight_at(sched, 1, -1)
 
 
 def test_weight_at_matches_rai_indexing():

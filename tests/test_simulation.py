@@ -1,11 +1,13 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import scorefdr as sf
-from scorefdr.simulation import default_checkpoints
+from scorefdr import simulation
+from scorefdr.simulation import STREAM_EVIDENCE, aggregate, default_checkpoints
 from helpers import build
 
 GM = sf.DgpConfig("gaussian_mixture", horizon=400, pi1=0.3, seed=7)
@@ -17,6 +19,8 @@ class TestDgpConfig:
             sf.DgpConfig("brownian")
         with pytest.raises(ValueError, match="horizon"):
             sf.DgpConfig("gaussian_mixture", horizon=0)
+        with pytest.raises(ValueError, match="horizon"):
+            sf.DgpConfig("gaussian_mixture", horizon=True)
         with pytest.raises(ValueError, match="pi1"):
             sf.DgpConfig("gaussian_mixture", pi1=1.2)
         with pytest.raises(ValueError, match="rho"):
@@ -44,6 +48,16 @@ class TestDgpConfig:
     def test_non_finite_parameter_named(self, dgp, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             sf.DgpConfig(dgp, **{name: value})
+
+    @pytest.mark.parametrize("seed", [3.0, True, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sf.DgpConfig("gaussian_mixture", seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        cfg = sf.DgpConfig("gaussian_mixture", horizon=50, seed=np.int64(3))
+        assert np.array_equal(sf.generate(cfg).x, sf.generate(replace(cfg, seed=3)).x)
 
     def test_unread_parameters_are_not_checked(self):
         sf.DgpConfig("gaussian_mixture", rho=math.nan, mu_set=(math.inf,), phi1=math.nan)
@@ -152,10 +166,18 @@ class TestEvaluate:
             sf.evaluate(traj)
 
 
+@pytest.fixture
+def generate_calls(monkeypatch):
+    """The configs ``replicate`` asks ``generate`` for; no stream is made."""
+    calls = []
+    monkeypatch.setattr(simulation, "generate", calls.append)
+    return calls
+
+
 class TestReplicate:
     def test_single_replicate_matches_direct_run(self):
         proc = build("score-lord")
-        report = sf.replicate(GM, proc, n_reps=1, base_seed=GM.seed, checkpoints=[100, 400])
+        report = sf.replicate(GM, proc, n_reps=1, checkpoints=[100, 400])
         stream = sf.generate(GM)
         fitted = proc.clone().fit(stream.evalue, stream.truth)
         fdp, power = sf.evaluate(fitted.trajectory())
@@ -165,27 +187,52 @@ class TestReplicate:
 
     def test_bit_identical_across_calls(self):
         proc = build("score-plus-saffron")
-        kw = dict(n_reps=12, base_seed=5, checkpoints=[200, 400])
-        one = sf.replicate(GM, proc, **kw)
-        again = sf.replicate(GM, proc, **kw)
+        kw = dict(n_reps=12, checkpoints=[200, 400])
+        one = sf.replicate(replace(GM, seed=5), proc, **kw)
+        again = sf.replicate(replace(GM, seed=5), proc, **kw)
         assert np.array_equal(one.fdr, again.fdr) and np.array_equal(one.fdr_se, again.fdr_se)
         assert np.array_equal(one.power, again.power)
         assert np.array_equal(one.power_se, again.power_se)
 
-    def test_checkpoint_validation(self):
+    def test_checkpoint_validation(self, generate_calls):
         with pytest.raises(ValueError, match="checkpoints"):
             sf.replicate(GM, build("e-lord"), n_reps=1, checkpoints=[0, 10])
         with pytest.raises(ValueError, match="checkpoints"):
             sf.replicate(GM, build("e-lord"), n_reps=1, checkpoints=[10, 10])
         with pytest.raises(ValueError, match="n_reps"):
             sf.replicate(GM, build("e-lord"), n_reps=0)
+        with pytest.raises(ValueError, match=r"checkpoints must be integers, got \[1.5, 3\]"):
+            sf.replicate(GM, build("e-lord"), n_reps=1, checkpoints=[1.5, 3])
+        with pytest.raises(ValueError, match="n_reps must be a positive integer, got 2.5"):
+            sf.replicate(GM, build("e-lord"), n_reps=2.5)
+        assert generate_calls == []
+
+    def test_unknown_evidence_refused_before_generating(self, generate_calls):
+        message = f"one of {', '.join(STREAM_EVIDENCE)}; got 'bogus'"
+        with pytest.raises(ValueError, match=message):
+            sf.replicate(GM, build("e-lord"), n_reps=2, evidence="bogus")
+        assert generate_calls == []
+
+    def test_seeds_come_from_the_dgp(self):
+        dgp = replace(GM, seed=9)
+        proc = build("score-lord")
+        report = sf.replicate(dgp, proc, n_reps=3, checkpoints=np.arange(1, dgp.horizon + 1))
+        assert report.dgp.seed == 9
+        fdr, fdr_se, power, power_se = _public_path_report(dgp, proc, 3, 9, "e")
+        assert np.array_equal(report.fdr, fdr) and np.array_equal(report.fdr_se, fdr_se)
+        assert np.array_equal(report.power, power)
+        assert np.array_equal(report.power_se, power_se)
+
+    def test_aggregate_needs_a_run(self):
+        with pytest.raises(ValueError, match="no runs"):
+            aggregate([], [1], build("e-lord"))
 
     @pytest.mark.parametrize("pid", sf.PROCEDURE_IDS)
     def test_procedure_left_fitted_on_replicate_zero(self, pid):
-        dgp = sf.DgpConfig("ar1_gaussian", horizon=150, pi1=0.3)
+        dgp = sf.DgpConfig("ar1_gaussian", horizon=150, pi1=0.3, seed=4)
         evidence = "p_conditional" if pid.startswith("p-") else "e"
         proc = build(pid)
-        sf.replicate(dgp, proc, n_reps=3, base_seed=4, evidence=evidence)
+        sf.replicate(dgp, proc, n_reps=3, evidence=evidence)
         stream = sf.generate(replace(dgp, seed=4))
         direct = build(pid).fit(stream.evidence(evidence)).trajectory()
         fitted = proc.trajectory()
@@ -210,21 +257,21 @@ class TestReplicate:
             sf.replicate(dgp, build(pid), n_reps=3, evidence=evidence)
 
     def test_report_ranges(self):
-        report = sf.replicate(GM, build("score-plus-lord"), n_reps=20, base_seed=9,
+        report = sf.replicate(replace(GM, seed=9), build("score-plus-lord"), n_reps=20,
                               checkpoints=[100, 250, 400])
         for arr in (report.fdr, report.power):
             assert ((arr >= 0.0) & (arr <= 1.0)).all()
         assert (report.fdr_se >= 0.0).all() and (report.power_se >= 0.0).all()
         assert report.procedure_id == "score-plus-lord"
-        assert report.dgp == GM
+        assert report.dgp == replace(GM, seed=9)
 
 
-def _public_path_report(dgp, proc, n_reps, base_seed, evidence):
+def _public_path_report(dgp, proc, n_reps, first_seed, evidence):
     """``replicate``'s curves, rebuilt through ``trajectory()`` and ``evaluate``
     and aggregated in the same order and by the same formulas."""
     curves = []
     for r in range(n_reps):
-        stream = sf.generate(replace(dgp, seed=base_seed + r))
+        stream = sf.generate(replace(dgp, seed=first_seed + r))
         fitted = proc.clone().fit(stream.evidence(evidence), stream.truth)
         curves.append(sf.evaluate(fitted.trajectory()))
     n = float(n_reps)
@@ -253,10 +300,10 @@ def _procedure_dgp_cases():
 def test_replicate_matches_trajectory_path(pid, name):
     # replicate() evaluates from decisions and truth without a Trajectory;
     # every curve at every step must equal the public path's bit for bit.
-    dgp = sf.DgpConfig(name, horizon=150, pi1=0.3)
+    dgp = sf.DgpConfig(name, horizon=150, pi1=0.3, seed=4)
     proc = build(pid)
     evidence = "p_conditional" if pid.startswith("p-") else "e"
-    report = sf.replicate(dgp, proc, n_reps=3, base_seed=4,
+    report = sf.replicate(dgp, proc, n_reps=3,
                           checkpoints=np.arange(1, dgp.horizon + 1), evidence=evidence)
     fdr, fdr_se, power, power_se = _public_path_report(dgp, proc, 3, 4, evidence)
     assert np.array_equal(report.fdr, fdr)
