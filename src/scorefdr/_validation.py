@@ -3,20 +3,31 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 
 def check_open_unit(value: float, name: str) -> float:
-    """Validate that ``value`` lies strictly inside (0, 1)."""
-    value = float(value)
-    if not (0.0 < value < 1.0) or not math.isfinite(value):
+    """``value`` as a float, if it is a real number strictly inside (0, 1).
+
+    A string such as ``"0.05"``, ``None`` or any other non-real is refused
+    with the same ``ValueError`` as an out-of-range number.
+    """
+    if not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
         raise ValueError(f"{name} must be in (0, 1), got {value!r}")
-    return value
+    return float(value)
 
 
 def check_positive_int(value, name: str) -> int:
-    if value != int(value) or int(value) < 1:
+    """``value`` as an int, if it is a whole real number of at least 1.
+
+    Integers of any integral type and whole floats such as ``2.0`` pass;
+    ``None``, strings, bools and non-whole or non-finite numbers are refused.
+    """
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 

@@ -14,7 +14,7 @@ MAX_EVALUE = sys.float_info.max
 EVIDENCE_KINDS = ("e", "p")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Observation:
     """One stream element: evidence plus an optional ground-truth label.
 
@@ -37,11 +37,18 @@ class Observation:
     kind: str = "e"
     truth: bool | None = None
 
-    def __post_init__(self):
-        if self.index < 1 or self.index != int(self.index):
-            raise ValueError(f"index must be a positive integer, got {self.index!r}")
-        if self.kind not in EVIDENCE_KINDS:
-            raise ValueError(f"kind must be one of {EVIDENCE_KINDS}, got {self.kind!r}")
-        check_evidence_value(self.evidence, self.kind)
-        if self.truth is not None and self.truth not in (0, 1):
-            raise ValueError(f"truth must be None, a bool, 0 or 1, got {self.truth!r}")
+    def __init__(self, index: int, evidence: float, kind: str = "e", truth: bool | None = None):
+        # Written out rather than generated, so that the fields go straight into
+        # the instance dict instead of through the frozen __setattr__ guard.
+        if index < 1 or index != int(index):
+            raise ValueError(f"index must be a positive integer, got {index!r}")
+        if kind not in EVIDENCE_KINDS:
+            raise ValueError(f"kind must be one of {EVIDENCE_KINDS}, got {kind!r}")
+        check_evidence_value(evidence, kind)
+        if truth is not None and truth not in (0, 1):
+            raise ValueError(f"truth must be None, a bool, 0 or 1, got {truth!r}")
+        fields = self.__dict__
+        fields["index"] = index
+        fields["evidence"] = evidence
+        fields["kind"] = kind
+        fields["truth"] = truth

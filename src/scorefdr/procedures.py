@@ -1,11 +1,11 @@
 """Sequential testing procedures with a shared estimator-style interface.
 
-Every procedure is a single-stream state machine: given evidence for
-hypothesis t it picks a budget ``alpha_t`` from its history, decides, charges
-a cost against the error budget, and (for the refunding variants) earns back
-the overshoot ``O_t = (alpha_t * e_t - 1)_+``.  One engine,
-:class:`OnlineProcedure`, runs all eleven procedures, each a rule of the four
-choices documented on the engine's class attributes:
+Every procedure is a single-stream recurrence.  Step t spends a budget
+``alpha_t`` fixed by the history before it, decides, charges a cost against
+the error budget, and (for the refunding variants) earns back the overshoot
+``O_t = (alpha_t * e_t - 1)_+``.  One engine, :class:`OnlineProcedure`, runs
+all eleven procedures, each a rule of the four choices documented on the
+engine's class attributes:
 
 ====================  ==========  ======  ===========  ========
 procedure             allocation  cost    denominator  evidence
@@ -22,6 +22,12 @@ p-lond                lond        raw     local        p
 p-lord                lord        raw     global       p
 p-saffron             saffron     raw     global       p
 ====================  ==========  ======  ===========  ========
+
+The recurrence is written once, in the engine's kernel ``_run``.  ``fit``
+and ``partial_fit`` hand it a whole evidence array and ``step`` a single
+value.  Each step ends by computing the budget of the step after it, which
+stays behind as held state until that step spends it, so ``next_alpha()``
+reads a value and computes nothing.
 
 The classes follow the familiar estimator protocol: construct with
 parameters, ``fit(X)`` on a full evidence array (or ``partial_fit`` to
@@ -47,6 +53,12 @@ from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule, c
 #: Tolerance below which a wealth value is treated as an implementation bug
 #: rather than rounding noise; the update rules guarantee non-negativity.
 WEALTH_UNDERFLOW_TOL = -1e-12
+
+#: Kernel input holding no evidence: ``reset`` runs it to compute the first budget.
+_NO_EVIDENCE = (None,)
+#: Builds a StepResult from a plain tuple in C, skipping the NamedTuple's
+#: Python-level constructor on the per-step path.
+_new_row = tuple.__new__
 
 
 class StepResult(NamedTuple):
@@ -94,17 +106,31 @@ class Trajectory:
         return int(self.rejections[-1]) if len(self.alpha) else 0
 
 
-def _view(name: str, dtype) -> property:
-    """A fitted view: the per-step list attribute ``name`` as an array."""
-    return property(lambda self: np.asarray(getattr(self, name), dtype=dtype))
+def _view(column: int, dtype) -> property:
+    """A fitted view: one per-step list of the history as an array."""
+    return property(lambda self: np.asarray(self._history[column], dtype=dtype))
 
 
 class OnlineProcedure:
-    """The engine: bookkeeping, the estimator protocol, and the step loop.
+    """The engine: the estimator protocol around one recurrence kernel.
 
-    ``next_alpha`` and ``_advance`` apply the rule that a subclass states in
-    ``allocation``, ``refund``, ``global_denominator`` and ``evidence_kind``,
-    with the schedules its constructor takes.
+    A subclass states its rule in ``allocation``, ``refund``,
+    ``global_denominator`` and ``evidence_kind``, and its constructor takes
+    the schedules that rule reads.  ``reset()`` holds three things:
+
+    * the rule, one tuple: the four choices, the bound schedule formulas
+      and the validated float ``alpha``;
+    * the stream state, one tuple: the step count ``t_``, the rejection
+      count ``n_rejections_``, LOND's pot, the global charge sum,
+      ``fdp_hat``, SAFFRON's ``lambda`` for the upcoming step and whether
+      the ``alpha_t >= 1`` warning has fired;
+    * the upcoming step's budget, which ``next_alpha()`` returns.
+
+    The kernel ``_run`` reads the rule and the state into locals once per
+    call and writes the state back once, also when a step raises, so the
+    state always matches the recorded history.  Each step spends the held
+    budget, then computes the next one; ``reset()`` computes the first by
+    running the kernel over no evidence.
     """
 
     #: "e" for e-value procedures, "p" for p-value procedures.
@@ -148,156 +174,176 @@ class OnlineProcedure:
 
     def reset(self):
         """Discard all stream state; parameters are revalidated."""
-        check_open_unit(self.alpha, "alpha")
-        # The rule is copied onto the instance: the step loop reads it several
-        # times per step, and instance attributes are the cheapest to read.
-        self._lond = self.allocation == "lond"
-        self._saffron = self.allocation == "saffron"
-        self._refund = self.refund
-        self._global = self.global_denominator
-        self._e_kind = self.evidence_kind == "e"
-        self._weight_at = self._formula("gamma" if self._lond else "omega")
-        if self._saffron:
-            self._lam_at = self._formula("lam")
-        # LOND's pot: alpha plus the banked refunds sum_j min(O_j, alpha_j) / (R_{j-1} + 1).
-        self._pot = self.alpha
-        # Sum of raw charges under the global denominator.
-        self._charged = 0.0
-        # The latest FDP estimate; the LORD / SAFFRON wealth is alpha minus it.
-        self._fdp_hat = 0.0
-        self.t_ = 0
-        self.n_rejections_ = 0
-        self._alphas: list[float] = []
-        self._decisions: list[bool] = []
-        self._overshoots: list[float] = []
-        self._costs: list[float] = []
-        self._fdp: list[float] = []
-        self._truths: list = []
-        self._warned_large_alpha = False
+        alpha = check_open_unit(self.alpha, "alpha")
+        lond = self.allocation == "lond"
+        saffron = self.allocation == "saffron"
+        self._rule = (lond, saffron, self.refund, self.global_denominator, self.evidence_kind,
+                      self._formula("gamma" if lond else "omega"),
+                      self._formula("lam") if saffron else None, alpha)
+        # t, R_t, LOND's pot (alpha plus the banked refunds
+        # sum_j min(O_j, alpha_j) / (R_{j-1} + 1)), the sum of charges under the
+        # global denominator, fdp_hat, the upcoming lambda, warned
+        self._state = (0, 0, alpha, 0.0, 0.0, 0.0, False)
+        # alpha, decision, overshoot, cost, fdp_hat and truth of every step
+        self._history = ([], [], [], [], [], [])
+        self._budget = 0.0
+        self._run(_NO_EVIDENCE, ())
         return self
 
     def _formula(self, name: str):
-        """Schedule ``name`` bound for the step loop; a gamma must be summable."""
+        """Schedule ``name`` bound for the kernel; a gamma must be summable."""
         schedule = getattr(self, name)
         if not isinstance(schedule, Schedule):
             raise TypeError(f"expected a Schedule for {name}, got {type(schedule).__name__}")
         return (check_gamma(schedule) if name == "gamma" else schedule).formula()
 
-    # -- the budget recurrence ------------------------------------------------
+    @property
+    def t_(self) -> int:
+        """Steps taken so far."""
+        return self._state[0]
+
+    @property
+    def n_rejections_(self) -> int:
+        """Rejections made so far, R_t."""
+        return self._state[1]
 
     def next_alpha(self) -> float:
-        """Budget that will be spent on the upcoming observation."""
-        t_next = self.t_ + 1
-        rej = self.n_rejections_
-        weight = self._weight_at(t_next, rej)
-        if self._lond:
-            return weight * (rej + 1.0) * self._pot
-        if self._saffron:
-            self._lam_t = self._lam_at(t_next, rej)
-            weight *= 1.0 - self._lam_t
-        wealth = self._checked_wealth(self.alpha - self._fdp_hat)
-        scale = float(max(rej, 1)) if self._global else rej + 1.0
-        return weight * scale * wealth
+        """Budget that the upcoming observation will spend (held, not computed)."""
+        return self._budget
 
-    def _checked_wealth(self, wealth: float) -> float:
-        if wealth < WEALTH_UNDERFLOW_TOL:
-            raise RuntimeError(
-                f"{self.procedure_id}: wealth underflow ({wealth!r}); the update rule "
-                "guarantees non-negativity, so this indicates a bug"
-            )
-        return wealth if wealth > 0.0 else 0.0
+    # -- the recurrence ---------------------------------------------------------
 
-    # -- stepping -------------------------------------------------------------
+    def _run(self, values, labels):
+        """Run the recurrence over ``values``, recording every step.
 
-    def _advance(self, evidence: float):
+        ``values`` are validated evidence values; a ``None`` among them is a
+        place with no evidence, where only the upcoming budget is computed.
+        ``labels`` are the truth labels (or None) of the values, one each.
+        Returns the last step's :class:`StepResult`, or None when no step
+        was taken.
+        """
         alpha_t = self.next_alpha()
-        rb = self.n_rejections_
-        if self._e_kind:
-            decision = alpha_t > 0.0 and evidence >= 1.0 / alpha_t
-            over = alpha_t * evidence - 1.0
-            over = over if over > 0.0 else 0.0
-        else:
-            decision = alpha_t > 0.0 and evidence <= alpha_t
-            over = 0.0
-        if self._saffron:
-            lam = self._lam_t
-            candidate = evidence >= 1.0 / lam if self._e_kind else evidence <= lam
-            if candidate:
-                # Free under both costs, even where 1 - lam * e rounds above 0
-                # at e = fl(1 / lam): the continuous penalty is <= 0 here.
-                cost = 0.0
-            elif self._refund:
-                # Continuous candidate penalty in place of the indicator.
-                cost = alpha_t * (1.0 - lam * evidence) / (1.0 - lam) - over
-            else:
-                cost = alpha_t / (1.0 - lam)
-        else:
-            cost = alpha_t - over if self._refund else alpha_t
-        if self._refund:
-            cost = cost if cost > 0.0 else 0.0
-        if self._global:
-            self._charged += cost
-            if decision:
-                self.n_rejections_ += 1
-            fdp = self._charged / max(self.n_rejections_, 1)
-        else:
-            denom = rb + 1.0
-            fdp = self._fdp_hat + cost / denom
-            if self._lond and self._refund:
-                self._pot += (over if over < alpha_t else alpha_t) / denom
-            if decision:
-                self.n_rejections_ += 1
-        self._fdp_hat = fdp
-        self.t_ += 1
-        self._alphas.append(alpha_t)
-        self._decisions.append(decision)
-        self._overshoots.append(over)
-        self._costs.append(cost)
-        self._fdp.append(fdp)
-        if alpha_t >= 1.0 and not self._warned_large_alpha:
-            self._warned_large_alpha = True
-            warnings.warn(
-                f"{self.procedure_id}: per-step budget alpha_t={alpha_t:.3g} reached 1; "
-                "the decision rule remains well defined but the budget is no longer "
-                "a probability",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return alpha_t, decision, over, cost, rb, fdp
+        lond, saffron, refund, glob, kind, weight_at, lam_at, alpha = self._rule
+        e_kind = kind == "e"
+        t, rej, pot, charged, fdp, lam, warned = self._state
+        alphas, decisions, overshoots, costs, fdps, truths = self._history
+        start = t
+        spent = 0.0
+        truths.extend(labels)
+        try:
+            for evidence in values:
+                if evidence is not None:
+                    rb = rej
+                    if e_kind:
+                        decision = alpha_t > 0.0 and evidence >= 1.0 / alpha_t
+                        over = alpha_t * evidence - 1.0
+                        over = over if over > 0.0 else 0.0
+                    else:
+                        decision = alpha_t > 0.0 and evidence <= alpha_t
+                        over = 0.0
+                    if saffron:
+                        if evidence >= 1.0 / lam if e_kind else evidence <= lam:
+                            # A candidate is free under both costs, even where
+                            # 1 - lam * e rounds above 0 at e = fl(1 / lam): the
+                            # continuous penalty is <= 0 here.
+                            cost = 0.0
+                        elif refund:
+                            # Continuous candidate penalty in place of the indicator.
+                            cost = alpha_t * (1.0 - lam * evidence) / (1.0 - lam) - over
+                        else:
+                            cost = alpha_t / (1.0 - lam)
+                    else:
+                        cost = alpha_t - over if refund else alpha_t
+                    if refund:
+                        cost = cost if cost > 0.0 else 0.0
+                    if glob:
+                        charged += cost
+                        if decision:
+                            rej += 1
+                        fdp = charged / (rej if rej > 1 else 1)
+                    else:
+                        denom = rb + 1.0
+                        fdp = fdp + cost / denom
+                        if lond and refund:
+                            pot += (over if over < alpha_t else alpha_t) / denom
+                        if decision:
+                            rej += 1
+                    t += 1
+                    alphas.append(alpha_t)
+                    decisions.append(decision)
+                    overshoots.append(over)
+                    costs.append(cost)
+                    fdps.append(fdp)
+                    spent = alpha_t
+                # The budget of step t + 1, held until that step spends it.
+                weight = weight_at(t + 1, rej)
+                if lond:
+                    alpha_t = weight * (rej + 1.0) * pot
+                else:
+                    if saffron:
+                        lam = lam_at(t + 1, rej)
+                        weight *= 1.0 - lam
+                    wealth = alpha - fdp
+                    if wealth < WEALTH_UNDERFLOW_TOL:
+                        alpha_t = math.nan  # no valid budget follows; held as NaN
+                        raise RuntimeError(
+                            f"{self.procedure_id}: wealth underflow ({wealth!r}); the update "
+                            "rule guarantees non-negativity, so this indicates a bug"
+                        )
+                    scale = (rej if rej > 1 else 1.0) if glob else rej + 1.0
+                    alpha_t = weight * scale * (wealth if wealth > 0.0 else 0.0)
+                if spent >= 1.0 and not warned:
+                    warned = True
+                    warnings.warn(
+                        f"{self.procedure_id}: per-step budget alpha_t={spent:.3g} reached 1; "
+                        "the decision rule remains well defined but the budget is no longer "
+                        "a probability",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+        except BaseException:
+            del truths[t:]  # the labels of steps not taken
+            raise
+        finally:
+            self._state = (t, rej, pot, charged, fdp, lam, warned)
+            self._budget = alpha_t
+        if t != start:
+            return _new_row(StepResult, (spent, decision, over, cost, rb, fdp))
+        return None
+
+    # -- the estimator protocol ------------------------------------------------
 
     def step(self, observation) -> StepResult:
         """Consume a single observation (an :class:`Observation` or a bare value)."""
+        kind = self._rule[4]
         truth = None
         if isinstance(observation, Observation):
-            if observation.kind != self.evidence_kind:
+            if observation.kind != kind:
                 raise ValueError(
-                    f"{self.procedure_id} consumes {self.evidence_kind!r}-kind evidence, "
+                    f"{self.procedure_id} consumes {kind!r}-kind evidence, "
                     f"got {observation.kind!r}"
                 )
-            if observation.index != self.t_ + 1:
+            expected = self._state[0] + 1
+            if observation.index != expected:
                 raise ValueError(
-                    f"out-of-order observation: expected index {self.t_ + 1}, "
+                    f"out-of-order observation: expected index {expected}, "
                     f"got {observation.index}"
                 )
             value = observation.evidence
             truth = observation.truth
         else:
-            value = float(check_evidence_value(observation, self.evidence_kind))
-        result = StepResult._make(self._advance(value))
-        self._truths.append(truth)
-        return result
+            value = float(check_evidence_value(observation, kind))
+        return self._run((value,), (truth,))
+
+    def _stream(self, X, y):
+        """``X`` and ``y`` validated, as the kernel's value and label lists."""
+        X = check_evidence_array(X, self.evidence_kind)
+        labels = [None] * len(X) if y is None else check_truth_array(y, len(X)).tolist()
+        return X.tolist(), labels
 
     def partial_fit(self, X, y=None):
         """Consume more of the evidence stream without resetting state."""
-        X = check_evidence_array(X, self.evidence_kind)
-        if y is not None:
-            y = check_truth_array(y, len(X))
-            self._truths.extend(y.tolist())
-        else:
-            self._truths.extend([None] * len(X))
-        advance = self._advance
-        for value in X.tolist():
-            advance(value)
+        self._run(*self._stream(X, y))
         return self
 
     def fit(self, X, y=None):
@@ -312,7 +358,8 @@ class OnlineProcedure:
             Ground-truth non-null indicators, kept for metric evaluation.
         """
         self.reset()
-        return self.partial_fit(X, y)
+        self._run(*self._stream(X, y))
+        return self
 
     def predict(self, X) -> np.ndarray:
         """Decisions for a fresh run over ``X`` (does not touch fitted state)."""
@@ -320,15 +367,15 @@ class OnlineProcedure:
 
     # -- fitted views ----------------------------------------------------------
 
-    alpha_ = _view("_alphas", float)
-    decision_ = _view("_decisions", bool)
-    overshoot_ = _view("_overshoots", float)
-    cost_ = _view("_costs", float)
-    fdp_hat_ = _view("_fdp", float)
+    alpha_ = _view(0, float)
+    decision_ = _view(1, bool)
+    overshoot_ = _view(2, float)
+    cost_ = _view(3, float)
+    fdp_hat_ = _view(4, float)
 
     @property
     def rejections_(self) -> np.ndarray:
-        return np.cumsum(self._decisions).astype(int)
+        return np.cumsum(self._history[1]).astype(int)
 
     @property
     def rejections_before_(self) -> np.ndarray:
@@ -336,15 +383,17 @@ class OnlineProcedure:
 
     @property
     def wealth_(self) -> np.ndarray:
-        """``alpha - fdp_hat_`` after each step, the step loop's wealth; NaN for LOND."""
-        if self._lond:
+        """``alpha - fdp_hat_`` after each step, the kernel's wealth; NaN for LOND."""
+        lond, alpha = self._rule[0], self._rule[7]
+        if lond:
             return np.full(self.t_, math.nan)
-        return self.alpha - self.fdp_hat_
+        return alpha - self.fdp_hat_
 
     def trajectory(self) -> Trajectory:
+        truths = self._history[5]
         truth = None
-        if self._truths and all(v is not None for v in self._truths):
-            truth = np.asarray(self._truths, dtype=bool)
+        if truths and all(v is not None for v in truths):
+            truth = np.asarray(truths, dtype=bool)
         return Trajectory(
             alpha=self.alpha_,
             decision=self.decision_,

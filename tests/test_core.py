@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -149,3 +151,33 @@ class TestObservation:
         proc.step(Observation(1, 2.0, truth=label))
         truth = proc.trajectory().truth
         assert truth is None if expected is None else truth.tolist() == [expected]
+
+    def test_dataclass_behaviour(self):
+        obs = Observation(3, 2.5, kind="e", truth=True)
+        same = Observation(3, 2.5, "e", True)
+        assert obs == same and hash(obs) == hash(same)
+        assert obs != Observation(3, 2.5, kind="e", truth=False)
+        assert repr(obs) == "Observation(index=3, evidence=2.5, kind='e', truth=True)"
+        assert vars(obs) == {"index": 3, "evidence": 2.5, "kind": "e", "truth": True}
+        assert dataclasses.astuple(obs) == (3, 2.5, "e", True)
+        assert pickle.loads(pickle.dumps(obs)) == obs
+        moved = dataclasses.replace(obs, index=4)
+        assert moved == Observation(4, 2.5, kind="e", truth=True)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            dataclasses.replace(obs, kind="p")
+        for name in ("index", "evidence", "kind", "truth", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obs, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del obs.index
+        assert Observation(1, 2.0) == Observation(index=1, evidence=2.0, kind="e", truth=None)
+
+    def test_checks_run_in_field_order(self):
+        with pytest.raises(ValueError, match="index must be a positive integer, got 0"):
+            Observation(0, -1.0, kind="q", truth=5)
+        with pytest.raises(ValueError, match="kind must be one of"):
+            Observation(1, -1.0, kind="q", truth=5)
+        with pytest.raises(ValueError, match="evidence must be a finite non-negative real"):
+            Observation(1, -1.0, kind="e", truth=5)
+        with pytest.raises(ValueError, match="truth must be None, a bool, 0 or 1, got 5"):
+            Observation(1, 1.0, kind="e", truth=5)

@@ -1,6 +1,8 @@
 import math
+import re
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -372,6 +374,24 @@ class TestEstimatorProtocol:
         with pytest.raises(ValueError):
             sf.ELord(alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", ["0.05", None, b"0.05", 1j, [0.05], True])
+    def test_non_real_alpha_rejected(self, alpha):
+        message = f"alpha must be in (0, 1), got {alpha!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sf.make_procedure("score-lord", alpha=alpha)
+        proc = build("score-lord")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            proc.set_params(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [np.float64(0.25), np.float32(0.25), Fraction(1, 4)])
+    def test_real_alpha_runs_as_its_float(self, alpha):
+        X = [30.0, 0.5, 400.0, 2.0]
+        proc = sf.make_procedure("score-lord", alpha=alpha).fit(X)
+        assert proc.alpha is alpha
+        reference = sf.make_procedure("score-lord", alpha=float(alpha)).fit(X)
+        assert proc.alpha_.tobytes() == reference.alpha_.tobytes()
+        assert proc.wealth_.tobytes() == reference.wealth_.tobytes()
+
     def test_repr_shows_params(self):
         assert "alpha=0.05" in repr(build("e-lord"))
 
@@ -393,6 +413,47 @@ def test_large_alpha_warns_once():
     assert proc.alpha_.max() >= 1.0
     # decisions remain well defined past the warning
     assert proc.decision_.all()
+
+
+@pytest.mark.parametrize("entry", ["fit", "partial_fit", "step"])
+def test_large_alpha_warning_names_the_caller(entry):
+    stream = np.full(450, 1e9)
+    proc = sf.ScorePlusLord()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if entry == "fit":
+            proc.fit(stream)
+        elif entry == "partial_fit":
+            proc.partial_fit(stream[:200]).partial_fit(stream[200:])
+        else:
+            for value in stream:
+                proc.step(value)
+    assert len(caught) == 1
+    assert caught[0].category is RuntimeWarning and "reached 1" in str(caught[0].message)
+    assert caught[0].filename == __file__
+
+
+def test_state_matches_history_when_a_step_raises():
+    # With warnings as errors the alpha_t >= 1 step raises after it is
+    # recorded; counters, labels and the held budget still agree with a
+    # clean run of the same steps.
+    stream = np.full(450, 1e9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        clean = sf.ScorePlusLord().fit(stream, np.ones(450, bool))
+    first = int(np.argmax(clean.alpha_ >= 1.0))
+    proc = sf.ScorePlusLord()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="reached 1"):
+            proc.partial_fit(stream, np.ones(450, bool))
+    assert proc.t_ == first + 1 == len(proc.trajectory().truth)
+    assert proc.alpha_.tobytes() == clean.alpha_[:first + 1].tobytes()
+    assert proc.next_alpha() == clean.alpha_[first + 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # warned once already: no second warning
+        proc.partial_fit(stream[first + 1:], np.ones(450 - first - 1, bool))
+    assert proc.trajectory().alpha.tobytes() == clean.alpha_.tobytes()
 
 
 def test_rai_scheduled_procedure_runs():

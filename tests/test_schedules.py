@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,24 @@ def test_gamma_rejects_rai():
 def test_gamma_rejects_bad_t():
     with pytest.raises(ValueError):
         gamma_at(Schedule.geometric(0.5), 0)
+
+
+@pytest.mark.parametrize("t", [None, "3", True, 2.5, math.nan, math.inf])
+def test_weight_at_names_a_non_integer_t(t):
+    with pytest.raises(ValueError, match=re.escape(f"t must be a positive integer, got {t!r}")):
+        weight_at(Schedule.constant(0.5), t, 0)
+
+
+def test_weight_at_accepts_integral_t():
+    rai = Schedule.rai(0.05, 0.5, 0.5)
+    assert weight_at(rai, np.int64(4), 1) == weight_at(rai, 4.0, 1) == weight_at(rai, 4, 1)
+
+
+@pytest.mark.parametrize("params", [("0.5",), (None,), (b"0.5",)])
+def test_non_real_schedule_parameter_rejected(params):
+    message = f"constant value must be in (0, 1), got {params[0]!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Schedule("constant", params)
 
 
 def test_rai_examples():

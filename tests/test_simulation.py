@@ -207,6 +207,20 @@ class TestReplicate:
             sf.replicate(GM, build("e-lord"), n_reps=2.5)
         assert generate_calls == []
 
+    @pytest.mark.parametrize("n_reps", [None, "x", "2", True, False, math.nan, math.inf, [2]])
+    def test_non_integer_n_reps_refused_before_generating(self, generate_calls, n_reps):
+        message = f"n_reps must be a positive integer, got {n_reps!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sf.replicate(GM, build("e-lord"), n_reps=n_reps)
+        assert generate_calls == []
+
+    def test_numpy_integer_n_reps_accepted(self):
+        dgp = replace(GM, horizon=50)
+        numpy_reps = sf.replicate(dgp, build("e-lord"), n_reps=np.int64(2), checkpoints=[50])
+        plain = sf.replicate(dgp, build("e-lord"), n_reps=2, checkpoints=[50])
+        assert numpy_reps.n_reps == 2 and type(numpy_reps.n_reps) is int
+        assert np.array_equal(numpy_reps.fdr, plain.fdr)
+
     def test_unknown_evidence_refused_before_generating(self, generate_calls):
         message = f"one of {', '.join(STREAM_EVIDENCE)}; got 'bogus'"
         with pytest.raises(ValueError, match=message):
