@@ -1,35 +1,79 @@
-"""Input validation helpers shared across the package."""
+"""The package's input rules, each stated once.  A rule returns the value it
+accepts, converted, and refuses anything else with a ``ValueError`` naming the
+parameter."""
 
 from __future__ import annotations
 
 import math
-import numbers
+import reprlib
+from fractions import Fraction
 
 import numpy as np
 
-
-def check_open_unit(value: float, name: str) -> float:
-    """``value`` as a float, if it is a real number strictly inside (0, 1).
-
-    A string such as ``"0.05"``, ``None`` or any other non-real is refused
-    with the same ``ValueError`` as an out-of-range number.
-    """
-    if not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {value!r}")
-    return float(value)
+#: The types a real number may have; ``bool`` and ``np.bool_`` are not among them.
+_REALS = (int, float, Fraction, np.integer, np.floating)
 
 
-def check_positive_int(value, name: str) -> int:
-    """``value`` as an int, if it is a whole real number of at least 1.
+def _inside(value, lo: float, hi: float, ends: str):  # elementwise on an array
+    return ((lo <= value) if ends[0] == "[" else (lo < value)) & (
+        (value <= hi) if ends[1] == "]" else (value < hi))
 
-    Integers of any integral type and whole floats such as ``2.0`` pass;
-    ``None``, strings, bools and non-whole or non-finite numbers are refused.
-    """
-    whole = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer())
-    if isinstance(value, bool) or not whole or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+
+def _interval(lo: float, hi: float, ends: str) -> str:  # e.g. "[0, inf)"
+    return f"{ends[0]}{lo:g}, {hi:g}{ends[1]}"
+
+
+def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
+               ends: str = "()") -> float:
+    """``value`` as a float, if it is a real (not a bool) inside the interval whose brackets
+    are ``ends``.  An infinite end must be open, so NaN and infinities never pass."""
+    if isinstance(value, _REALS) and type(value) is not bool:
+        real = float(value)
+        if _inside(real, lo, hi, ends):
+            return real
+    raise ValueError(f"{name} must be in {_interval(lo, hi, ends)}, got {value!r}")
+
+
+def check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int, if it is a whole real (``2.0`` passes, a bool does
+    not) of at least ``least``, which is 1 or 0."""
+    if (isinstance(value, _REALS) and type(value) is not bool and least <= value < math.inf
+            and value == int(value)):
+        return int(value)
+    raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer, "
+                     f"got {value!r}")
+
+
+def check_checkpoints(checkpoints, n: int) -> np.ndarray:
+    """``checkpoints`` as an int array, if it is a non-empty, strictly increasing
+    1-d list of integers in [1, n]."""
+    points = np.asarray(checkpoints)
+    if points.ndim != 1 or points.size and points.dtype.kind not in "iu":
+        rule = "integers"
+    elif (points[1:] <= points[:-1]).any():
+        rule = "strictly increasing"
+    elif points.size == 0 or points[0] < 1 or points[-1] > n:
+        rule = f"indices in [1, {n}]"
+    else:
+        return points.astype(int)
+    raise ValueError(f"checkpoints must be {rule}, got {reprlib.repr(checkpoints)}")
+
+
+def check_array(x, name: str, lo: float = -math.inf, hi: float = math.inf,
+                ends: str = "()") -> np.ndarray:
+    """``x`` as a float array, if every entry lies in the interval of :func:`check_real`.
+    Valid input costs one ``min`` and one ``max``; the error names the first bad index."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of reals, got {reprlib.repr(x)}") from None
+    if arr.size and not (_inside(arr.min(), lo, hi, ends) and _inside(arr.max(), lo, hi, ends)):
+        first = np.flatnonzero(~_inside(arr, lo, hi, ends))[0]
+        where = tuple(map(int, np.unravel_index(first, arr.shape)))
+        at = f" at index {where[0] if len(where) == 1 else where}" if where else ""
+        raise ValueError(f"{name} must be a finite real in {_interval(lo, hi, ends)}, "
+                         f"got {float(arr.flat[first])!r}{at}")
+    return arr
 
 
 def check_evidence_value(value: float, kind: str) -> float:
@@ -50,24 +94,10 @@ def check_evidence_value(value: float, kind: str) -> float:
 
 
 def check_evidence_array(x, kind: str) -> np.ndarray:
-    """Coerce a 1-d stream of evidence values to a validated float array.
-
-    ``kind`` is ``"e"`` (non-negative reals) or ``"p"`` (values in [0, 1]).
-    Non-finite entries are rejected for both kinds.
-    """
-    arr = np.asarray(x, dtype=float)
+    """A 1-d stream ``X`` of ``kind`` ``"e"`` (values >= 0) or ``"p"`` (in [0, 1]) as floats."""
+    arr = check_array(x, "X", 0.0, *((1.0, "[]") if kind == "p" else (math.inf, "[)")))
     if arr.ndim != 1:
-        raise ValueError(f"evidence must be 1-d, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("evidence must be finite; found nan or inf")
-    if kind == "e":
-        if arr.size and arr.min() < 0.0:
-            raise ValueError("e-values must be non-negative")
-    elif kind == "p":
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError("p-values must lie in [0, 1]")
-    else:
-        raise ValueError(f"unknown evidence kind {kind!r}")
+        raise ValueError(f"X must be 1-d, got shape {arr.shape}")
     return arr
 
 

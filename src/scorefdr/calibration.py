@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from ._validation import check_array, check_real
 from .core import MAX_EVALUE
 
 #: Smallest e-value returned by the likelihood-ratio builders; density
@@ -55,9 +56,10 @@ def _clamped_exp(log_value):
     return np.where(out < MIN_EVALUE, MIN_EVALUE, out)
 
 
-def _as_result(values, scalar_input: bool):
+def _as_result(values):
+    # a float when the inputs were all scalars, so that nothing broadcast to an array
     values = np.asarray(values, dtype=float)
-    return float(values) if scalar_input else values
+    return float(values) if values.ndim == 0 else values
 
 
 def vovk_p_to_e(p):
@@ -69,18 +71,14 @@ def vovk_p_to_e(p):
     clamped there; p = 1 (and anything within 1e-12 of it) returns the
     analytic limit 1/2.  Accepts scalars or arrays.
     """
-    scalar = np.isscalar(p) or np.ndim(p) == 0
-    arr = np.asarray(p, dtype=float)
-    if arr.size and (np.any(arr <= 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr))):
-        raise ValueError("p-values must lie in (0, 1]")
-    arr = np.maximum(arr, P_FLOOR)
+    arr = np.maximum(check_array(p, "p", 0.0, 1.0, "(]"), P_FLOOR)
     near_one = arr >= 1.0 - P_ONE_TOL
     safe = np.where(near_one, 0.5, arr)
     log_p = np.log(safe)
     values = (1.0 - safe + safe * log_p) / (safe * log_p * log_p)
     values = np.where(near_one, 0.5, values)
     values = np.where(values > MAX_EVALUE, MAX_EVALUE, values)
-    return _as_result(values, scalar)
+    return _as_result(values)
 
 
 @dataclass(frozen=True)
@@ -90,11 +88,9 @@ class CalibrationSet:
     scores: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.scores, dtype=float).reshape(-1)
+        arr = check_array(self.scores, "scores", 0.0, math.inf, "[)").reshape(-1)
         if arr.size == 0:
             raise ValueError("calibration set must be non-empty")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValueError("calibration scores must be finite and non-negative")
         object.__setattr__(self, "scores", arr)
 
     def __len__(self) -> int:
@@ -108,17 +104,14 @@ def conformal_evalue(test_score, cal: CalibrationSet):
     Valid (mean at most one) whenever the test score is exchangeable with
     the calibration scores.  Accepts scalar or array test scores.
     """
-    scalar = np.isscalar(test_score) or np.ndim(test_score) == 0
-    s = np.asarray(test_score, dtype=float)
-    if s.size and (not np.all(np.isfinite(s)) or np.any(s < 0.0)):
-        raise ValueError("test scores must be finite and non-negative")
+    s = check_array(test_score, "test_score", 0.0, math.inf, "[)")
     total = float(np.sum(cal.scores))
     denom = (total + s) / (len(cal) + 1.0)
     if np.any(denom <= 0.0):
         raise ValueError(
             "degenerate conformal denominator: all calibration and test scores are zero"
         )
-    return _as_result(s / denom, scalar)
+    return _as_result(s / denom)
 
 
 @dataclass(frozen=True)
@@ -148,10 +141,9 @@ class LikelihoodRatioSpec:
     def __post_init__(self):
         if self.family not in LR_FAMILIES:
             raise ValueError(f"family must be one of {LR_FAMILIES}, got {self.family!r}")
-        if self.null_var <= 0.0 or self.alt_var <= 0.0:
-            raise ValueError("variances must be positive")
-        if self.scale <= 1.0:
-            raise ValueError("scale factor must exceed 1")
+        check_real(self.null_var, "null_var (one of the variances)", 0.0)
+        check_real(self.alt_var, "alt_var (one of the variances)", 0.0)
+        check_real(self.scale, "scale", 1.0)
 
 
 def lr_evalue(spec: LikelihoodRatioSpec, x, context=None):
@@ -161,28 +153,25 @@ def lr_evalue(spec: LikelihoodRatioSpec, x, context=None):
     ``exponential_scale`` and the previous observation for ``ar1_gaussian``.
     Results are clamped to the finite range (see module notes).
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.asarray(x, dtype=float)
+    x = check_array(x, "x")
     if spec.family == "gaussian_pair":
         log_ratio = (
             0.5 * math.log(spec.null_var / spec.alt_var)
             + (x - spec.null_mean) ** 2 / (2.0 * spec.null_var)
             - (x - spec.alt_mean) ** 2 / (2.0 * spec.alt_var)
         )
-        return _as_result(_clamped_exp(log_ratio), scalar)
+        return _as_result(_clamped_exp(log_ratio))
     if spec.family == "exponential_scale":
         if context is None:
             raise ValueError("exponential_scale requires the rate eta as context")
-        eta = np.asarray(context, dtype=float)
-        if np.any(eta <= 0.0):
-            raise ValueError("rate eta must be positive")
+        eta = check_array(context, "eta", 0.0, math.inf)
         log_ratio = -math.log(spec.scale) + eta * x * (1.0 - 1.0 / spec.scale)
-        return _as_result(_clamped_exp(log_ratio), scalar)
+        return _as_result(_clamped_exp(log_ratio))
     if context is None:
         raise ValueError("ar1_gaussian requires the previous observation as context")
-    x_prev = np.asarray(context, dtype=float)
+    x_prev = check_array(context, "context")
     log_ratio = 0.5 * ((x - spec.phi0 * x_prev) ** 2 - (x - spec.phi1 * x_prev) ** 2)
-    return _as_result(_clamped_exp(log_ratio), scalar)
+    return _as_result(_clamped_exp(log_ratio))
 
 
 def ar1_conditional_pvalue(x_t, x_prev, phi0: float):
@@ -192,9 +181,8 @@ def ar1_conditional_pvalue(x_t, x_prev, phi0: float):
     under the null given the previous observation, so this p-value is
     uniform conditionally on the history.
     """
-    scalar = np.isscalar(x_t) or np.ndim(x_t) == 0
     resid = np.asarray(x_t, dtype=float) - phi0 * np.asarray(x_prev, dtype=float)
-    return _as_result(ndtr(-resid), scalar)
+    return _as_result(ndtr(-resid))
 
 
 def ar1_marginal_pvalue(x_t, null_var: float = 4.0 / 3.0):
@@ -205,6 +193,5 @@ def ar1_marginal_pvalue(x_t, null_var: float = 4.0 / 3.0):
     p-values to an online procedure can break FDR control under dependence;
     they exist here to demonstrate exactly that failure.
     """
-    scalar = np.isscalar(x_t) or np.ndim(x_t) == 0
     z = np.asarray(x_t, dtype=float) / math.sqrt(null_var)
-    return _as_result(ndtr(-z), scalar)
+    return _as_result(ndtr(-z))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from ._validation import check_evidence_value
+from ._validation import check_count, check_evidence_value
 
 #: Largest representable e-value.  Calibrators and likelihood ratios clamp
 #: to this instead of returning inf so that ``alpha * e`` stays NaN-free.
@@ -38,10 +38,10 @@ class Observation:
     truth: bool | None = None
 
     def __init__(self, index: int, evidence: float, kind: str = "e", truth: bool | None = None):
-        # Written out rather than generated, so that the fields go straight into
-        # the instance dict instead of through the frozen __setattr__ guard.
-        if index < 1 or index != int(index):
-            raise ValueError(f"index must be a positive integer, got {index!r}")
+        # Written out rather than generated, so that the fields go straight into the instance
+        # dict instead of through the frozen __setattr__ guard; a plain int index skips a call.
+        if type(index) is not int or index < 1:
+            index = check_count(index, "index")
         if kind not in EVIDENCE_KINDS:
             raise ValueError(f"kind must be one of {EVIDENCE_KINDS}, got {kind!r}")
         check_evidence_value(evidence, kind)

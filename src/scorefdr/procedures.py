@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validation import (check_evidence_array, check_evidence_value, check_open_unit,
+from ._validation import (check_evidence_array, check_evidence_value, check_real,
                           check_truth_array)
 from .core import Observation
 from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule, check_gamma
@@ -174,7 +174,7 @@ class OnlineProcedure:
 
     def reset(self):
         """Discard all stream state; parameters are revalidated."""
-        alpha = check_open_unit(self.alpha, "alpha")
+        alpha = check_real(self.alpha, "alpha", 0.0, 1.0)
         lond = self.allocation == "lond"
         saffron = self.allocation == "saffron"
         self._rule = (lond, saffron, self.refund, self.global_denominator, self.evidence_kind,
@@ -194,7 +194,7 @@ class OnlineProcedure:
         """Schedule ``name`` bound for the kernel; a gamma must be summable."""
         schedule = getattr(self, name)
         if not isinstance(schedule, Schedule):
-            raise TypeError(f"expected a Schedule for {name}, got {type(schedule).__name__}")
+            raise ValueError(f"{name} must be a Schedule, got {schedule!r}")
         return (check_gamma(schedule) if name == "gamma" else schedule).formula()
 
     @property
@@ -569,7 +569,7 @@ def make_procedure(
     """Instantiate a procedure by id, supplying only the schedules it uses."""
     try:
         cls = PROCEDURES[procedure_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         raise ValueError(
             f"unknown procedure {procedure_id!r}; choose from {', '.join(PROCEDURE_IDS)}"
         ) from None

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-from ._validation import check_open_unit, check_positive_int
+from ._validation import check_count, check_real
 
 #: RAI weights are clamped to this open sub-interval of (0, 1); the raw
 #: recurrence can leave (0, 1) for extreme phi/psi, but procedures require
@@ -76,26 +76,26 @@ class Schedule:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
         names = KINDS[self.kind].params
         if len(self.params) != len(names):
             raise ValueError(f"schedule kind {self.kind!r} takes {len(names)} "
                              f"parameter(s), got {len(self.params)}")
-        for name, value in zip(names, self.params):
-            check_open_unit(value, f"{self.kind} {name}")
+        object.__setattr__(self, "params", tuple(check_real(value, f"{self.kind} {name}", 0.0, 1.0)
+                                                 for name, value in zip(names, self.params)))
 
     @classmethod
     def constant(cls, value: float) -> "Schedule":
-        return cls("constant", (float(value),))
+        return cls("constant", (value,))
 
     @classmethod
     def geometric(cls, ratio: float) -> "Schedule":
-        return cls("geometric", (float(ratio),))
+        return cls("geometric", (ratio,))
 
     @classmethod
     def rai(cls, omega1: float, phi: float, psi: float) -> "Schedule":
-        return cls("rai", (float(omega1), float(phi), float(psi)))
+        return cls("rai", (omega1, phi, psi))
 
     @classmethod
     def parse(cls, text: str) -> "Schedule":
@@ -153,8 +153,9 @@ def rai_omega(omega1: float, phi: float, psi: float, t: int, rejections: int) ->
 
 def weight_at(schedule: Schedule, t: int, rejections: int) -> float:
     """Weight for step ``t`` given the ``rejections`` made strictly before it."""
-    t = check_positive_int(t, "t")
-    if not 0 <= rejections < t:
+    t = check_count(t, "t")
+    rejections = check_count(rejections, "rejections", 0)
+    if rejections >= t:
         raise ValueError(f"rejections must lie in [0, t), got {rejections} with t={t}")
     return schedule.formula()(t, rejections)
 

@@ -30,16 +30,10 @@ from .calibration import (
     lr_evalue,
     normal_ppf,
 )
-from ._validation import check_positive_int
+from ._validation import check_array, check_checkpoints, check_count, check_real
 from .procedures import OnlineProcedure, Trajectory
 
-#: The parameters each data-generating process reads besides horizon, pi1 and seed.
-_DGP_PARAMS = {
-    "gaussian_mixture": (),
-    "ar_exponential": ("rho", "mu_set"),
-    "ar1_gaussian": ("phi0", "phi1"),
-}
-DGP_NAMES = tuple(_DGP_PARAMS)
+DGP_NAMES = ("gaussian_mixture", "ar_exponential", "ar1_gaussian")
 #: Evidence name -> the kind of evidence it carries.
 STREAM_EVIDENCE = {"e": "e", "p_conditional": "p", "p_marginal": "p"}
 #: :func:`default_checkpoints` reports every step up to this many steps.
@@ -67,26 +61,19 @@ class DgpConfig:
     def __post_init__(self):
         if self.dgp not in DGP_NAMES:
             raise ValueError(f"dgp must be one of {DGP_NAMES}, got {self.dgp!r}")
-        if (isinstance(self.horizon, bool) or not 1 <= self.horizon < math.inf
-                or self.horizon != int(self.horizon)):
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
-        if not (0.0 <= self.pi1 <= 1.0):
-            raise ValueError(f"pi1 must lie in [0, 1], got {self.pi1!r}")
+        object.__setattr__(self, "horizon", check_count(self.horizon, "horizon"))
+        check_real(self.pi1, "pi1", 0.0, 1.0, "[]")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.dgp == "ar_exponential":
-            if self.rho < 0.0:
-                raise ValueError("rho must be non-negative (the rate 1 + rho*x must stay positive)")
-            if not self.mu_set or any(m <= 1.0 for m in self.mu_set):
-                raise ValueError("mu_set entries must exceed 1")
-        if self.dgp == "ar1_gaussian" and not (abs(self.phi0) < 1.0):
-            raise ValueError("ar1_gaussian needs |phi0| < 1 for a stationary null")
-        # after the range checks, so that a value they refuse keeps their message
-        for name in _DGP_PARAMS[self.dgp]:
-            value = getattr(self, name)
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            check_real(self.rho, "rho", 0.0, math.inf, "[)")  # so the rate 1 + rho * x is >= 1
+            mu_set = check_array(self.mu_set, "mu_set", 1.0, math.inf)
+            if mu_set.ndim != 1 or not mu_set.size:
+                raise ValueError(f"mu_set must be a non-empty 1-d list, got {self.mu_set!r}")
+        if self.dgp == "ar1_gaussian":
+            check_real(self.phi0, "phi0", -1.0, 1.0)  # for a stationary null
+            check_real(self.phi1, "phi1")
 
 
 @dataclass(frozen=True)
@@ -182,10 +169,8 @@ def generate(config: DgpConfig) -> GeneratedStream:
         xs = []
         etas = []
         x_prev = 0.0
-        for t, (alt, mu_t, u) in enumerate(zip(theta.tolist(), mu.tolist(), u_x.tolist())):
+        for alt, mu_t, u in zip(theta.tolist(), mu.tolist(), u_x.tolist()):
             rate = 1.0 + rho * x_prev
-            if rate <= 0.0:
-                raise ValueError(f"non-positive rate {rate} at step {t + 1}")
             etas.append(rate)
             if alt:
                 rate = rate / mu_t
@@ -261,7 +246,7 @@ def resolve_evidence(procedure: OnlineProcedure, evidence: str = "auto") -> str:
     """
     if evidence == "auto":
         return "e" if procedure.evidence_kind == "e" else "p_conditional"
-    if evidence not in STREAM_EVIDENCE:
+    if not isinstance(evidence, str) or evidence not in STREAM_EVIDENCE:
         raise ValueError(f"evidence must be auto or one of {', '.join(STREAM_EVIDENCE)}; "
                          f"got {evidence!r}")
     kind = STREAM_EVIDENCE[evidence]
@@ -281,15 +266,18 @@ def aggregate(runs, checkpoints, procedure: OnlineProcedure, dgp: DgpConfig | No
     stream.  Means and standard errors (sample sd over sqrt(n), zero for a
     single run) of the :func:`evaluate` curves are taken in run order, so a
     report is bit-identical across calls.  ``dgp`` and ``evidence`` label it.
+    Each run's checkpoints must lie within its length.
     """
-    checkpoints = np.asarray(checkpoints)
-    idx = checkpoints - 1
     # row 0 is FDP, row 1 average power
-    total = np.zeros((2, len(idx)))
-    squares = np.zeros((2, len(idx)))
-    n_runs = 0
+    total = squares = 0.0
+    n_runs, length = 0, None
     for decision, truth in runs:
-        curves = np.array(_curves(decision, truth))[:, idx]
+        if len(decision) != len(truth):
+            raise ValueError(f"runs[{n_runs}]: {len(decision)} decisions but {len(truth)} labels")
+        if len(decision) != length:  # checked once per run length
+            length = len(decision)
+            points = check_checkpoints(checkpoints, length)
+        curves = np.array(_curves(decision, truth))[:, points - 1]
         total += curves
         squares += curves * curves
         n_runs += 1
@@ -303,7 +291,7 @@ def aggregate(runs, checkpoints, procedure: OnlineProcedure, dgp: DgpConfig | No
         var = np.maximum(squares - n * mean * mean, 0.0) / (n - 1.0)
         se = np.sqrt(var / n)
     return MetricsReport(
-        checkpoints=checkpoints,
+        checkpoints=points,
         fdr=mean[0],
         fdr_se=se[0],
         power=mean[1],
@@ -330,18 +318,11 @@ def replicate(
     left fitted on that stream's evidence; the rest run on one clone.  Every
     argument is checked before the first stream is generated.
     """
-    n_reps = check_positive_int(n_reps, "n_reps")
+    n_reps = check_count(n_reps, "n_reps")
     evidence = resolve_evidence(procedure, evidence)
     if checkpoints is None:
         checkpoints = default_checkpoints(dgp.horizon)
-    points = np.asarray(checkpoints)
-    if points.size and points.dtype.kind not in "iu":
-        raise ValueError(f"checkpoints must be integers, got {checkpoints!r}")
-    points = points.astype(int)
-    if points.size == 0 or points.min() < 1 or points.max() > dgp.horizon:
-        raise ValueError("checkpoints must be indices in [1, horizon]")
-    if np.any(np.diff(points) <= 0):
-        raise ValueError("checkpoints must be strictly increasing")
+    points = check_checkpoints(checkpoints, dgp.horizon)
 
     def runs():
         proc = procedure

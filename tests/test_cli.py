@@ -852,3 +852,62 @@ class TestSimulateBytes:
                      "--metrics-out", str(metrics), "--decisions-out", str(decisions)]) == 0
         assert _sha256(metrics) == SIMULATE_BYTES[f"{dgp}/{pid}/metrics"]
         assert _sha256(decisions) == SIMULATE_BYTES[f"{dgp}/{pid}/decisions"]
+
+
+class TestErrorBytes:
+    """Errors no other test reaches, each pinned to its exit code and exact stderr."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rho", "-1", "flag --rho: rho out of range: got -1.0"),
+        ("--pi1", "x", "flag --pi1: pi1 must be a number, got 'x'"),
+        ("--pi1", "inf", "flag --pi1: pi1 must be finite, got 'inf'"),
+        ("--checkpoints", ",",
+         "flag --checkpoints: checkpoints must be a comma-separated list of indices"),
+    ])
+    def test_simulate_flag(self, capsys, flag, value, message):
+        assert main(["simulate", "--procedure", "e-lord", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_conformal_needs_calibration_scores(self, tmp_path, capsys):
+        scores = _write_csv(tmp_path / "s.csv", "score", ["1.0"])
+        err = _ingest_stderr(capsys, "--input", scores, "--calibrator", "conformal",
+                             "--procedure", "score-lord")
+        assert err == "error: config: calibrator=conformal requires 'calibration_scores'\n"
+
+    @pytest.mark.parametrize("header, rows, message", [
+        ("x", ["1.0"], "calibration file needs a 'score' column"),
+        ("score", [], "calibration set must be non-empty"),
+    ], ids=["no-score-column", "header-only"])
+    def test_calibration_file(self, tmp_path, capsys, header, rows, message):
+        cal = _write_csv(tmp_path / "c.csv", header, rows)
+        err = _ingest_stderr(capsys, *_conformal_args(tmp_path, cal))
+        assert err == f"error: {cal}: {message}\n"
+
+    def test_negative_score_evidence(self, tmp_path, capsys):
+        stream = _write_csv(tmp_path / "in.csv", "score,truth", ["0.4,0", "-35,1", "1.2,0"])
+        cal = _write_csv(tmp_path / "c.csv", "score", ["1.0"])
+        err = _ingest_stderr(capsys, "--input", stream, "--calibrator", "conformal",
+                             "--calibration-scores", cal, "--procedure", "score-lord")
+        assert err == f"error: {stream} row 3: negative score: -35.0\n"
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config {path}: [Errno 2] No such file or directory: '{path}'\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--dgp", "ar1_gaussian", "--evidence", "p_conditional", "--phi0", "1.5"],
+         "config: phi0 must be in (-1, 1), got 1.5"),
+        (["--dgp", "ar_exponential", "--mu-set", "3,0.5"],
+         "config: mu_set must be a finite real in (1, inf), got 0.5 at index 1"),
+    ], ids=["phi0", "mu_set"])
+    def test_dgp_parameter_named_with_its_interval(self, capsys, flags, message):
+        assert main(["simulate", "--procedure", "p-lord", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_read_decisions_wrong_header(self, tmp_path):
+        path = _write_csv(tmp_path / "d.csv", "index,alpha", ["1,0.05"])
+        message = f"{path}: unexpected header ['index', 'alpha']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_decisions(path)
