@@ -61,10 +61,13 @@ def check_checkpoints(checkpoints, n: int) -> np.ndarray:
 
 def check_array(x, name: str, lo: float = -math.inf, hi: float = math.inf,
                 ends: str = "()") -> np.ndarray:
-    """``x`` as a float array, if every entry lies in the interval of :func:`check_real`.
-    Valid input costs one ``min`` and one ``max``; the error names the first bad index."""
+    """``x`` as a float array, if it holds no text and every entry lies in the interval of
+    :func:`check_real`.  Valid input costs one ``min`` and one ``max``; the error names the
+    first bad index."""
     try:
-        arr = np.asarray(x, dtype=float)
+        if (arr := np.asarray(x)).dtype.kind in "SU":  # numeric text is not a real either
+            raise TypeError
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be an array of reals, got {reprlib.repr(x)}") from None
     if arr.size and not (_inside(arr.min(), lo, hi, ends) and _inside(arr.max(), lo, hi, ends)):

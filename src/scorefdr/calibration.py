@@ -161,16 +161,20 @@ def lr_evalue(spec: LikelihoodRatioSpec, x, context=None):
             - (x - spec.alt_mean) ** 2 / (2.0 * spec.alt_var)
         )
         return _as_result(_clamped_exp(log_ratio))
-    if spec.family == "exponential_scale":
-        if context is None:
-            raise ValueError("exponential_scale requires the rate eta as context")
-        eta = check_array(context, "eta", 0.0, math.inf)
-        log_ratio = -math.log(spec.scale) + eta * x * (1.0 - 1.0 / spec.scale)
-        return _as_result(_clamped_exp(log_ratio))
+    rate = spec.family == "exponential_scale"
+    name, what = ("eta", "the rate eta") if rate else ("context", "the previous observation")
     if context is None:
-        raise ValueError("ar1_gaussian requires the previous observation as context")
-    x_prev = check_array(context, "context")
-    log_ratio = 0.5 * ((x - spec.phi0 * x_prev) ** 2 - (x - spec.phi1 * x_prev) ** 2)
+        raise ValueError(f"{spec.family} requires {what} as context")
+    context = check_array(context, name, 0.0 if rate else -math.inf)
+    try:
+        np.broadcast_shapes(x.shape, context.shape)
+    except ValueError:
+        raise ValueError(f"x and {name} must broadcast together, got shapes {x.shape} and "
+                         f"{context.shape}") from None
+    if rate:
+        log_ratio = -math.log(spec.scale) + context * x * (1.0 - 1.0 / spec.scale)
+    else:
+        log_ratio = 0.5 * ((x - spec.phi0 * context) ** 2 - (x - spec.phi1 * context) ** 2)
     return _as_result(_clamped_exp(log_ratio))
 
 

@@ -21,6 +21,7 @@ from functools import cache, partial
 import numpy as np
 
 from .calibration import CalibrationSet, conformal_evalue, vovk_p_to_e
+from ._validation import check_checkpoints, check_count
 from .procedures import (
     PROCEDURE_IDS,
     OnlineProcedure,
@@ -31,7 +32,6 @@ from .reference import naive_trajectory, trace_divergence
 from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule
 from .simulation import (
     DGP_NAMES,
-    STREAM_EVIDENCE,
     DgpConfig,
     MetricsReport,
     aggregate,
@@ -44,7 +44,6 @@ DECISIONS_HEADER = ("index", "alpha", "decision", "overshoot", "cost", "rejectio
 METRICS_HEADER = ("t", "fdr", "fdr_se", "power", "power_se")
 
 CALIBRATORS = ("none", "vovk", "conformal")
-EVIDENCE_CHOICES = ("auto", *STREAM_EVIDENCE)
 MODES = ("simulate", "ingest")
 
 
@@ -54,7 +53,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Fully validated settings for one run."""
+    """Settings for one run; :func:`build_config` has judged every key it set."""
 
     mode: str
     procedure: str
@@ -80,53 +79,35 @@ class RunConfig:
     metrics_out: str | None = None
 
     def build_procedure(self) -> OnlineProcedure:
-        """The configured procedure; a schedule it cannot use is a :class:`ConfigError`."""
-        try:
-            return make_procedure(
-                self.procedure, alpha=self.alpha, gamma=self.gamma,
-                omega=self.omega, lam=self.lam,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config: {exc}") from None
+        return make_procedure(self.procedure, alpha=self.alpha, gamma=self.gamma,
+                              omega=self.omega, lam=self.lam)
 
     def build_dgp(self) -> DgpConfig:
-        return DgpConfig(
-            dgp=self.dgp, horizon=self.horizon, pi1=self.pi1, rho=self.rho,
-            mu_set=self.mu_set, phi0=self.phi0, phi1=self.phi1, seed=self.seed,
-        )
+        return DgpConfig(dgp=self.dgp, horizon=self.horizon, pi1=self.pi1, rho=self.rho,
+                         mu_set=self.mu_set, phi0=self.phi0, phi1=self.phi1, seed=self.seed)
 
 
 def _fail(where: str, message: str):
     raise ConfigError(f"{where}: {message}")
 
 
-def _to_float(raw, where, key, lo=None, hi=None, lo_open=False, hi_open=False):
+def _to_float(raw, where, key):
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         _fail(where, f"{key} must be a number, got {raw!r}")
-    if not math.isfinite(value):
-        _fail(where, f"{key} must be finite, got {raw!r}")
-    if lo is not None and (value < lo or (lo_open and value == lo)):
-        _fail(where, f"{key} out of range: got {value!r}")
-    if hi is not None and (value > hi or (hi_open and value == hi)):
-        _fail(where, f"{key} out of range: got {value!r}")
-    return value
 
 
-def _to_int(raw, where, key, lo=None):
+def _to_int(raw, where, key):
     try:
-        value = int(str(raw).strip())
+        return int(raw)
     except ValueError:
         _fail(where, f"{key} must be an integer, got {raw!r}")
-    if lo is not None and value < lo:
-        _fail(where, f"{key} must be >= {lo}, got {value}")
-    return value
 
 
-def _to_choice(raw, where, key, choices):
-    value = str(raw).strip()
-    if value not in choices:
+def _to_choice(raw, where, key, choices=None):
+    value = raw.strip()
+    if choices is not None and value not in choices:
         _fail(where, f"{key} must be one of {', '.join(choices)}; got {value!r}")
     return value
 
@@ -138,17 +119,9 @@ def _to_schedule(raw, where, key):
         _fail(where, f"{key}: {exc}")
 
 
-def _to_float_list(raw, where, key):
-    return tuple(_to_float(part, where, key) for part in raw.split(",") if part.strip())
-
-
-def _to_checkpoints(raw, where, key):
-    points = tuple(_to_int(part, where, key, lo=1) for part in raw.split(",") if part.strip())
-    if not points:
-        _fail(where, "checkpoints must be a comma-separated list of indices")
-    if any(later <= earlier for earlier, later in zip(points, points[1:])):
-        _fail(where, "checkpoints must be strictly increasing")
-    return points
+def _to_list(raw, where, key, item=_to_float):
+    """A comma-separated list of ``item`` values; empty parts are skipped."""
+    return tuple(item(part, where, key) for part in raw.split(",") if part.strip())
 
 
 def _to_path(raw, where, key):
@@ -159,31 +132,37 @@ _SIMULATE = ("simulate",)
 _INGEST = ("ingest",)
 
 #: Every config key but ``mode``: the modes it applies to, its converter
-#: ``(raw, where, key) -> value`` and its :class:`RunConfig` field.  Keys are
-#: converted in this order, so the first bad key reported does not depend on
-#: the order of the file or the flags.
+#: ``(raw, where, key) -> value``, which only parses, its :class:`RunConfig`
+#: field and the library rule ``(cfg) -> None`` that judges the value, if any.
+#: Keys are set and judged in this order, so the first bad key reported does
+#: not depend on the order of the file or the flags.  ``ingest`` judges the
+#: checkpoints against the stream length only once it has read the stream.
 _KEYS = {
-    "procedure": (MODES, partial(_to_choice, choices=PROCEDURE_IDS), "procedure"),
-    "alpha": (MODES, partial(_to_float, lo=0.0, hi=1.0, lo_open=True, hi_open=True), "alpha"),
-    "gamma": (MODES, _to_schedule, "gamma"),
-    "omega": (MODES, _to_schedule, "omega"),
-    "lambda": (MODES, _to_schedule, "lam"),
-    "seed": (_SIMULATE, partial(_to_int, lo=0), "seed"),
-    "checkpoints": (MODES, _to_checkpoints, "checkpoints"),
-    "decisions_out": (MODES, _to_path, "decisions_out"),
-    "metrics_out": (MODES, _to_path, "metrics_out"),
-    "dgp": (_SIMULATE, partial(_to_choice, choices=DGP_NAMES), "dgp"),
-    "horizon": (_SIMULATE, partial(_to_int, lo=1), "horizon"),
-    "pi1": (_SIMULATE, partial(_to_float, lo=0.0, hi=1.0), "pi1"),
-    "rho": (_SIMULATE, partial(_to_float, lo=0.0), "rho"),
-    "mu_set": (_SIMULATE, _to_float_list, "mu_set"),
-    "phi0": (_SIMULATE, _to_float, "phi0"),
-    "phi1": (_SIMULATE, _to_float, "phi1"),
-    "replicates": (_SIMULATE, partial(_to_int, lo=1), "replicates"),
-    "evidence": (_SIMULATE, partial(_to_choice, choices=EVIDENCE_CHOICES), "evidence"),
-    "calibrator": (_INGEST, partial(_to_choice, choices=CALIBRATORS), "calibrator"),
-    "input": (_INGEST, _to_path, "input"),
-    "calibration_scores": (_INGEST, _to_path, "calibration_scores"),
+    "procedure": (MODES, partial(_to_choice, choices=PROCEDURE_IDS), "procedure", None),
+    "alpha": (MODES, _to_float, "alpha", RunConfig.build_procedure),
+    "gamma": (MODES, _to_schedule, "gamma", RunConfig.build_procedure),
+    "omega": (MODES, _to_schedule, "omega", RunConfig.build_procedure),
+    "lambda": (MODES, _to_schedule, "lam", RunConfig.build_procedure),
+    "seed": (_SIMULATE, _to_int, "seed", RunConfig.build_dgp),
+    "dgp": (_SIMULATE, partial(_to_choice, choices=DGP_NAMES), "dgp", None),
+    "horizon": (_SIMULATE, _to_int, "horizon", RunConfig.build_dgp),
+    "checkpoints": (MODES, partial(_to_list, item=_to_int), "checkpoints", lambda cfg:
+                    check_checkpoints(cfg.checkpoints, cfg.horizon if cfg.mode == "simulate"
+                                      else math.inf)),
+    "decisions_out": (MODES, _to_path, "decisions_out", None),
+    "metrics_out": (MODES, _to_path, "metrics_out", None),
+    "pi1": (_SIMULATE, _to_float, "pi1", RunConfig.build_dgp),
+    "rho": (_SIMULATE, _to_float, "rho", RunConfig.build_dgp),
+    "mu_set": (_SIMULATE, _to_list, "mu_set", RunConfig.build_dgp),
+    "phi0": (_SIMULATE, _to_float, "phi0", RunConfig.build_dgp),
+    "phi1": (_SIMULATE, _to_float, "phi1", RunConfig.build_dgp),
+    "replicates": (_SIMULATE, _to_int, "replicates",
+                   lambda cfg: check_count(cfg.replicates, "replicates")),
+    "evidence": (_SIMULATE, _to_choice, "evidence",
+                 lambda cfg: resolve_evidence(cfg.build_procedure(), cfg.evidence)),
+    "calibrator": (_INGEST, partial(_to_choice, choices=CALIBRATORS), "calibrator", None),
+    "input": (_INGEST, _to_path, "input", None),
+    "calibration_scores": (_INGEST, _to_path, "calibration_scores", None),
 }
 ALL_KEYS = {"mode", *_KEYS}
 #: Keys that shape only the report files ``simulate`` and ``ingest`` write;
@@ -210,7 +189,9 @@ def read_raw_config(text: str) -> dict[str, tuple[str, str]]:
 
 
 def build_config(entries: dict[str, tuple[str, str]], mode: str | None = None) -> RunConfig:
-    """Validate raw entries (from file and/or flags) into a :class:`RunConfig`."""
+    """Set raw entries (from file and/or flags) on a :class:`RunConfig` in ``_KEYS``
+    order.  Each key is judged once set, the keys before it having passed, so a
+    refusal reads ``<its line or flag>: <the library's message>``."""
     if "mode" in entries:
         raw, where = entries["mode"]
         file_mode = _to_choice(raw, where, "mode", MODES)
@@ -226,22 +207,20 @@ def build_config(entries: dict[str, tuple[str, str]], mode: str | None = None) -
 
     if "procedure" not in entries:
         raise ConfigError("config: missing key 'procedure'")
-    cfg = RunConfig(mode=mode, **{
-        field: convert(*entries[key], key)
-        for key, (_, convert, field) in _KEYS.items() if key in entries
-    })
+    cfg = RunConfig(mode=mode, procedure="")
+    for key, (_, convert, field, judge) in _KEYS.items():
+        if key in entries:
+            raw, where = entries[key]
+            setattr(cfg, field, convert(raw, where, key))
+            if judge is not None:
+                try:
+                    judge(cfg)
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
 
-    if mode == "simulate":
-        try:
-            cfg.build_dgp()
-        except ValueError as exc:
-            raise ConfigError(f"config: {exc}") from None
-        if cfg.checkpoints and cfg.checkpoints[-1] > cfg.horizon:
-            _fail(entries["checkpoints"][1],
-                  f"checkpoint {cfg.checkpoints[-1]} exceeds the horizon {cfg.horizon}")
-    elif cfg.input is None:
+    if mode == "ingest" and cfg.input is None:
         raise ConfigError("config: ingest mode requires the 'input' key")
-    elif cfg.calibrator == "conformal" and cfg.calibration_scores is None:
+    if cfg.calibrator == "conformal" and cfg.calibration_scores is None:
         raise ConfigError("config: calibrator=conformal requires 'calibration_scores'")
     return cfg
 
@@ -356,9 +335,9 @@ def ingest_stream(
         for record, row in enumerate(_data_rows(path, reader, len(header)), start=1):
             # the index is checked as written first; " 2", "+2" and "02" parse
             if ix is not None and row[ix] != str(record):
-                idx = _to_int(row[ix], _at(path, reader), "index", lo=1)
+                idx = _to_int(row[ix], _at(path, reader), "index")
                 if idx != record:
-                    _fail(_at(path, reader),
+                    _fail(_at(path, reader), f"index must be >= 1, got {idx}" if idx < 1 else
                           f"index must run 1..T in file order; expected {record}, got {idx}")
             try:
                 value = float(row[at])
@@ -518,12 +497,11 @@ def _cmd_ingest(cfg: RunConfig) -> int:
     if cfg.metrics_out:
         if truth is None:
             raise ConfigError(f"{cfg.input}: metrics_out requires a truth column in the input")
-        checkpoints = cfg.checkpoints or tuple(range(1, len(evidence) + 1))
-        if checkpoints[-1] > len(evidence):
-            raise ConfigError(
-                f"{cfg.input}: checkpoints must lie in [1, {len(evidence)}] for this "
-                f"stream, got {checkpoints[-1]}"
-            )
+        try:
+            checkpoints = check_checkpoints(cfg.checkpoints or range(1, len(evidence) + 1),
+                                            len(evidence))
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.input}: {exc}") from None
     trajectory = procedure.fit(evidence).trajectory()
     reports = []
     if cfg.decisions_out:
@@ -592,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="path to a key = value config file")
         # oracle-check sources evidence from either mode; the others imply theirs
         keys = ALL_KEYS if name == "oracle-check" else {
-            key for key, (modes, _, _) in _KEYS.items() if name in modes}
+            key for key, (modes, *_) in _KEYS.items() if name in modes}
         for key in sorted(keys):
             cmd.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
                              metavar="VALUE", help=f"override config key '{key}'")

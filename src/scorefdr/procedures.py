@@ -154,13 +154,16 @@ class OnlineProcedure:
         return {name: getattr(self, name) for name in self._param_names()}
 
     def set_params(self, **params):
-        valid = self._param_names()
-        for name, value in params.items():
-            if name not in valid:
+        previous = self.get_params()
+        for name in params:
+            if name not in previous:
                 raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        self.reset()
-        return self
+        self.__dict__.update(params)
+        try:
+            return self.reset()
+        except ValueError:  # a refused value leaves the parameters as they were
+            self.__dict__.update(previous)
+            raise
 
     def clone(self):
         """A fresh, unfitted copy with identical parameters."""

@@ -46,7 +46,7 @@ class DgpConfig:
 
     Only the fields relevant to the chosen ``dgp`` are used: ``rho`` and
     ``mu_set`` drive the autoregressive exponential model, ``phi0`` / ``phi1``
-    the autoregressive Gaussian model.
+    the autoregressive Gaussian model.  Every field is checked whatever the ``dgp``.
     """
 
     dgp: str
@@ -66,14 +66,12 @@ class DgpConfig:
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.dgp == "ar_exponential":
-            check_real(self.rho, "rho", 0.0, math.inf, "[)")  # so the rate 1 + rho * x is >= 1
-            mu_set = check_array(self.mu_set, "mu_set", 1.0, math.inf)
-            if mu_set.ndim != 1 or not mu_set.size:
-                raise ValueError(f"mu_set must be a non-empty 1-d list, got {self.mu_set!r}")
-        if self.dgp == "ar1_gaussian":
-            check_real(self.phi0, "phi0", -1.0, 1.0)  # for a stationary null
-            check_real(self.phi1, "phi1")
+        check_real(self.rho, "rho", 0.0, math.inf, "[)")  # so the rate 1 + rho * x is >= 1
+        mu_set = check_array(self.mu_set, "mu_set", 1.0, math.inf)
+        if mu_set.ndim != 1 or not mu_set.size:
+            raise ValueError(f"mu_set must be a non-empty 1-d list, got {self.mu_set!r}")
+        check_real(self.phi0, "phi0", -1.0, 1.0)  # for a stationary null
+        check_real(self.phi1, "phi1")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import scorefdr as sf
 from scorefdr.cli import (
@@ -15,6 +15,7 @@ from scorefdr.cli import (
     ALL_KEYS,
     MODES,
     ConfigError,
+    RunConfig,
     build_parser,
     emit_decisions,
     emit_metrics,
@@ -24,6 +25,8 @@ from scorefdr.cli import (
     read_decisions,
     read_raw_config,
 )
+from scorefdr._validation import check_checkpoints, check_count
+from scorefdr.simulation import resolve_evidence
 from helpers import build, random_e_stream
 
 
@@ -57,7 +60,7 @@ class TestParseConfig:
         assert proc.procedure_id == "score-plus-saffron"
 
     def test_out_of_range_alpha_names_key_and_line(self):
-        with pytest.raises(ConfigError, match=r"line 2: alpha out of range"):
+        with pytest.raises(ConfigError, match=r"^line 2: alpha must be in \(0, 1\), got 1\.5$"):
             parse_config("mode = simulate\nalpha = 1.5\nprocedure = score-lord\n")
 
     def test_unknown_key_has_line_number(self):
@@ -156,7 +159,7 @@ class TestKeyTable:
 
     @pytest.mark.parametrize("key", sorted(_KEYS))
     def test_accepted_where_it_applies(self, key):
-        modes, _, field = _KEYS[key]
+        modes, _, field, _ = _KEYS[key]
         for mode in modes:
             base = parse_config(_config_text(mode))
             cfg = parse_config(_config_text(mode, **{key: SAMPLE_VALUES[key]}))
@@ -176,7 +179,7 @@ class TestKeyTable:
     ])
     def test_subcommand_flags(self, command, count):
         keys = ALL_KEYS if command == "oracle-check" else {
-            key for key, (modes, _, _) in _KEYS.items() if command in modes}
+            key for key, (modes, *_) in _KEYS.items() if command in modes}
         assert _subcommand_flags(command) == {f"--{k.replace('_', '-')}" for k in keys}
         assert len(keys) == count
 
@@ -184,7 +187,84 @@ class TestKeyTable:
         table = _formats_key_table()
         assert set(table) == ALL_KEYS
         assert table.pop("mode") == MODES
-        assert table == {key: modes for key, (modes, _, _) in _KEYS.items()}
+        assert table == {key: modes for key, (modes, *_) in _KEYS.items()}
+
+
+def _library_accepts(cfg: RunConfig) -> None:
+    """Run every library rule a simulate config meets; a refusal is a ``ValueError``."""
+    resolve_evidence(cfg.build_procedure(), cfg.evidence)
+    cfg.build_dgp()
+    check_count(cfg.replicates, "replicates")
+    if cfg.checkpoints is not None:
+        check_checkpoints(cfg.checkpoints, cfg.horizon)
+
+
+#: Every numeric and schedule key, and evidence, which is judged against the procedure.
+JUDGED_KEYS = ("alpha", "gamma", "omega", "lambda", "seed", "horizon", "checkpoints", "pi1",
+               "rho", "mu_set", "phi0", "phi1", "replicates", "evidence")
+#: Texts of every shape a value might arrive in.
+_NUMBER_TEXT = st.one_of(
+    st.integers(-3, 1200).map(str),
+    st.floats(0.0, 1.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "", " ", "x", "0", "1",
+                     "-1", "0.5", "1.5", "2.0", "1e3"]),
+)
+VALUE_TEXT = st.one_of(
+    _NUMBER_TEXT,
+    st.lists(_NUMBER_TEXT, min_size=1, max_size=4).map(",".join),
+    st.builds("{},{}".format, st.sampled_from(["constant", "geometric", "rai", "step", ""]),
+              st.lists(_NUMBER_TEXT, max_size=3).map(",".join)),
+    st.sampled_from(["auto", "e", "p_conditional", "p_marginal", "E", ",", "1,,2",
+                     "constant,0.5", "geometric,0.5", "rai,0.05,0.5,0.5"]),
+    st.text(alphabet="0123456789.,-+e abcinf", max_size=8),
+)
+
+
+class TestCliMatchesLibrary:
+    @settings(max_examples=400, deadline=None)
+    @given(procedure=st.sampled_from(sf.PROCEDURE_IDS), key=st.sampled_from(JUDGED_KEYS),
+           text=VALUE_TEXT)
+    @example(procedure="e-lond", key="gamma", text="rai,0.05,0.5,0.5")
+    @example(procedure="e-lord", key="evidence", text="p_conditional")
+    @example(procedure="score-lord", key="mu_set", text="3,0.5")
+    def test_cli_accepts_exactly_what_the_library_accepts(self, procedure, key, text):
+        # The CLI either returns a config the library accepts whole, or refuses at
+        # the key's line: with the converter's message if the text does not parse,
+        # else with the library's own message for the parsed value.
+        try:
+            cfg = parse_config(f"mode = simulate\nprocedure = {procedure}\n{key} = {text}\n")
+        except ConfigError as exc:
+            refusal = str(exc)
+        else:
+            _library_accepts(cfg)
+            return
+        assert refusal.startswith("line 3: "), refusal
+        _, convert, field, _ = _KEYS[key]
+        try:
+            value = convert(text.strip(), "line 3", key)
+        except ConfigError as parse_error:  # the text is not of the key's type at all
+            assert refusal == str(parse_error)
+            assert re.match(rf"line 3: {key}(: | must be (a number|an integer), got )", refusal)
+            return
+        with pytest.raises(ValueError) as library:
+            _library_accepts(RunConfig("simulate", procedure, **{field: value}))
+        assert refusal == f"line 3: {library.value}"
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("simulate", "--rho", "-1", "flag --rho: rho must be in [0, inf), got -1.0"),
+        ("ingest", "--alpha", "nan", "flag --alpha: alpha must be in (0, 1), got nan"),
+    ])
+    def test_refused_key_writes_no_metrics(self, tmp_path, capsys, command, flag, value,
+                                           message):
+        metrics = tmp_path / "m.csv"
+        argv = [command, "--procedure", "p-lord", "--metrics-out", str(metrics), flag, value]
+        if command == "ingest":
+            argv += ["--input", _write_csv(tmp_path / "in.csv", "p,truth", ["0.1,1", "0.2,0"])]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not metrics.exists()
 
 
 def _write_csv(path, header, rows):
@@ -591,7 +671,7 @@ class TestMain:
 
     @pytest.mark.parametrize("header, rows, extra, message", [
         ("p,truth", ["0.1,0", "0.2,1"], ["--checkpoints", "1,5"],
-         r"checkpoints must lie in \[1, 2\] for this stream, got 5"),
+         r"checkpoints must be indices in \[1, 2\], got \(1, 5\)"),
         ("p", ["0.1", "0.2"], [], "metrics_out requires a truth column in the input"),
     ], ids=["checkpoints-beyond-stream", "no-truth-column"])
     def test_ingest_bad_metrics_request_writes_nothing(self, tmp_path, capsys, header, rows,
@@ -696,7 +776,8 @@ class TestMain:
             where = "line 2"
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {where}: checkpoints must be strictly increasing\n"
+        assert err == (f"error: {where}: checkpoints must be strictly increasing, "
+                       f"got ({points.replace(',', ', ')})\n")
         assert not metrics.exists()
 
     @pytest.mark.parametrize("source", ["flag", "file"])
@@ -714,7 +795,8 @@ class TestMain:
             where = "line 2"
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {where}: checkpoint 200 exceeds the horizon 100\n"
+        assert captured.err == (
+            f"error: {where}: checkpoints must be indices in [1, 100], got (50, 200)\n")
         assert captured.out == "" and not metrics.exists()
 
     def test_oracle_check_fails_on_non_finite_gap(self, capsys):
@@ -738,7 +820,7 @@ class TestMain:
                    "--horizon", "50", "--evidence", evidence])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: {pid} consumes '{pid[0]}' evidence, "
+            f"error: flag --evidence: {pid} consumes '{pid[0]}' evidence, "
             f"but evidence={evidence} gives '{kind}' evidence\n")
 
     def test_validation_error_exit_code(self, capsys):
@@ -858,11 +940,11 @@ class TestErrorBytes:
     """Errors no other test reaches, each pinned to its exit code and exact stderr."""
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--rho", "-1", "flag --rho: rho out of range: got -1.0"),
+        ("--rho", "-1", "flag --rho: rho must be in [0, inf), got -1.0"),
         ("--pi1", "x", "flag --pi1: pi1 must be a number, got 'x'"),
-        ("--pi1", "inf", "flag --pi1: pi1 must be finite, got 'inf'"),
+        ("--pi1", "inf", "flag --pi1: pi1 must be in [0, 1], got inf"),
         ("--checkpoints", ",",
-         "flag --checkpoints: checkpoints must be a comma-separated list of indices"),
+         "flag --checkpoints: checkpoints must be indices in [1, 1000], got ()"),
     ])
     def test_simulate_flag(self, capsys, flag, value, message):
         assert main(["simulate", "--procedure", "e-lord", flag, value]) == 2
@@ -898,9 +980,9 @@ class TestErrorBytes:
 
     @pytest.mark.parametrize("flags, message", [
         (["--dgp", "ar1_gaussian", "--evidence", "p_conditional", "--phi0", "1.5"],
-         "config: phi0 must be in (-1, 1), got 1.5"),
+         "flag --phi0: phi0 must be in (-1, 1), got 1.5"),
         (["--dgp", "ar_exponential", "--mu-set", "3,0.5"],
-         "config: mu_set must be a finite real in (1, inf), got 0.5 at index 1"),
+         "flag --mu-set: mu_set must be a finite real in (1, inf), got 0.5 at index 1"),
     ], ids=["phi0", "mu_set"])
     def test_dgp_parameter_named_with_its_interval(self, capsys, flags, message):
         assert main(["simulate", "--procedure", "p-lord", *flags]) == 2

@@ -4,6 +4,7 @@ the first bad index.  Nothing escapes as a ``TypeError`` or a numpy error."""
 
 import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -132,11 +133,42 @@ class TestAggregate:
      "eta must be a finite real in (0, inf), got 0.0 at index 1"),
     (lambda: lr_evalue(LikelihoodRatioSpec("gaussian_pair"), [0.0, math.inf]),
      "x must be a finite real in (-inf, inf), got inf at index 1"),
+    (lambda: vovk_p_to_e("0.5"), "p must be an array of reals, got '0.5'"),
+    (lambda: vovk_p_to_e([b"0.5"]), "p must be an array of reals, got [b'0.5']"),
+    (lambda: build("score-lord").fit(["1.0", "2.0"]),
+     "X must be an array of reals, got ['1.0', '2.0']"),
 ], ids=["vovk", "vovk-scalar", "conformal", "calibration-set", "calibration-set-2d", "fit",
-        "partial_fit", "fit-str", "lr-eta", "lr-x"])
+        "partial_fit", "fit-str", "lr-eta", "lr-x", "vovk-numeric-str", "vovk-bytes",
+        "fit-numeric-str"])
 def test_array_error_names_first_bad_index(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_integer_arrays_and_fractions_pass_as_reals():
+    assert vovk_p_to_e(np.array([1], dtype=np.int32)).tolist() == vovk_p_to_e([1.0]).tolist()
+    assert build("score-lord").fit([Fraction(1, 2), 3]).t_ == 2
+
+
+@pytest.mark.parametrize("family, name", [("exponential_scale", "eta"),
+                                          ("ar1_gaussian", "context")])
+def test_lr_evalue_shape_mismatch_names_both(family, name):
+    message = f"x and {name} must broadcast together, got shapes (2,) and (3,)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lr_evalue(LikelihoodRatioSpec(family), [1.0, 2.0], context=[1.0, 2.0, 3.0])
+
+
+def test_refused_set_params_leaves_the_parameters():
+    proc = build("score-saffron").fit([30.0, 0.5])
+    params = proc.get_params()
+    for bad in ({"alpha": "x"}, {"lam": 0.5}, {"alpha": 0.1, "omega": None},
+                {"alpha": 0.1, "bogus": 1}):
+        with pytest.raises(ValueError):
+            proc.set_params(**bad)
+        assert proc.get_params() == params
+    assert proc.t_ == 2
+    assert proc.clone().fit([30.0, 0.5]).decision_.tolist() == proc.decision_.tolist()
+    assert proc.fit([30.0]).t_ == 1
 
 
 # -- One property over the library's entry points. -----------------------------

@@ -59,8 +59,13 @@ class TestDgpConfig:
         cfg = sf.DgpConfig("gaussian_mixture", horizon=50, seed=np.int64(3))
         assert np.array_equal(sf.generate(cfg).x, sf.generate(replace(cfg, seed=3)).x)
 
-    def test_unread_parameters_are_not_checked(self):
-        sf.DgpConfig("gaussian_mixture", rho=math.nan, mu_set=(math.inf,), phi1=math.nan)
+    def test_every_parameter_is_checked_whatever_the_dgp(self):
+        # a parameter the chosen dgp does not read is still refused
+        for name, value in [("rho", -1.0), ("rho", math.nan), ("mu_set", (0.5,)),
+                            ("mu_set", (math.inf,)), ("phi0", 1.5), ("phi1", math.nan)]:
+            for dgp in simulation.DGP_NAMES:
+                with pytest.raises(ValueError, match=f"^{name} must"):
+                    sf.DgpConfig(dgp, **{name: value})
 
 
 class TestGenerate:
