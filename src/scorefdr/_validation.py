@@ -14,6 +14,15 @@ import numpy as np
 _REALS = (int, float, Fraction, np.integer, np.floating)
 
 
+class EntryError(ValueError):
+    """A :func:`check_array` refusal: ``index`` is the flat index of the first bad entry
+    and ``reason`` the message without its place, for a caller that names the place."""
+
+    def __init__(self, reason: str, index: int, place: str):
+        super().__init__(reason + place)
+        self.reason, self.index = reason, index
+
+
 def _inside(value, lo: float, hi: float, ends: str):  # elementwise on an array
     return ((lo <= value) if ends[0] == "[" else (lo < value)) & (
         (value <= hi) if ends[1] == "]" else (value < hi))
@@ -62,8 +71,8 @@ def check_checkpoints(checkpoints, n: int) -> np.ndarray:
 def check_array(x, name: str, lo: float = -math.inf, hi: float = math.inf,
                 ends: str = "()") -> np.ndarray:
     """``x`` as a float array, if it holds no text and every entry lies in the interval of
-    :func:`check_real`.  Valid input costs one ``min`` and one ``max``; the error names the
-    first bad index."""
+    :func:`check_real`.  Valid input costs one ``min`` and one ``max``; the error, an
+    :class:`EntryError`, names the first bad index."""
     try:
         if (arr := np.asarray(x)).dtype.kind in "SU":  # numeric text is not a real either
             raise TypeError
@@ -71,11 +80,11 @@ def check_array(x, name: str, lo: float = -math.inf, hi: float = math.inf,
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be an array of reals, got {reprlib.repr(x)}") from None
     if arr.size and not (_inside(arr.min(), lo, hi, ends) and _inside(arr.max(), lo, hi, ends)):
-        first = np.flatnonzero(~_inside(arr, lo, hi, ends))[0]
+        first = int(np.flatnonzero(~_inside(arr, lo, hi, ends))[0])
         where = tuple(map(int, np.unravel_index(first, arr.shape)))
-        at = f" at index {where[0] if len(where) == 1 else where}" if where else ""
-        raise ValueError(f"{name} must be a finite real in {_interval(lo, hi, ends)}, "
-                         f"got {float(arr.flat[first])!r}{at}")
+        raise EntryError(f"{name} must be a finite real in {_interval(lo, hi, ends)}, "
+                         f"got {float(arr.flat[first])!r}", first,
+                         f" at index {where[0] if len(where) == 1 else where}" if where else "")
     return arr
 
 

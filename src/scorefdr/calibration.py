@@ -15,6 +15,7 @@ the smallest positive normal float instead of underflowing to zero.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -54,6 +55,15 @@ def _clamped_exp(log_value):
         out = np.exp(log_value)
     out = np.where(np.isinf(out), MAX_EVALUE, out)
     return np.where(out < MIN_EVALUE, MIN_EVALUE, out)
+
+
+def _unless_nan(log_ratio, rearranged):
+    """``log_ratio``, with ``rearranged()`` in its NaN entries.  Past |x| of about 1e154
+    both squares of a Gaussian log-ratio overflow, and inf - inf is NaN; the same
+    difference rearranged subtracts no two squares, and is computed only once a NaN is
+    there."""
+    nan = np.isnan(log_ratio)
+    return np.where(nan, rearranged(), log_ratio) if nan.any() else log_ratio
 
 
 def _as_result(values):
@@ -104,6 +114,8 @@ def conformal_evalue(test_score, cal: CalibrationSet):
     Valid (mean at most one) whenever the test score is exchangeable with
     the calibration scores.  Accepts scalar or array test scores.
     """
+    if not isinstance(cal, CalibrationSet):
+        raise ValueError(f"cal must be a CalibrationSet, got {reprlib.repr(cal)}")
     s = check_array(test_score, "test_score", 0.0, math.inf, "[)")
     total = float(np.sum(cal.scores))
     denom = (total + s) / (len(cal) + 1.0)
@@ -155,11 +167,12 @@ def lr_evalue(spec: LikelihoodRatioSpec, x, context=None):
     """
     x = check_array(x, "x")
     if spec.family == "gaussian_pair":
-        log_ratio = (
-            0.5 * math.log(spec.null_var / spec.alt_var)
-            + (x - spec.null_mean) ** 2 / (2.0 * spec.null_var)
-            - (x - spec.alt_mean) ** 2 / (2.0 * spec.alt_var)
-        )
+        m0, v0, m1, v1 = spec.null_mean, spec.null_var, spec.alt_mean, spec.alt_var
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_ratio = _unless_nan(
+                0.5 * math.log(v0 / v1) + (x - m0) ** 2 / (2.0 * v0) - (x - m1) ** 2 / (2.0 * v1),
+                lambda: 0.5 * math.log(v0 / v1) + (0.5 * m0 * m0 / v0 - 0.5 * m1 * m1 / v1)
+                + x * ((0.5 / v0 - 0.5 / v1) * x + (m1 / v1 - m0 / v0)))
         return _as_result(_clamped_exp(log_ratio))
     rate = spec.family == "exponential_scale"
     name, what = ("eta", "the rate eta") if rate else ("context", "the previous observation")
@@ -174,7 +187,10 @@ def lr_evalue(spec: LikelihoodRatioSpec, x, context=None):
     if rate:
         log_ratio = -math.log(spec.scale) + context * x * (1.0 - 1.0 / spec.scale)
     else:
-        log_ratio = 0.5 * ((x - spec.phi0 * context) ** 2 - (x - spec.phi1 * context) ** 2)
+        u, w = x - spec.phi0 * context, x - spec.phi1 * context
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_ratio = _unless_nan(0.5 * (u ** 2 - w ** 2), lambda:
+                                    (spec.phi1 - spec.phi0) * context * (0.5 * u + 0.5 * w))
     return _as_result(_clamped_exp(log_ratio))
 
 

@@ -21,17 +21,11 @@ from functools import cache, partial
 import numpy as np
 
 from .calibration import CalibrationSet, conformal_evalue, vovk_p_to_e
-from ._validation import check_checkpoints, check_count
-from .procedures import (
-    PROCEDURE_IDS,
-    OnlineProcedure,
-    Trajectory,
-    make_procedure,
-)
+from ._validation import EntryError, check_array, check_checkpoints, check_count
+from .procedures import OnlineProcedure, Trajectory, make_procedure
 from .reference import naive_trajectory, trace_divergence
 from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule
 from .simulation import (
-    DGP_NAMES,
     DgpConfig,
     MetricsReport,
     aggregate,
@@ -43,7 +37,11 @@ from .simulation import (
 DECISIONS_HEADER = ("index", "alpha", "decision", "overshoot", "cost", "rejections", "fdp_hat")
 METRICS_HEADER = ("t", "fdr", "fdr_se", "power", "power_se")
 
-CALIBRATORS = ("none", "vovk", "conformal")
+#: Each evidence column's interval, as :func:`check_array` takes it.
+_COLUMNS = {"p": (0.0, 1.0, "(]"), "e": (0.0, math.inf, "[)"), "score": (0.0, math.inf, "[)")}
+#: The evidence kind of each (column, calibrator) pair; any other pair is refused.
+_PAIRS = {("p", "none"): "p", ("p", "vovk"): "e", ("e", "none"): "e", ("score", "conformal"): "e"}
+CALIBRATORS = tuple(dict.fromkeys(calibrator for _, calibrator in _PAIRS))
 MODES = ("simulate", "ingest")
 
 
@@ -91,16 +89,23 @@ def _fail(where: str, message: str):
     raise ConfigError(f"{where}: {message}")
 
 
+def _number(text: str, kind=float):
+    """``kind(text)``, but the digit-group ``_`` that Python accepts (``1_000``) is refused."""
+    if "_" in text:
+        raise ValueError(f"{text!r} holds an underscore")
+    return kind(text)
+
+
 def _to_float(raw, where, key):
     try:
-        return float(raw)
+        return _number(raw)
     except ValueError:
         _fail(where, f"{key} must be a number, got {raw!r}")
 
 
 def _to_int(raw, where, key):
     try:
-        return int(raw)
+        return _number(raw, int)
     except ValueError:
         _fail(where, f"{key} must be an integer, got {raw!r}")
 
@@ -138,13 +143,13 @@ _INGEST = ("ingest",)
 #: not depend on the order of the file or the flags.  ``ingest`` judges the
 #: checkpoints against the stream length only once it has read the stream.
 _KEYS = {
-    "procedure": (MODES, partial(_to_choice, choices=PROCEDURE_IDS), "procedure", None),
+    "procedure": (MODES, _to_choice, "procedure", RunConfig.build_procedure),
     "alpha": (MODES, _to_float, "alpha", RunConfig.build_procedure),
     "gamma": (MODES, _to_schedule, "gamma", RunConfig.build_procedure),
     "omega": (MODES, _to_schedule, "omega", RunConfig.build_procedure),
     "lambda": (MODES, _to_schedule, "lam", RunConfig.build_procedure),
     "seed": (_SIMULATE, _to_int, "seed", RunConfig.build_dgp),
-    "dgp": (_SIMULATE, partial(_to_choice, choices=DGP_NAMES), "dgp", None),
+    "dgp": (_SIMULATE, _to_choice, "dgp", RunConfig.build_dgp),
     "horizon": (_SIMULATE, _to_int, "horizon", RunConfig.build_dgp),
     "checkpoints": (MODES, partial(_to_list, item=_to_int), "checkpoints", lambda cfg:
                     check_checkpoints(cfg.checkpoints, cfg.horizon if cfg.mode == "simulate"
@@ -240,48 +245,74 @@ def _at(path: str, reader) -> str:
     return f"{path} row {reader.line_num}"
 
 
-def _read_header(path: str, reader) -> list[str]:
-    """The first line of ``reader`` as column names; a repeated name is an error."""
-    header = next(reader, [])
-    if len(set(header)) != len(header):
-        repeated = next(name for i, name in enumerate(header) if name in header[:i])
-        _fail(path, f"duplicate column {repeated!r}")
-    return header
+def _read_column(path: str, names: tuple[str, ...], calibrator: str | None = None):
+    """``(column, values, truth)``: the one column of ``names`` that the CSV file ``path``
+    holds, as a float array, and its ``truth`` labels as a boolean array, or None.
 
-
-def _data_rows(path: str, reader, width: int):
-    """The data rows of ``reader``: blank lines are skipped, and any other row
-    must have ``width`` fields."""
-    for row in reader:
-        if len(row) != width:
-            if row:
-                _fail(_at(path, reader), f"expected {width} fields, got {len(row)}")
-            continue
-        yield row
-
-
-def _load_calibration_scores(path: str) -> CalibrationSet:
+    Each data row is parsed in file order: its field count, ``index``, number and
+    ``truth`` label.  Then the whole column is judged by :func:`check_array` against its
+    ``_COLUMNS`` interval, and then a partly blank ``truth`` column is refused.  A refusal
+    names ``path``, and a row's refusal its file line.  Given a ``calibrator``, a pair
+    that ``_PAIRS`` lacks is refused before any data row is read.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = _read_header(path, reader)
-        if "score" not in header:
-            raise ConfigError(f"{path}: calibration file needs a 'score' column")
-        at = header.index("score")
-        scores = []
-        for row in _data_rows(path, reader, len(header)):
+        header = next(reader, [])
+        if len(set(header)) != len(header):
+            repeated = next(name for i, name in enumerate(header) if name in header[:i])
+            _fail(path, f"duplicate column {repeated!r}")
+        found = [name for name in names if name in header]
+        if len(found) != 1:
+            _fail(path, f"need exactly one evidence column among {', '.join(names)}; "
+                        f"found {found or 'none'}")
+        col = found[0]
+        if calibrator is not None and (col, calibrator) not in _PAIRS:
+            _fail(path, f"calibrator={calibrator} does not apply to the {col!r} column")
+
+        # Field positions are resolved once; a row's location and message are
+        # built only when it fails.
+        at = header.index(col)
+        ix = header.index("index") if "index" in header else None
+        tx = header.index("truth") if "truth" in header else None
+        values: list[float] = []
+        lines: list[int] = []
+        labels: list[str] = []
+        width, record = len(header), 0
+        for row in reader:
+            if len(row) != width:  # a blank line is skipped, a ragged row refused
+                if row:
+                    _fail(_at(path, reader), f"expected {width} fields, got {len(row)}")
+                continue
+            record += 1
+            # the index is checked as written first; " 2", "+2" and "02" parse
+            if ix is not None and row[ix] != str(record):
+                idx = _to_int(row[ix], _at(path, reader), "index")
+                if idx != record:
+                    _fail(_at(path, reader), f"index must be >= 1, got {idx}" if idx < 1 else
+                          f"index must run 1..T in file order; expected {record}, got {idx}")
             try:
-                score = float(row[at])
+                values.append(_number(row[at]))
             except ValueError:
-                _fail(_at(path, reader), f"bad score {row[at]!r}")
-            if not math.isfinite(score):
-                _fail(_at(path, reader), f"score must be finite, got {score!r}")
-            if score < 0.0:
-                _fail(_at(path, reader), f"negative score: {score!r}")
-            scores.append(score)
+                _to_float(row[at], _at(path, reader), col)  # refuses, naming the row
+            label = row[tx] if tx is not None else ""
+            if label not in ("", "0", "1"):
+                _fail(_at(path, reader), f"truth must be 0 or 1, got {label!r}")
+            lines.append(reader.line_num)
+            labels.append(label)
+
+    if not values:
+        _fail(path, "no data rows")
     try:
-        return CalibrationSet(np.asarray(scores))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        column = check_array(values, col, *_COLUMNS[col])
+    except EntryError as exc:
+        _fail(f"{path} row {lines[exc.index]}", exc.reason)
+    truth = None
+    if any(labels):
+        if "" in labels:
+            _fail(f"{path} row {lines[labels.index('')]}",
+                  "truth is blank; label every row or none")
+        truth = np.asarray(labels) == "1"
+    return col, column, truth
 
 
 def ingest_stream(
@@ -293,96 +324,31 @@ def ingest_stream(
 
     The file must have a header with exactly one evidence column among
     ``p`` (p-values in (0, 1]), ``e`` (non-negative e-values), and ``score``
-    (non-negative raw scores, conformal calibration only).  Optional columns:
-    ``index`` (must then run 1..T in file order) and ``truth`` (0/1, on
-    every row or on none).  Blank lines are skipped.  A repeated column name
-    is an error naming the file; a row with another field count than the
-    header, or any other malformed row, is an error naming its file line,
-    the header being line 1.
+    (non-negative raw scores, conformal calibration only), and at least one
+    data row.  Optional columns: ``index`` (must then run 1..T in file
+    order) and ``truth`` (0/1, on every row or on none).  Blank lines are
+    skipped.  A repeated column name, or a column that ``calibrator`` does
+    not apply to, is an error naming the file; a row with another field
+    count than the header, or any other malformed row or value, is an error
+    naming its file line, the header being line 1.
     Returns ``(evidence, kind, truth)``: the calibrated evidence array, its
     kind (``"p"`` for a ``p`` column under ``calibrator="none"``, else
     ``"e"``) and the boolean truth array, or None when no row is labelled.
     """
-    if calibrator not in CALIBRATORS:
-        raise ConfigError(f"unknown calibrator {calibrator!r}")
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = _read_header(path, reader)
-        evidence_cols = [c for c in ("p", "e", "score") if c in header]
-        if len(evidence_cols) != 1:
-            raise ConfigError(
-                f"{path}: need exactly one evidence column among p, e, score; "
-                f"found {evidence_cols or 'none'}"
-            )
-        col = evidence_cols[0]
-        if col == "score" and calibrator != "conformal":
-            raise ConfigError(f"{path}: a 'score' column requires calibrator=conformal")
-        if col != "score" and calibrator == "conformal":
-            raise ConfigError(f"{path}: calibrator=conformal requires a 'score' column")
-        if col == "e" and calibrator == "vovk":
-            raise ConfigError(f"{path}: calibrator=vovk applies to a 'p' column, not 'e'")
-        if calibrator == "conformal" and calibration is None:
-            raise ConfigError("conformal calibration needs a calibration set")
-
-        # Field positions are resolved once; a row's location and message are
-        # built only when it fails.
-        at = header.index(col)
-        ix = header.index("index") if "index" in header else None
-        tx = header.index("truth") if "truth" in header else None
-        values: list[float] = []
-        labels: list[str] = []
-        first_blank = None
-        for record, row in enumerate(_data_rows(path, reader, len(header)), start=1):
-            # the index is checked as written first; " 2", "+2" and "02" parse
-            if ix is not None and row[ix] != str(record):
-                idx = _to_int(row[ix], _at(path, reader), "index")
-                if idx != record:
-                    _fail(_at(path, reader), f"index must be >= 1, got {idx}" if idx < 1 else
-                          f"index must run 1..T in file order; expected {record}, got {idx}")
-            try:
-                value = float(row[at])
-            except ValueError:
-                _fail(_at(path, reader), f"bad {col} value {row[at]!r}")
-            if not math.isfinite(value):
-                _fail(_at(path, reader), f"{col} must be finite, got {value!r}")
-            label = row[tx] if tx is not None else ""
-            if label not in ("", "0", "1"):
-                _fail(_at(path, reader), f"truth must be 0 or 1, got {label!r}")
-            if not label and first_blank is None:
-                first_blank = reader.line_num
-
-            if col == "p":
-                if not (0.0 < value <= 1.0):
-                    _fail(_at(path, reader), f"p-value out of (0, 1]: {value!r}")
-            elif col == "e":
-                if value < 0.0:
-                    _fail(_at(path, reader), f"negative e-value: {value!r}")
-            elif value < 0.0:
-                _fail(_at(path, reader), f"negative score: {value!r}")
-            values.append(value)
-            labels.append(label)
-
-    truth = None
-    if any(labels):
-        if first_blank is not None:
-            _fail(f"{path} row {first_blank}", "truth is blank; label every row or none")
-        truth = np.asarray(labels) == "1"
-    evidence = np.asarray(values, dtype=float)
+    col, evidence, truth = _read_column(path, tuple(_COLUMNS), calibrator)
     if calibrator == "vovk":
         evidence = vovk_p_to_e(evidence)
     elif calibrator == "conformal":
         evidence = conformal_evalue(evidence, calibration)
-    return evidence, "p" if calibrator == "none" and col == "p" else "e", truth
+    return evidence, _PAIRS[col, calibrator], truth
 
 
 def _load_stream(cfg: RunConfig, procedure: OnlineProcedure):
     """The evidence and truth arrays ``cfg`` names, checked against ``procedure``."""
     calibration = None
     if cfg.calibrator == "conformal":
-        calibration = _load_calibration_scores(cfg.calibration_scores)
+        calibration = CalibrationSet(_read_column(cfg.calibration_scores, ("score",))[1])
     evidence, kind, truth = ingest_stream(cfg.input, cfg.calibrator, calibration)
-    if not len(evidence):
-        raise ConfigError(f"{cfg.input}: no data rows")
     if kind != procedure.evidence_kind:
         raise ConfigError(
             f"{cfg.procedure} consumes {procedure.evidence_kind!r} evidence, but "

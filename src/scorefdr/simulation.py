@@ -60,7 +60,7 @@ class DgpConfig:
 
     def __post_init__(self):
         if self.dgp not in DGP_NAMES:
-            raise ValueError(f"dgp must be one of {DGP_NAMES}, got {self.dgp!r}")
+            raise ValueError(f"dgp must be one of {', '.join(DGP_NAMES)}; got {self.dgp!r}")
         object.__setattr__(self, "horizon", check_count(self.horizon, "horizon"))
         check_real(self.pi1, "pi1", 0.0, 1.0, "[]")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))

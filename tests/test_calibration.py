@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from scorefdr import (
     normal_ppf,
     vovk_p_to_e,
 )
+from scorefdr.calibration import MIN_EVALUE
 
 
 class TestVovkCalibrator:
@@ -78,6 +81,12 @@ class TestConformal:
         with pytest.raises(ValueError, match="degenerate"):
             conformal_evalue(0.0, CalibrationSet([0.0, 0.0]))
 
+    @pytest.mark.parametrize("cal, shown", [(None, "None"), ([1.0, 2.0], "[1.0, 2.0]")])
+    def test_cal_must_be_a_calibration_set(self, cal, shown):
+        message = f"cal must be a CalibrationSet, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            conformal_evalue(1.0, cal)
+
     def test_calibration_set_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
             CalibrationSet([])
@@ -136,6 +145,21 @@ class TestLikelihoodRatios:
         assert huge == MAX_EVALUE
         tiny = lr_evalue(spec, -1e6, context=1e3)
         assert tiny > 0.0 and math.isfinite(tiny)
+
+    @pytest.mark.parametrize("family, x, context, expected", [
+        ("gaussian_pair", 1e200, None, MAX_EVALUE),
+        ("gaussian_pair", -1e200, None, MAX_EVALUE),
+        ("ar1_gaussian", 1e200, 1.0, MAX_EVALUE),
+        ("ar1_gaussian", 1e200, 1e200, MIN_EVALUE),
+    ])
+    def test_squares_that_overflow_are_clamped(self, family, x, context, expected):
+        # past |x| of about 1e154 both squares of the log-ratio are inf; no NaN, no warning
+        spec = LikelihoodRatioSpec(family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lr_evalue(spec, x, context) == expected
+            # an entry that was finite before keeps its bits next to an overflowing one
+            assert lr_evalue(spec, [2.0, x], context)[0] == lr_evalue(spec, 2.0, context)
 
     @pytest.mark.parametrize("family", ["gaussian_pair", "exponential_scale", "ar1_gaussian"])
     def test_null_mean_at_most_one(self, family):

@@ -99,7 +99,8 @@ class TestParseConfig:
             parse_config("mode = ingest\nprocedure = e-lord\n")
 
     def test_unknown_procedure_listed(self):
-        with pytest.raises(ConfigError, match="must be one of"):
+        with pytest.raises(ConfigError, match=r"^line 2: unknown procedure 'bh'; choose from "
+                                              r"e-lond, .*, p-saffron$"):
             parse_config("mode = simulate\nprocedure = bh\n")
 
     def test_schedule_keys_parsed(self):
@@ -199,23 +200,23 @@ def _library_accepts(cfg: RunConfig) -> None:
         check_checkpoints(cfg.checkpoints, cfg.horizon)
 
 
-#: Every numeric and schedule key, and evidence, which is judged against the procedure.
+#: Every numeric and schedule key, evidence, which is judged against the procedure, and dgp.
 JUDGED_KEYS = ("alpha", "gamma", "omega", "lambda", "seed", "horizon", "checkpoints", "pi1",
-               "rho", "mu_set", "phi0", "phi1", "replicates", "evidence")
+               "rho", "mu_set", "phi0", "phi1", "replicates", "evidence", "dgp")
 #: Texts of every shape a value might arrive in.
 _NUMBER_TEXT = st.one_of(
     st.integers(-3, 1200).map(str),
     st.floats(0.0, 1.0).map(repr),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "", " ", "x", "0", "1",
-                     "-1", "0.5", "1.5", "2.0", "1e3"]),
+                     "-1", "0.5", "1.5", "2.0", "1e3", "1_000", "0.1_5"]),
 )
 VALUE_TEXT = st.one_of(
     _NUMBER_TEXT,
     st.lists(_NUMBER_TEXT, min_size=1, max_size=4).map(",".join),
     st.builds("{},{}".format, st.sampled_from(["constant", "geometric", "rai", "step", ""]),
               st.lists(_NUMBER_TEXT, max_size=3).map(",".join)),
-    st.sampled_from(["auto", "e", "p_conditional", "p_marginal", "E", ",", "1,,2",
+    st.sampled_from(["auto", "e", "p_conditional", "p_marginal", "E", "ar1_gaussian", ",", "1,,2",
                      "constant,0.5", "geometric,0.5", "rai,0.05,0.5,0.5"]),
     st.text(alphabet="0123456789.,-+e abcinf", max_size=8),
 )
@@ -228,6 +229,8 @@ class TestCliMatchesLibrary:
     @example(procedure="e-lond", key="gamma", text="rai,0.05,0.5,0.5")
     @example(procedure="e-lord", key="evidence", text="p_conditional")
     @example(procedure="score-lord", key="mu_set", text="3,0.5")
+    @example(procedure="e-lord", key="horizon", text="1_000")
+    @example(procedure="e-lord", key="dgp", text="bogus")
     def test_cli_accepts_exactly_what_the_library_accepts(self, procedure, key, text):
         # The CLI either returns a config the library accepts whole, or refuses at
         # the key's line: with the converter's message if the text does not parse,
@@ -312,7 +315,8 @@ class TestIngest:
 
     def test_p_out_of_range_names_row(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "p", ["0.05", "1.2"])
-        with pytest.raises(ConfigError, match=r"row 3: p-value out of"):
+        with pytest.raises(ConfigError, match=r"row 3: p must be a finite real in \(0, 1\], "
+                                              r"got 1\.2$"):
             ingest_stream(path)
 
     def test_zero_pvalue_rejected(self, tmp_path):
@@ -322,7 +326,8 @@ class TestIngest:
 
     def test_negative_evalue_names_row(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "e", ["1.0", "-3"])
-        with pytest.raises(ConfigError, match="row 3: negative e-value"):
+        with pytest.raises(ConfigError, match=r"row 3: e must be a finite real in \[0, inf\), "
+                                              r"got -3\.0$"):
             ingest_stream(path)
 
     def test_non_binary_truth(self, tmp_path):
@@ -339,11 +344,13 @@ class TestIngest:
             ingest_stream(path)
 
     @pytest.mark.parametrize("header, rows, message", [
-        ("p", ["0.1", "", "0.2", "1.5"], r"s\.csv row 5: p-value out of"),
+        ("p", ["0.1", "", "0.2", "1.5"], r"s\.csv row 5: p must be a finite real in \(0, 1\], "
+                                         r"got 1\.5$"),
         ("p,truth", ["0.1,1", "", "0.2,"], r"s\.csv row 4: truth is blank"),
         # index counts data rows, the row in the message counts file lines
         ("index,p", ["1,0.1", "", "2,0.2", "2,0.3"], r"row 5: .*expected 3, got 2"),
-    ], ids=["p", "truth", "index"])
+        ("index,p", ["1,0.1", "0_2,0.2"], r"s\.csv row 3: index must be an integer, got '0_2'$"),
+    ], ids=["p", "truth", "index", "index-underscore"])
     def test_row_is_file_line(self, tmp_path, header, rows, message):
         path = _write_csv(tmp_path / "s.csv", header, rows)
         with pytest.raises(ConfigError, match=message):
@@ -353,15 +360,15 @@ class TestIngest:
         cal = tmp_path / "cal.csv"
         for text, line in ((b"score\n1\n\nx\n", 4), (b'score\r\n\r\n1\r\n"2"\r\n\r\nx', 6)):
             cal.write_bytes(text)
-            assert f"{cal} row {line}: bad score 'x'" in _ingest_stderr(
+            assert f"{cal} row {line}: score must be a number, got 'x'" in _ingest_stderr(
                 capsys, *_conformal_args(tmp_path, cal))
 
     @pytest.mark.parametrize("value, message", [
-        ("-1", "negative score: -1.0"),
-        ("inf", "score must be finite, got inf"),
-        ("-inf", "score must be finite, got -inf"),
-        ("nan", "score must be finite, got nan"),
-    ])
+        ("-1", "score must be a finite real in [0, inf), got -1.0"),
+        ("inf", "score must be a finite real in [0, inf), got inf"),
+        ("-inf", "score must be a finite real in [0, inf), got -inf"),
+        ("nan", "score must be a finite real in [0, inf), got nan"),
+    ], ids=["-1", "inf", "-inf", "nan"])
     def test_calibration_bad_score_names_row(self, tmp_path, capsys, value, message):
         cal = _write_csv(tmp_path / "c.csv", "score", ["0.3", value, "0.8"])
         assert f"error: {cal} row 3: {message}\n" == _ingest_stderr(
@@ -369,7 +376,7 @@ class TestIngest:
 
     def test_non_numeric_evidence(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "e", ["abc"])
-        with pytest.raises(ConfigError, match="bad e value"):
+        with pytest.raises(ConfigError, match=r"s\.csv row 2: e must be a number, got 'abc'$"):
             ingest_stream(path)
 
     def test_evidence_column_required_and_unique(self, tmp_path):
@@ -386,14 +393,22 @@ class TestIngest:
             ingest_stream(path)
 
     def test_calibrator_column_pairing(self, tmp_path):
+        # refused at the header: the bad p and e values below are never read
         escore = _write_csv(tmp_path / "sc.csv", "score", ["0.9", "0.1"])
-        with pytest.raises(ConfigError, match="requires calibrator=conformal"):
+        with pytest.raises(ConfigError, match=r"sc\.csv: calibrator=none does not apply to "
+                                              r"the 'score' column$"):
             ingest_stream(escore)
-        epath = _write_csv(tmp_path / "e.csv", "e", ["2.0"])
-        with pytest.raises(ConfigError, match="applies to a 'p' column"):
+        epath = _write_csv(tmp_path / "e.csv", "e", ["-2.0"])
+        with pytest.raises(ConfigError, match=r"e\.csv: calibrator=vovk does not apply to "
+                                              r"the 'e' column$"):
             ingest_stream(epath, calibrator="vovk")
-        with pytest.raises(ConfigError, match="requires a 'score' column"):
+        with pytest.raises(ConfigError, match=r"e\.csv: calibrator=conformal does not apply to "
+                                              r"the 'e' column$"):
             ingest_stream(epath, calibrator="conformal")
+        ppath = _write_csv(tmp_path / "p.csv", "p", ["x"])
+        with pytest.raises(ConfigError, match=r"p\.csv: calibrator=bogus does not apply to "
+                                              r"the 'p' column$"):
+            ingest_stream(ppath, calibrator="bogus")
 
     def test_conformal_conversion(self, tmp_path):
         path = _write_csv(tmp_path / "sc.csv", "score", ["1.0"])
@@ -425,7 +440,7 @@ class TestReader:
         evidence, _, truth = ingest_stream(str(path))
         assert evidence.tolist() == [0.1, 0.2] and truth.tolist() == [True, False]
         path.write_bytes(b"p\r\n0.1\r\n\r\n2")
-        assert _ingest_error(path) == f"{path} row 4: p-value out of (0, 1]: 2.0"
+        assert _ingest_error(path) == f"{path} row 4: p must be a finite real in (0, 1], got 2.0"
 
     def test_quoted_fields(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -439,7 +454,8 @@ class TestReader:
         # a record spanning lines 3-4 moves every later row down one line
         with open(path, "a") as handle:
             handle.write('4,"-1",x,0\n')
-        assert _ingest_error(path) == f"{path} row 6: negative e-value: -1.0"
+        assert _ingest_error(path) == (
+            f"{path} row 6: e must be a finite real in [0, inf), got -1.0")
 
     def test_index_spellings(self, tmp_path):
         path = _write_csv(tmp_path / "s.csv", "index,e",
@@ -451,11 +467,14 @@ class TestReader:
         ("x,abc,yes", "index must be an integer, got 'x'"),
         ("0,abc,yes", "index must be >= 1, got 0"),
         ("2,abc,yes", "index must run 1..T in file order; expected 1, got 2"),
-        ("1,abc,yes", "bad p value 'abc'"),
-        ("1,nan,yes", "p must be finite, got nan"),
+        ("1,abc,yes", "p must be a number, got 'abc'"),
+        ("1,0.1_5,yes", "p must be a number, got '0.1_5'"),
+        # the column is judged once the last row is parsed, so a bad label comes first
         ("1,1.5,yes", "truth must be 0 or 1, got 'yes'"),
-        ("01,1.5,1", "p-value out of (0, 1]: 1.5"),
-    ], ids=["index-int", "index-range", "index-order", "parse", "finite", "truth", "range"])
+        ("1,nan,1", "p must be a finite real in (0, 1], got nan"),
+        ("01,1.5,1", "p must be a finite real in (0, 1], got 1.5"),
+    ], ids=["index-int", "index-range", "index-order", "parse", "underscore", "truth", "finite",
+            "range"])
     def test_check_order_within_a_row(self, tmp_path, row, message):
         path = _write_csv(tmp_path / "s.csv", "index,p,truth", [row])
         assert _ingest_error(path) == f"{path} row 2: {message}"
@@ -482,10 +501,9 @@ class TestReader:
             capsys, *_conformal_args(tmp_path, cal))
 
 
-@st.composite
-def _well_formed_csv(draw):
-    """A well-formed evidence file: its text, calibrator and evidence column."""
-    col, calibrator = draw(st.sampled_from([("p", "none"), ("p", "vovk"), ("e", "none")]))
+def _columns(draw, col):
+    """``{name: fields}`` of a well-formed file whose evidence column is ``col``: some
+    valid values, and maybe an ``index``, a ``truth`` and a free-text ``note`` column."""
     n = draw(st.integers(min_value=1, max_value=12))
     if col == "p":
         values = st.floats(min_value=1e-300, max_value=1.0)
@@ -500,19 +518,86 @@ def _well_formed_csv(draw):
     if draw(st.booleans()):
         note = st.text(alphabet='x ,"\n', max_size=4)
         columns["note"] = draw(st.lists(note, min_size=n, max_size=n))
+    return columns
+
+
+def _csv_text(draw, columns) -> tuple[str, list[int]]:
+    """``columns`` written as CSV in a drawn column order, quoting and line end, with
+    blank lines between rows: the text and the file line that ends each data row."""
     header = draw(st.permutations(sorted(columns)))
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=quoting, lineterminator=end)
     writer.writerow(header)
-    for i in range(n):
+    lines = []
+    for i in range(len(columns[header[0]])):
         buffer.write(end * draw(st.integers(min_value=0, max_value=2)))
         writer.writerow([columns[name][i] for name in header])
+        lines.append(buffer.getvalue().count("\n"))  # a quoted newline starts a line too
     text = buffer.getvalue()
     if draw(st.booleans()):
         text = text[:-len(end)]
+    return text, lines
+
+
+@st.composite
+def _well_formed_csv(draw):
+    """A well-formed evidence file: its text, calibrator and evidence column."""
+    col, calibrator = draw(st.sampled_from([("p", "none"), ("p", "vovk"), ("e", "none")]))
+    text, _ = _csv_text(draw, _columns(draw, col))
     return text, calibrator, col
+
+
+@st.composite
+def _one_bad_field(draw, col):
+    """A file from :func:`_columns` with exactly one field of one data row spoiled: its
+    text, that row's file line and the name the message starts with."""
+    columns = _columns(draw, col)
+    row = draw(st.integers(min_value=0, max_value=len(columns[col]) - 1))
+    name = draw(st.sampled_from(sorted({col, "index", "truth"} & set(columns))))
+    out_of_range = ["0", "1.5", "-0.1"] if col == "p" else ["-1", "-5e-324"]
+    bad = {col: st.sampled_from(["abc", "", "nan", "inf", "-inf", "1_0", *out_of_range]),
+           "truth": st.just("2"),
+           "index": st.sampled_from(["0", "-1", f"{row + 2}", f"{row + 9}", "x"])}[name]
+    columns[name][row] = draw(bad)
+    text, lines = _csv_text(draw, columns)
+    return text, lines[row], name
+
+
+def _refused_without_output(tmp_path, capsys, argv, path, line, name):
+    decisions, metrics = tmp_path / "d.csv", tmp_path / "m.csv"
+    rc = main(["ingest", *argv, "--decisions-out", str(decisions), "--metrics-out", str(metrics)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert re.fullmatch(rf"error: {re.escape(str(path))} row {line}: {name} must [^\n]*\n", err)
+    assert not decisions.exists() and not metrics.exists()
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair=st.sampled_from([("p", "none", "p-lord"), ("p", "vovk", "e-lord"),
+                             ("e", "none", "e-lord"), ("score", "conformal", "score-lord")]),
+       data=st.data())
+def test_one_bad_field_names_its_row(tmp_path, capsys, pair, data):
+    col, calibrator, procedure = pair
+    text, line, name = data.draw(_one_bad_field(col))
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    argv = ["--input", str(path), "--calibrator", calibrator, "--procedure", procedure]
+    if calibrator == "conformal":
+        argv += ["--calibration-scores", _write_csv(tmp_path / "cal.csv", "score", ["1.0"])]
+    _refused_without_output(tmp_path, capsys, argv, path, line, name)
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_one_bad_field("score"))
+def test_one_bad_calibration_field_names_its_row(tmp_path, capsys, case):
+    text, line, name = case
+    cal = tmp_path / "cal.csv"
+    cal.write_bytes(text.encode())
+    _refused_without_output(tmp_path, capsys, _conformal_args(tmp_path, cal), cal, line, name)
 
 
 @settings(deadline=None, max_examples=150,
@@ -942,6 +1027,7 @@ class TestErrorBytes:
     @pytest.mark.parametrize("flag, value, message", [
         ("--rho", "-1", "flag --rho: rho must be in [0, inf), got -1.0"),
         ("--pi1", "x", "flag --pi1: pi1 must be a number, got 'x'"),
+        ("--horizon", "1_000", "flag --horizon: horizon must be an integer, got '1_000'"),
         ("--pi1", "inf", "flag --pi1: pi1 must be in [0, 1], got inf"),
         ("--checkpoints", ",",
          "flag --checkpoints: checkpoints must be indices in [1, 1000], got ()"),
@@ -957,8 +1043,8 @@ class TestErrorBytes:
         assert err == "error: config: calibrator=conformal requires 'calibration_scores'\n"
 
     @pytest.mark.parametrize("header, rows, message", [
-        ("x", ["1.0"], "calibration file needs a 'score' column"),
-        ("score", [], "calibration set must be non-empty"),
+        ("x", ["1.0"], "need exactly one evidence column among score; found none"),
+        ("score", [], "no data rows"),
     ], ids=["no-score-column", "header-only"])
     def test_calibration_file(self, tmp_path, capsys, header, rows, message):
         cal = _write_csv(tmp_path / "c.csv", header, rows)
@@ -970,7 +1056,8 @@ class TestErrorBytes:
         cal = _write_csv(tmp_path / "c.csv", "score", ["1.0"])
         err = _ingest_stderr(capsys, "--input", stream, "--calibrator", "conformal",
                              "--calibration-scores", cal, "--procedure", "score-lord")
-        assert err == f"error: {stream} row 3: negative score: -35.0\n"
+        assert err == (
+            f"error: {stream} row 3: score must be a finite real in [0, inf), got -35.0\n")
 
     def test_unreadable_config(self, tmp_path, capsys):
         path = tmp_path / "missing.cfg"
