@@ -156,6 +156,8 @@ class LikelihoodRatioSpec:
         check_real(self.null_var, "null_var (one of the variances)", 0.0)
         check_real(self.alt_var, "alt_var (one of the variances)", 0.0)
         check_real(self.scale, "scale", 1.0)
+        for name in ("null_mean", "alt_mean", "phi0", "phi1"):
+            check_real(getattr(self, name), name)
 
 
 def lr_evalue(spec: LikelihoodRatioSpec, x, context=None):

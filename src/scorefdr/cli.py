@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
+import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -119,6 +122,8 @@ def _to_choice(raw, where, key, choices=None):
 
 def _to_schedule(raw, where, key):
     try:
+        if "_" in raw.partition(",")[2]:  # a digit-group "_", as _number refuses it
+            raise ValueError(f"bad schedule parameter in {raw!r}")
         return Schedule.parse(raw)
     except ValueError as exc:
         _fail(where, f"{key}: {exc}")
@@ -245,30 +250,73 @@ def _at(path: str, reader) -> str:
     return f"{path} row {reader.line_num}"
 
 
-def _read_column(path: str, names: tuple[str, ...], calibrator: str | None = None):
-    """``(column, values, truth)``: the one column of ``names`` that the CSV file ``path``
-    holds, as a float array, and its ``truth`` labels as a boolean array, or None.
+def _decode(data: bytes, path: str, unit: str, split) -> str:
+    """``data``, read from ``path``, as UTF-8 text.  A byte that is not UTF-8 is refused
+    at ``"<path> <unit> N"``, line N as ``split`` divides the text into lines."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(split(data[:exc.start].decode("utf-8") + "?"))  # "?" stands for the byte
+        _fail(f"{path} {unit} {line}", f"byte 0x{data[exc.start]:02x} is not UTF-8 "
+                                       f"({exc.reason})")
+
+
+#: The bytes of a plain file but ``\r``: printable ASCII but the quote character, and ``\n``.
+_PLAIN = bytes([10, *range(32, 34), *range(35, 127)])
+
+
+def _read_text(path: str) -> tuple[str, bool]:
+    """The UTF-8 text of the CSV file ``path``, and whether its bytes are plain: printable
+    ASCII but the quote character, line ends LF or CR LF, and no line longer than the csv
+    field limit.  There a csv row is its line split at commas, and numpy parses each
+    number as :func:`_number` does or not at all."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    # lines as csv.reader counts them: ends are \n, \r\n or \r
+    text = _decode(data, path, "row", lambda text: io.StringIO(text, newline="").readlines())
+    odd = data.translate(None, _PLAIN)  # every byte that is not plain
+    if odd and (odd.strip(b"\r") or len(odd) != data.count(b"\r\n")):
+        return text, False
+    limit = csv.field_size_limit()  # numpy has none, so a longer line is left to csv
+    if len(data) > limit:
+        ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+        return text, np.diff(ends, prepend=-1, append=len(data)).max() <= limit
+    return text, True
+
+
+def _header(path: str, reader, names: tuple[str, ...], calibrator: str | None):
+    """``(header, column)``: the row ``reader`` reads first and the one column of
+    ``names`` it holds.  Given a ``calibrator``, a pair that ``_PAIRS`` lacks is refused."""
+    header = next(reader, [])
+    if header and header[0].startswith("\ufeff"):
+        _fail(path, "the file starts with a UTF-8 byte-order mark (U+FEFF); "
+                    "save it without one")
+    if len(set(header)) != len(header):
+        repeated = next(name for i, name in enumerate(header) if name in header[:i])
+        _fail(path, f"duplicate column {repeated!r}")
+    found = [name for name in names if name in header]
+    if len(found) != 1:
+        _fail(path, f"need exactly one evidence column among {', '.join(names)}; "
+                    f"found {found or 'none'}")
+    col = found[0]
+    if calibrator is not None and (col, calibrator) not in _PAIRS:
+        _fail(path, f"calibrator={calibrator} does not apply to the {col!r} column")
+    return header, col
+
+
+def _read_rows(path: str, text: str, names: tuple[str, ...], calibrator: str | None):
+    """:func:`_read_column`'s result for ``text``, the contents of ``path``, read a row at
+    a time: the reader that names each refusal's file line.
 
     Each data row is parsed in file order: its field count, ``index``, number and
     ``truth`` label.  Then the whole column is judged by :func:`check_array` against its
     ``_COLUMNS`` interval, and then a partly blank ``truth`` column is refused.  A refusal
-    names ``path``, and a row's refusal its file line.  Given a ``calibrator``, a pair
-    that ``_PAIRS`` lacks is refused before any data row is read.
+    names ``path``, and a row's refusal its file line.  The header is judged by
+    :func:`_header` before any data row is read.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        if len(set(header)) != len(header):
-            repeated = next(name for i, name in enumerate(header) if name in header[:i])
-            _fail(path, f"duplicate column {repeated!r}")
-        found = [name for name in names if name in header]
-        if len(found) != 1:
-            _fail(path, f"need exactly one evidence column among {', '.join(names)}; "
-                        f"found {found or 'none'}")
-        col = found[0]
-        if calibrator is not None and (col, calibrator) not in _PAIRS:
-            _fail(path, f"calibrator={calibrator} does not apply to the {col!r} column")
-
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header, col = _header(path, reader, names, calibrator)
         # Field positions are resolved once; a row's location and message are
         # built only when it fails.
         at = header.index(col)
@@ -299,6 +347,8 @@ def _read_column(path: str, names: tuple[str, ...], calibrator: str | None = Non
                 _fail(_at(path, reader), f"truth must be 0 or 1, got {label!r}")
             lines.append(reader.line_num)
             labels.append(label)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        _fail(_at(path, reader), str(exc))
 
     if not values:
         _fail(path, "no data rows")
@@ -315,6 +365,64 @@ def _read_column(path: str, names: tuple[str, ...], calibrator: str | None = Non
     return col, column, truth
 
 
+#: The ``np.loadtxt`` type of each column of a plain file; any other column is skipped.
+_PARSED = {"index": "i8", "truth": "U2"}  # a 1-char truth would cut "10" to "1"
+
+
+def _blocks(text: str, start: int):
+    """``text[start:]`` in pieces of whole lines of about 64 Ki characters, so that only
+    one piece at a time is split into lines."""
+    while start < len(text):
+        end = text.find("\n", start + 65536) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _read_plain(path: str, text: str, names: tuple[str, ...], calibrator: str | None):
+    """:func:`_read_rows`'s result for the text of a plain file, its data rows parsed by
+    one ``np.loadtxt`` call; None, or an exception, for a file that :func:`_read_rows`
+    might refuse."""
+    first = text.partition("\n")[0]
+    header, col = _header(path, csv.reader([first]), names, calibrator)
+    kinds = {**_PARSED, col: "f8"}
+    lines = chain.from_iterable(map(str.splitlines, _blocks(text, len(first) + 1)))
+    with warnings.catch_warnings():
+        # numpy warns where it guesses (no rows; "2.0" read as an int by older numpy)
+        warnings.simplefilter("error")
+        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                           dtype=[(f"f{i}", kinds.get(name, "U0"))
+                                  for i, name in enumerate(header)])
+    column = {name: table[f"f{i}"] for i, name in enumerate(header)}
+    if "index" in column and not np.array_equal(column["index"], np.arange(1, len(table) + 1)):
+        return None
+    truth = None
+    if "truth" in column:
+        labels = column["truth"]
+        ones, blank = labels == "1", labels == ""
+        if not (ones | blank | (labels == "0")).all() or blank.any() and not blank.all():
+            return None
+        truth = None if blank.all() else ones
+    return col, check_array(np.array(column[col]), col, *_COLUMNS[col]), truth
+
+
+def _read_column(path: str, names: tuple[str, ...], calibrator: str | None = None):
+    """``(column, values, truth)``: the one column of ``names`` that the CSV file ``path``
+    holds, as a float array, and its ``truth`` labels as a boolean array, or None.
+
+    A plain file (see :func:`_read_text`) is parsed column by column; any other file,
+    and any file that parse does not accept, goes to :func:`_read_rows`, which gives the
+    same result or names the refusal's row.  So which reader runs changes the speed only.
+    """
+    text, plain = _read_text(path)
+    found = None
+    if plain:
+        try:
+            found = _read_plain(path, text, names, calibrator)
+        except (ValueError, Warning):  # numpy's refusals, and the header's: left to be named
+            pass
+    return found or _read_rows(path, text, names, calibrator)
+
+
 def ingest_stream(
     path: str,
     calibrator: str = "none",
@@ -327,10 +435,11 @@ def ingest_stream(
     (non-negative raw scores, conformal calibration only), and at least one
     data row.  Optional columns: ``index`` (must then run 1..T in file
     order) and ``truth`` (0/1, on every row or on none).  Blank lines are
-    skipped.  A repeated column name, or a column that ``calibrator`` does
-    not apply to, is an error naming the file; a row with another field
-    count than the header, or any other malformed row or value, is an error
-    naming its file line, the header being line 1.
+    skipped.  A byte-order mark, a repeated column name, or a column that
+    ``calibrator`` does not apply to, is an error naming the file; a byte
+    that is not UTF-8, a field longer than ``csv.field_size_limit()``, a row
+    with another field count than the header, or any other malformed row or
+    value, is an error naming its file line, the header being line 1.
     Returns ``(evidence, kind, truth)``: the calibrated evidence array, its
     kind (``"p"`` for a ``p`` column under ``calibrator="none"``, else
     ``"e"``) and the boolean truth array, or None when no row is labelled.
@@ -507,11 +616,11 @@ def _collect_entries(args) -> dict[str, tuple[str, str]]:
     entries: dict[str, tuple[str, str]] = {}
     if args.config:
         try:
-            with open(args.config) as handle:
-                text = handle.read()
+            with open(args.config, "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        entries = read_raw_config(text)
+        entries = read_raw_config(_decode(data, args.config, "line", str.splitlines))
     for key in ALL_KEYS:
         value = getattr(args, f"opt_{key}", None)
         if value is not None:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import scorefdr as sf
+from scorefdr import cli
 from scorefdr.cli import (
     _KEYS,
     ALL_KEYS,
@@ -112,6 +113,12 @@ class TestParseConfig:
     def test_bad_schedule_reports_location(self):
         with pytest.raises(ConfigError, match="line 3: omega"):
             parse_config("mode = simulate\nprocedure = score-lord\nomega = rai,0.05\n")
+
+    @pytest.mark.parametrize("text", ["constant,0.0_5", "rai,0.05,0.5,0_5", "geometric,_0.5"])
+    def test_schedule_refuses_digit_group_underscore(self, text):
+        message = f"line 3: omega: bad schedule parameter in {text!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(f"mode = simulate\nprocedure = score-lord\nomega = {text}\n")
 
 
 #: A valid value for every key, none of them its default.
@@ -490,6 +497,58 @@ class TestReader:
         path = _write_csv(tmp_path / "s.csv", header, rows)
         assert _ingest_error(path) == f"{path}{message}"
 
+    @pytest.mark.parametrize("text, message", [
+        ("p\n0.1\n" + "0" * 131072 + "1\n", "row 3: field larger than field limit (131072)"),
+        ("index,note,e\n1,a,1\n2," + "x" * 131073 + ",1\n",
+         "row 3: field larger than field limit (131072)"),
+        ("p," + "x" * 131073 + "\n0.1,a\n", "row 1: field larger than field limit (131072)"),
+    ], ids=["evidence", "other-column", "header"])
+    def test_oversized_field_names_its_row(self, tmp_path, text, message):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        assert _ingest_error(path) == f"{path} {message}"
+
+    @pytest.mark.parametrize("data, line", [
+        (b"p\n0.1\n0.\xe9\n", 3),
+        (b"p\r\n0.1\r\n\r\n0.2\xff", 4),
+        (b"p\r0.1\r\r0.2,\xc3\r", 4),
+        (b"p\xe9\n0.1\n", 1),
+        (b'p,note\n0.1,"two\nli\xe9nes"\n', 3),
+    ], ids=["lf", "crlf", "cr", "header", "quoted"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, data, line):
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        bad = next(byte for byte in data if byte > 127)
+        assert re.fullmatch(rf"{re.escape(str(path))} row {line}: byte 0x{bad:02x} is not "
+                            rf"UTF-8 \([a-z ]+\)", _ingest_error(path))
+
+    @pytest.mark.parametrize("header", ["p", "index,p", "p,e"])
+    def test_byte_order_mark_is_named(self, tmp_path, header):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{header}\n".encode() + b"1,0.1,1\n")
+        assert _ingest_error(path) == (
+            f"{path}: the file starts with a UTF-8 byte-order mark (U+FEFF); "
+            f"save it without one")
+
+    @pytest.mark.parametrize("text, evidence, truth", [
+        ("index,p,truth\n1,0.5,1\n2,0.25,0\n", [0.5, 0.25], [True, False]),
+        ("truth,note,p,index\r\n\r\n1,a b,0.5, 1 \r\n\r\n0,#,.25,+02", [0.5, 0.25],
+         [True, False]),
+        ("p,truth\n0.5,\n\n1e-300,\n", [0.5, 1e-300], None),
+        ("e\n3\n", [3.0], None),
+    ], ids=["lf", "crlf-blank-spellings", "unlabelled", "one-row"])
+    def test_plain_file_takes_the_columnar_parse(self, tmp_path, monkeypatch, text,
+                                                 evidence, truth):
+        def row_reader(*args):
+            raise AssertionError("a plain file went to the row reader")
+
+        monkeypatch.setattr(cli, "_read_rows", row_reader)
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        values, _, labels = ingest_stream(str(path))
+        assert values.tolist() == evidence and values.flags.c_contiguous
+        assert labels is None if truth is None else labels.tolist() == truth
+
     @pytest.mark.parametrize("header, rows, message", [
         ("score", ["1", "3,4"], " row 3: expected 1 fields, got 2"),
         ("score,score", ["1,2"], ": duplicate column 'score'"),
@@ -563,6 +622,109 @@ def _one_bad_field(draw, col):
     columns[name][row] = draw(bad)
     text, lines = _csv_text(draw, columns)
     return text, lines[row], name
+
+
+_ARABIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))  # int() reads them
+#: Field spellings on which numpy and the row reader might part, by column: each turns a
+#: valid field into one that both must read alike, or the row reader must refuse.
+_FIELD_SPOILERS = {
+    "evidence": [lambda v: v + "#x", lambda v: "\xa0" + v, lambda v: v + "\x1c",
+                 lambda v: v + "\x00", lambda v: v.translate(_ARABIC), lambda v: f" {v}\t",
+                 lambda v: "0" * 131072 + v],
+    "index": [lambda v: v.strip() + ".0", lambda v: "\x1c" + v, lambda v: v.translate(_ARABIC),
+              lambda v: v + "\x00", lambda v: "0" * 131072 + v],
+    "truth": [lambda v: v + "0", lambda v: " " + v, lambda v: v + "\x00", lambda v: v + "\x0c",
+              lambda v: ""],
+    "note": [lambda v: "x" * 131073, lambda v: v + "#"],
+}
+#: Whole-file spoilers: CR-only line ends, a whitespace-only line, a byte-order mark.
+_TEXT_SPOILERS = [
+    lambda text: text.replace("\r\n", "\n").replace("\n", "\r"),
+    lambda text: text.replace("\n", "\n \n", 1),
+    lambda text: "\ufeff" + text,
+]
+
+
+@st.composite
+def _spoiled_csv(draw, col):
+    """A file from :func:`_columns`, maybe cut to one row, with one spoiler on which the
+    columnar parse and the row reader might part: a field spelling, one of
+    ``_TEXT_SPOILERS`` or a byte that is not UTF-8.  Its bytes."""
+    columns = _columns(draw, col)
+    if draw(st.booleans()):
+        columns = {name: fields[:1] for name, fields in columns.items()}
+    how = draw(st.sampled_from(["field", "field", "field", "text", "byte"]))
+    if how == "field":
+        name, spoil = draw(st.sampled_from([
+            (name, spoil) for name in sorted(columns)
+            for spoil in _FIELD_SPOILERS["evidence" if name == col else name]]))
+        row = draw(st.integers(min_value=0, max_value=len(columns[name]) - 1))
+        columns[name][row] = spoil(columns[name][row])
+    text, _ = _csv_text(draw, columns)
+    if how == "text":
+        text = draw(st.sampled_from(_TEXT_SPOILERS))(text)
+    data = text.encode()
+    if how == "byte":
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xe9", b"\xff", b"\xc3"])) + data[at:]
+    return data
+
+
+@st.composite
+def _differential_case(draw):
+    """``(bytes, column, calibrator)``: a well-formed, a one-bad-field or a spoiled file
+    whose evidence column is ``column``, read as an evidence file under ``calibrator`` or,
+    when that is None, as a calibration file."""
+    col, calibrator = draw(st.sampled_from([("p", "none"), ("p", "vovk"), ("e", "none"),
+                                            ("score", "conformal"), ("score", None)]))
+    kind = draw(st.sampled_from(["well-formed", "one-bad-field", "spoiled", "spoiled"]))
+    if kind == "well-formed":
+        data = _csv_text(draw, _columns(draw, col))[0].encode()
+    elif kind == "one-bad-field":
+        data = draw(_one_bad_field(col))[0].encode()
+    else:
+        data = draw(_spoiled_csv(col))
+    return data, col, calibrator
+
+
+def _outcome(read):
+    """What ``read()`` gives, as comparable data: the column, the bytes of its values and
+    the labels, or the message of its refusal."""
+    try:
+        col, values, truth = read()
+    except ConfigError as exc:
+        return str(exc)
+    return col, values.dtype.str, values.tobytes(), None if truth is None else truth.tolist()
+
+
+@settings(deadline=None, max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=_differential_case())
+@example(case=(b"p,truth\n0.5#x,1\n", "p", "none"))
+@example(case=(b'index,p\n1,"0.5"\n2,0.25\n', "p", "none"))
+@example(case=(b"p,note\n0.5,a\n0.25,\"x\n0.75,y\"\n", "p", "none"))
+@example(case=(b"e\r1\r2\r", "e", "none"))
+@example(case=(b"score\n1\n \n2\n", "score", None))
+@example(case=(b"p,truth\n0.5,10\n", "p", "vovk"))
+@example(case=(b"p,truth\n0.5, 1\n", "p", "none"))
+@example(case=(b"p,truth\n0.5,1\n0.25,\n", "p", "none"))
+@example(case=(b"p\n", "p", "none"))
+@example(case=(b"score\r\n\r\n", "score", None))
+@example(case=(b"p,truth\n0.5,1\x00\n", "p", "none"))
+@example(case=(b"index,e\n2.0,1\n", "e", "none"))
+@example(case=(b"index,e\n\x1c1,1\n", "e", "none"))
+@example(case=(b"e\n" + b"0" * 131072 + b"1\n", "e", "none"))
+@example(case=(b"e,note\n1," + b"x" * 131073 + b"\n", "e", "none"))
+@example(case=(b"score\n1\n2\xe9\n", "score", "conformal"))
+@example(case=(b"\xef\xbb\xbfscore\n1\n", "score", None))
+def test_columnar_parse_matches_row_reader(tmp_path, case):
+    data, col, calibrator = case
+    names = tuple(cli._COLUMNS) if calibrator else (col,)
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    rows = _outcome(lambda: cli._read_rows(str(path), cli._read_text(str(path))[0], names,
+                                           calibrator))
+    assert _outcome(lambda: cli._read_column(str(path), names, calibrator)) == rows
 
 
 def _refused_without_output(tmp_path, capsys, argv, path, line, name):
@@ -1058,6 +1220,24 @@ class TestErrorBytes:
                              "--calibration-scores", cal, "--procedure", "score-lord")
         assert err == (
             f"error: {stream} row 3: score must be a finite real in [0, inf), got -35.0\n")
+
+    @pytest.mark.parametrize("data, message", [
+        (b"p\n0.5\n" + b"1" * 131073 + b"\n", "row 3: field larger than field limit (131072)"),
+        (b"p\n0.5\n0.\xe9\n", "row 3: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    ], ids=["oversized-field", "not-utf8"])
+    def test_unreadable_input(self, tmp_path, capsys, data, message):
+        stream, decisions = tmp_path / "in.csv", tmp_path / "d.csv"
+        stream.write_bytes(data)
+        err = _ingest_stderr(capsys, "--input", str(stream), "--procedure", "p-lord",
+                             "--decisions-out", str(decisions))
+        assert err == f"error: {stream} {message}\n" and not decisions.exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"mode = simulate\r\nprocedure = e-lord\r\n# caf\xe9\r\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n")
 
     def test_unreadable_config(self, tmp_path, capsys):
         path = tmp_path / "missing.cfg"

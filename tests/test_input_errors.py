@@ -62,8 +62,16 @@ class TestWeightAtRejections:
      "null_var (one of the variances) must be in (0, inf), got 'a'"),
     (lambda: LikelihoodRatioSpec("exponential_scale", scale=math.nan),
      "scale must be in (1, inf), got nan"),
+    (lambda: LikelihoodRatioSpec("gaussian_pair", null_mean=math.nan),
+     "null_mean must be in (-inf, inf), got nan"),
+    (lambda: LikelihoodRatioSpec("gaussian_pair", alt_mean=math.inf),
+     "alt_mean must be in (-inf, inf), got inf"),
+    (lambda: LikelihoodRatioSpec("ar1_gaussian", phi0=-math.inf),
+     "phi0 must be in (-inf, inf), got -inf"),
+    (lambda: LikelihoodRatioSpec("ar1_gaussian", phi1=math.nan),
+     "phi1 must be in (-inf, inf), got nan"),
 ], ids=["horizon-str", "horizon-none", "pi1", "rho", "phi0-str", "phi0-range", "mu_set",
-        "mu_set-empty", "null_var", "scale"])
+        "mu_set-empty", "null_var", "scale", "null_mean", "alt_mean", "lr-phi0", "lr-phi1"])
 def test_config_parameter_named(build_it, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_it()
@@ -223,6 +231,11 @@ ENTRY_POINTS = {
         lambda v: LikelihoodRatioSpec("gaussian_pair", null_var=v), ("null_var (",)),
     "LikelihoodRatioSpec.scale": (
         lambda v: LikelihoodRatioSpec("exponential_scale", scale=v), ("scale must",)),
+    **{f"LikelihoodRatioSpec.{name}": (
+        lambda v, name=name, family=family: LikelihoodRatioSpec(family, **{name: v}),
+        (f"{name} must",))
+       for name, family in [("null_mean", "gaussian_pair"), ("alt_mean", "gaussian_pair"),
+                            ("phi0", "ar1_gaussian"), ("phi1", "ar1_gaussian")]},
     "aggregate.checkpoints": (lambda v: aggregate([RUN], v, build("e-lord")),
                               ("checkpoints must",)),
     "DgpConfig.dgp": (lambda v: sf.DgpConfig(v), ("dgp must",)),
