@@ -57,13 +57,31 @@ def _clamped_exp(log_value):
     return np.where(out < MIN_EVALUE, MIN_EVALUE, out)
 
 
-def _unless_nan(log_ratio, rearranged):
-    """``log_ratio``, with ``rearranged()`` in its NaN entries.  Past |x| of about 1e154
-    both squares of a Gaussian log-ratio overflow, and inf - inf is NaN; the same
-    difference rearranged subtracts no two squares, and is computed only once a NaN is
-    there."""
-    nan = np.isnan(log_ratio)
-    return np.where(nan, rearranged(), log_ratio) if nan.any() else log_ratio
+def _unless_nan(log_ratio, *fallbacks):
+    """``log_ratio`` with its NaN entries filled from ``fallbacks`` in order, each
+    called only while a NaN is left.  Past |x| of about 1e154 both squares of a
+    Gaussian log-ratio overflow, and inf - inf is NaN; the same difference
+    rearranged subtracts no two squares, and :func:`_scaled_gaussian_quadratic`
+    overflows nowhere."""
+    for fallback in fallbacks:
+        nan = np.isnan(log_ratio)
+        if not nan.any():
+            break
+        log_ratio = np.where(nan, fallback(), log_ratio)
+    return log_ratio
+
+
+def _scaled_gaussian_quadratic(x, m0, v0, m1, v1):
+    """``(x - m0)**2 / (2 v0) - (x - m1)**2 / (2 v1)`` as ``(A - B) (A + B)``, with
+    ``A = (x - m0) / sqrt(2 v0)`` and ``B = (x - m1) / sqrt(2 v1)`` computed on x, m0
+    and m1 scaled below 1 by one power of two, and the square of that power put back
+    last: a finite or infinite result, never NaN."""
+    _, exp = np.frexp(np.maximum(np.abs(x), max(abs(m0), abs(m1))))
+    x, m0, m1 = np.ldexp(x, -exp), np.ldexp(m0, -exp), np.ldexp(m1, -exp)
+    r0, r1 = math.sqrt(0.5) / math.sqrt(v0), math.sqrt(0.5) / math.sqrt(v1)
+    # A - B and A + B as linear forms in x: equal variances cancel x exactly
+    product = ((r0 - r1) * x - (r0 * m0 - r1 * m1)) * ((r0 + r1) * x - (r0 * m0 + r1 * m1))
+    return np.ldexp(product, 2 * exp)
 
 
 def _as_result(values):
@@ -174,7 +192,8 @@ def lr_evalue(spec: LikelihoodRatioSpec, x, context=None):
             log_ratio = _unless_nan(
                 0.5 * math.log(v0 / v1) + (x - m0) ** 2 / (2.0 * v0) - (x - m1) ** 2 / (2.0 * v1),
                 lambda: 0.5 * math.log(v0 / v1) + (0.5 * m0 * m0 / v0 - 0.5 * m1 * m1 / v1)
-                + x * ((0.5 / v0 - 0.5 / v1) * x + (m1 / v1 - m0 / v0)))
+                + x * ((0.5 / v0 - 0.5 / v1) * x + (m1 / v1 - m0 / v0)),
+                lambda: 0.5 * math.log(v0 / v1) + _scaled_gaussian_quadratic(x, m0, v0, m1, v1))
         return _as_result(_clamped_exp(log_ratio))
     rate = spec.family == "exponential_scale"
     name, what = ("eta", "the rate eta") if rate else ("context", "the previous observation")

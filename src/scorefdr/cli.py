@@ -466,42 +466,63 @@ def _load_stream(cfg: RunConfig, procedure: OnlineProcedure):
     return evidence, truth
 
 
-# One %-format per row: integers as %d, reals as %.17g, \r\n line ends.
-_DECISIONS_ROW = "%d,%.17g,%d,%.17g,%.17g,%d,%.17g\r\n"
-_METRICS_ROW = "%d,%.17g,%.17g,%.17g,%.17g\r\n"
+def _reals(column) -> tuple[str, list]:
+    """``(spec, items)`` of one real column for :func:`_write_csv`.
+
+    A column made of few runs of bit-equal values formats each run once, as
+    ``%s`` and the run's ``%.17g`` text repeated over its rows; any other
+    column is ``%.17g`` and its floats.  Runs are cut where the bits change,
+    not the value: ``0.0 == -0.0`` yet they print apart, and NaN never equals
+    itself.  Equal bits give equal text, so the two forms write the same bytes.
+    """
+    values = np.ascontiguousarray(column, dtype=float)
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * (len(starts) + 1) >= len(values):  # runs number half the rows or more
+        return "%.17g", values.tolist()
+    starts = np.concatenate(([0], starts))
+    texts = np.array(["%.17g" % v for v in values[starts].tolist()], dtype=object)
+    return "%s", np.repeat(texts, np.diff(starts, append=len(values))).tolist()
 
 
-def _reals(column) -> list[float]:
-    return np.asarray(column, dtype=float).tolist()
-
-
-def _write_csv(path: str, what: str, header, row_format: str, rows) -> None:
-    """Write ``header`` and then each row of ``rows`` through ``row_format``."""
+def _write_csv(path: str, what: str, header, columns) -> None:
+    """Write ``header`` and then one row per item of ``columns``, each a
+    ``(spec, items)`` pair, every line ending in CRLF.  When a write fails
+    after the file was opened, the file is removed; a file that could not be
+    opened is left as it was."""
+    specs, items = zip(*columns)
+    row_format = ",".join(specs) + "\r\n"
     try:
-        with open(path, "w", newline="") as handle:
-            handle.write(",".join(header) + "\r\n")
-            handle.writelines(row_format % row for row in rows)
+        handle = open(path, "w", newline="")
+        try:
+            with handle:
+                handle.write(",".join(header) + "\r\n")
+                handle.writelines(row_format % row for row in zip(*items))
+        except OSError:
+            with suppress(OSError):
+                os.remove(path)
+            raise
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def emit_decisions(trajectory: Trajectory, path: str) -> None:
-    """Write the per-step decision ledger as CSV (17 significant digits), a row at a time."""
-    _write_csv(path, "decisions", DECISIONS_HEADER, _DECISIONS_ROW, zip(
-        range(1, len(trajectory) + 1),
+    """Write the per-step decision ledger as CSV (17 significant digits)."""
+    _write_csv(path, "decisions", DECISIONS_HEADER, (
+        ("%d", range(1, len(trajectory) + 1)),
         _reals(trajectory.alpha),
-        trajectory.decision.astype(int).tolist(),
+        ("%d", trajectory.decision.astype(int).tolist()),
         _reals(trajectory.overshoot),
         _reals(trajectory.cost),
-        trajectory.rejections.astype(int).tolist(),
+        ("%d", trajectory.rejections.astype(int).tolist()),
         _reals(trajectory.fdp_hat),
     ))
 
 
 def emit_metrics(report: MetricsReport, path: str) -> None:
-    """Write the aggregated FDR / power curves as CSV, a row at a time."""
-    _write_csv(path, "metrics", METRICS_HEADER, _METRICS_ROW, zip(
-        np.asarray(report.checkpoints, dtype=int).tolist(),
+    """Write the aggregated FDR / power curves as CSV."""
+    _write_csv(path, "metrics", METRICS_HEADER, (
+        ("%d", np.asarray(report.checkpoints, dtype=int).tolist()),
         _reals(report.fdr),
         _reals(report.fdr_se),
         _reals(report.power),

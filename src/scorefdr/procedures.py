@@ -118,8 +118,9 @@ class OnlineProcedure:
     ``global_denominator`` and ``evidence_kind``, and its constructor takes
     the schedules that rule reads.  ``reset()`` holds three things:
 
-    * the rule, one tuple: the four choices, the bound schedule formulas
-      and the validated float ``alpha``;
+    * the rule, one tuple: the four choices, each schedule as its value
+      when it is constant or else its bound formula, and the validated
+      float ``alpha``;
     * the stream state, one tuple: the step count ``t_``, the rejection
       count ``n_rejections_``, LOND's pot, the global charge sum,
       ``fdp_hat``, SAFFRON's ``lambda`` for the upcoming step and whether
@@ -181,8 +182,8 @@ class OnlineProcedure:
         lond = self.allocation == "lond"
         saffron = self.allocation == "saffron"
         self._rule = (lond, saffron, self.refund, self.global_denominator, self.evidence_kind,
-                      self._formula("gamma" if lond else "omega"),
-                      self._formula("lam") if saffron else None, alpha)
+                      *self._schedule("gamma" if lond else "omega"),
+                      *(self._schedule("lam") if saffron else (None, None)), alpha)
         # t, R_t, LOND's pot (alpha plus the banked refunds
         # sum_j min(O_j, alpha_j) / (R_{j-1} + 1)), the sum of charges under the
         # global denominator, fdp_hat, the upcoming lambda, warned
@@ -193,12 +194,14 @@ class OnlineProcedure:
         self._run(_NO_EVIDENCE, ())
         return self
 
-    def _formula(self, name: str):
-        """Schedule ``name`` bound for the kernel; a gamma must be summable."""
+    def _schedule(self, name: str):
+        """Schedule ``name`` for the kernel: ``(value, None)`` when it is constant,
+        else ``(None, formula)``; a gamma must be summable."""
         schedule = getattr(self, name)
         if not isinstance(schedule, Schedule):
             raise ValueError(f"{name} must be a Schedule, got {schedule!r}")
-        return (check_gamma(schedule) if name == "gamma" else schedule).formula()
+        value = (check_gamma(schedule) if name == "gamma" else schedule).fixed()
+        return (value, None) if value is not None else (None, schedule.formula())
 
     @property
     def t_(self) -> int:
@@ -226,7 +229,7 @@ class OnlineProcedure:
         was taken.
         """
         alpha_t = self.next_alpha()
-        lond, saffron, refund, glob, kind, weight_at, lam_at, alpha = self._rule
+        lond, saffron, refund, glob, kind, weight_c, weight_at, lam_c, lam_at, alpha = self._rule
         e_kind = kind == "e"
         t, rej, pot, charged, fdp, lam, warned = self._state
         alphas, decisions, overshoots, costs, fdps, truths = self._history
@@ -279,12 +282,12 @@ class OnlineProcedure:
                     fdps.append(fdp)
                     spent = alpha_t
                 # The budget of step t + 1, held until that step spends it.
-                weight = weight_at(t + 1, rej)
+                weight = weight_c if weight_at is None else weight_at(t + 1, rej)
                 if lond:
                     alpha_t = weight * (rej + 1.0) * pot
                 else:
                     if saffron:
-                        lam = lam_at(t + 1, rej)
+                        lam = lam_c if lam_at is None else lam_at(t + 1, rej)
                         weight *= 1.0 - lam
                     wealth = alpha - fdp
                     if wealth < WEALTH_UNDERFLOW_TOL:
@@ -387,7 +390,7 @@ class OnlineProcedure:
     @property
     def wealth_(self) -> np.ndarray:
         """``alpha - fdp_hat_`` after each step, the kernel's wealth; NaN for LOND."""
-        lond, alpha = self._rule[0], self._rule[7]
+        lond, alpha = self._rule[0], self._rule[-1]
         if lond:
             return np.full(self.t_, math.nan)
         return alpha - self.fdp_hat_

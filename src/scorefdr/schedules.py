@@ -1,9 +1,11 @@
 """Predictable parameter sequences (gamma, omega, lambda) used by the procedures.
 
 Each kind has one entry in :data:`KINDS`: its parameter names and its single
-formula, the value at step ``t`` given the ``rejections`` made before it.  The
-entry drives :class:`Schedule` validation and parsing, :func:`gamma_at`,
-:func:`weight_at`, :func:`rai_omega` and the engine's :meth:`Schedule.formula`.
+formula, the value at step ``t`` given the ``rejections`` made before it, and
+whether that value is the same at every step.  The entry drives
+:class:`Schedule` validation and parsing, :func:`gamma_at`, :func:`weight_at`,
+:func:`rai_omega` and the engine's :meth:`Schedule.fixed` and
+:meth:`Schedule.formula`.
 
 ``constant``
     The same value at every step.
@@ -58,10 +60,11 @@ class _Kind(NamedTuple):
     params: tuple[str, ...]  # parameter names, in order; each value lies in (0, 1)
     formula: Callable[..., float]  # formula(*bind(*params), t, rejections)
     bind: Callable[..., tuple] = lambda *params: params
+    constant: bool = False  # the formula gives one value at every step
 
 
 KINDS = {
-    "constant": _Kind(("value",), _constant),
+    "constant": _Kind(("value",), _constant, constant=True),
     "geometric": _Kind(("ratio",), _geometric, lambda ratio: (1.0 - ratio, ratio)),
     "rai": _Kind(("omega1", "phi", "psi"), _rai),
 }
@@ -113,6 +116,11 @@ class Schedule:
     def spec(self) -> str:
         """Inverse of :meth:`parse`."""
         return ",".join([self.kind] + [repr(p) for p in self.params])
+
+    def fixed(self) -> float | None:
+        """The value at every step, for a constant kind; None for a kind that varies."""
+        kind = KINDS[self.kind]
+        return kind.formula(*kind.bind(*self.params), 1, 0) if kind.constant else None
 
     def formula(self) -> partial:
         """``(t, rejections) -> value``: the kind's formula with these parameters bound.

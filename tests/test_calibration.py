@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,6 +161,30 @@ class TestLikelihoodRatios:
             assert lr_evalue(spec, x, context) == expected
             # an entry that was finite before keeps its bits next to an overflowing one
             assert lr_evalue(spec, [2.0, x], context)[0] == lr_evalue(spec, 2.0, context)
+
+    @pytest.mark.parametrize("name", ["null_mean", "alt_mean"])
+    @pytest.mark.parametrize("mean", [1e200, -1e200, 1e308, -1e308])
+    @pytest.mark.parametrize("x", [1e300, -1e300])
+    def test_extreme_means_clamp_to_the_side_of_the_quadratic(self, name, mean, x):
+        # the squares and the rearranged form both overflow here; the clamp side is
+        # the sign of (x - m0)^2 / (2 v0) - (x - m1)^2 / (2 v1), computed exactly
+        spec = LikelihoodRatioSpec("gaussian_pair", **{name: mean})
+        quadratic = ((Fraction(x) - Fraction(spec.null_mean)) ** 2 / (2 * Fraction(spec.null_var))
+                     - (Fraction(x) - Fraction(spec.alt_mean)) ** 2 / (2 * Fraction(spec.alt_var)))
+        assert quadratic != 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = lr_evalue(spec, x)
+            assert e == (MAX_EVALUE if quadratic > 0 else MIN_EVALUE)
+            assert lr_evalue(spec, [2.0, x])[1] == e
+
+    def test_extreme_means_with_equal_variances(self):
+        # equal variances cancel the x^2 terms: the quadratic is
+        # (m1 - m0) * (2x - m0 - m1) / (2v), here -m0 * x, and 0 at x = 0
+        spec = LikelihoodRatioSpec("gaussian_pair", null_mean=1e308, null_var=2.0,
+                                   alt_mean=-1e308, alt_var=2.0)
+        e = lr_evalue(spec, [1e300, -1e300, 0.0, 1e308, -1e308])
+        assert e.tolist() == [MIN_EVALUE, MAX_EVALUE, 1.0, MIN_EVALUE, MAX_EVALUE]
 
     @pytest.mark.parametrize("family", ["gaussian_pair", "exponential_scale", "ar1_gaussian"])
     def test_null_mean_at_most_one(self, family):

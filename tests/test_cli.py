@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import io
+import math
 import re
 from pathlib import Path
 
@@ -833,6 +834,156 @@ class TestReports:
         traj = build("e-lord").fit([1.0]).trajectory()
         with pytest.raises(OSError, match="no/such/dir"):
             emit_decisions(traj, str(tmp_path / "no/such/dir/out.csv"))
+
+
+def _per_row_csv(header, columns) -> bytes:
+    """A CSV written a row at a time, each int through ``%d`` and each float
+    through ``%.17g``: the reference the emitters' bytes must equal."""
+    lines = [",".join(header)] + [
+        ",".join(("%d" if isinstance(v, int) else "%.17g") % v for v in row)
+        for row in zip(*columns)]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+#: Reals whose text is easy to get wrong when equal values share one text:
+#: zeros of both signs, NaN, infinities and subnormals.
+_PLATEAU_REALS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308 / 3, 0.05, 1.0 / 3.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _plateau_column(draw, n):
+    """``n`` reals as runs of one drawn value, each 1 to 12 rows long."""
+    column = []
+    while len(column) < n:
+        column += [draw(_PLATEAU_REALS)] * draw(st.integers(1, 12))
+    return np.array(column[:n], dtype=float)
+
+
+class TestRunFormatting:
+    """The emitters format each run of bit-equal reals once; the bytes are
+    those of formatting every row alone."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.integers(0, 40))
+    @example(data=None, n=0)
+    @example(data=None, n=1)
+    def test_emitters_match_per_row_writer(self, tmp_path, data, n):
+        if data is None:
+            reals = [np.array([-0.0] * n)] * 4
+            decision = [True] * n
+        else:
+            reals = [data.draw(_plateau_column(n)) for _ in range(4)]
+            decision = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rejections = np.cumsum(decision, dtype=int)
+        trajectory = sf.Trajectory(reals[0], np.array(decision, dtype=bool), reals[1], reals[2],
+                                   rejections, reals[3], np.full(n, math.nan))
+        path = tmp_path / "d.csv"
+        emit_decisions(trajectory, str(path))
+        assert path.read_bytes() == _per_row_csv(cli.DECISIONS_HEADER, [
+            range(1, n + 1), reals[0].tolist(), [int(d) for d in decision], reals[1].tolist(),
+            reals[2].tolist(), rejections.tolist(), reals[3].tolist()])
+        checkpoints = np.arange(1, n + 1)
+        report = sf.MetricsReport(checkpoints, *reals, n_reps=1, dgp=None, procedure_id="e-lord")
+        emit_metrics(report, str(path))
+        assert path.read_bytes() == _per_row_csv(
+            cli.METRICS_HEADER, [checkpoints.tolist(), *(column.tolist() for column in reals)])
+
+    def test_plateau_column_takes_the_run_path(self, monkeypatch, tmp_path):
+        # once score-lord's wealth falls to a few ulps, alpha, cost and fdp_hat
+        # hold one value for long runs of rows
+        specs = []
+        write = cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", lambda path, what, header, columns: (
+            specs.append(tuple(spec for spec, _ in columns)), write(path, what, header, columns)))
+        assert main(["ingest", "--input", str(DATA / "synthetic_pvalues.csv"),
+                     "--calibrator", "vovk", "--procedure", "score-lord",
+                     "--decisions-out", str(tmp_path / "d.csv")]) == 0
+        assert specs == [("%d", "%s", "%d", "%s", "%s", "%d", "%s")]
+        spec, texts = cli._reals([0.05] * 3 + [-0.0] * 3 + [0.0] * 2 + [math.nan] * 2)
+        assert spec == "%s"
+        assert texts == ["0.050000000000000003"] * 3 + ["-0"] * 3 + ["0"] * 2 + ["nan"] * 2
+
+    @pytest.mark.parametrize("values", [[], [0.5], [0.5, 0.5], np.linspace(0.0, 1.0, 101),
+                                        [0.0, -0.0] * 20, [0.5] * 10 + [0.25, 0.75] * 5])
+    def test_column_with_few_repeats_takes_the_per_row_path(self, values):
+        # runs that number half the rows or more: no text is shared
+        spec, items = cli._reals(values)
+        assert spec == "%.17g"
+        assert items == np.asarray(values, dtype=float).tolist()
+
+
+class _FailingFile:
+    """A text file that raises ``OSError`` on the write after its first ``limit``."""
+
+    def __init__(self, handle, limit):
+        self.handle, self.limit = handle, limit
+
+    def write(self, text):
+        if self.limit == 0:
+            raise OSError(28, "No space left on device")
+        self.limit -= 1
+        return self.handle.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+def _reports(n):
+    trajectory = build("score-lord").fit(random_e_stream(np.random.default_rng(4), n)).trajectory()
+    report = sf.MetricsReport(np.arange(1, n + 1), *([np.linspace(0.0, 1.0, n)] * 4),
+                              n_reps=1, dgp=None, procedure_id="score-lord")
+    return [(emit_decisions, trajectory), (emit_metrics, report)]
+
+
+class TestFailedWrite:
+    """A write that fails after its file was opened leaves no file behind; a
+    file that could not be opened is left as it was."""
+
+    @pytest.mark.parametrize("emit, data", _reports(2000), ids=["decisions", "metrics"])
+    def test_failure_mid_file_removes_the_file(self, monkeypatch, tmp_path, emit, data):
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FailingFile(
+            open(*args, **kwargs), 1000), raising=False)
+        path = tmp_path / "out.csv"
+        with pytest.raises(OSError, match=f"cannot write .* to {re.escape(str(path))}: "
+                                          r"\[Errno 28\] No space left on device"):
+            emit(data, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("emit, data", _reports(20), ids=["decisions", "metrics"])
+    def test_file_that_cannot_be_opened_survives(self, monkeypatch, tmp_path, emit, data):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"kept\n")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        with pytest.raises(OSError, match="Permission denied"):
+            emit(data, str(path))
+        assert path.read_bytes() == b"kept\n"
+
+    def test_ingest_exits_2_with_no_file(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "open", lambda path, mode="r", *args, **kwargs: (
+            _FailingFile(open(path, mode, *args, **kwargs), 1000) if "w" in mode
+            else open(path, mode, *args, **kwargs)), raising=False)
+        out = tmp_path / "d.csv"
+        assert main(["ingest", "--input", str(DATA / "synthetic_pvalues.csv"),
+                     "--calibrator", "vovk", "--procedure", "score-lord",
+                     "--decisions-out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMain:

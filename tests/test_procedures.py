@@ -462,3 +462,30 @@ def test_rai_scheduled_procedure_runs():
     proc = sf.ScoreLord(alpha=0.05, omega=rai).fit(random_e_stream(rng, 300))
     assert proc.fdp_hat_.max() <= 0.05 + 1e-12
     assert proc.wealth_.min() >= -1e-12
+
+
+@pytest.mark.parametrize("pid", sf.PROCEDURE_IDS)
+def test_constant_schedule_read_matches_formula_call(pid, monkeypatch):
+    # The kernel reads a constant schedule's value instead of calling its formula
+    # each step; forcing the call must give the same trajectory bytes.
+    evidence = evidence_for(pid, np.random.default_rng(8), 600)
+    gamma = sf.Schedule.constant(0.02)  # so that the LOND rules read a constant too
+
+    def run():
+        proc = build(pid, gamma=gamma).fit(evidence)
+        stepper = proc.clone()
+        return proc, proc.trajectory(), [stepper.step(value) for value in evidence[:50]]
+
+    # the rule holds (..., weight, weight formula, lambda, lambda formula, alpha)
+    read, read_trajectory, read_steps = run()
+    assert read._rule[6] is None and read._rule[8] is None
+    monkeypatch.setitem(sf.schedules.KINDS, "constant",
+                        sf.schedules.KINDS["constant"]._replace(constant=False))
+    called, called_trajectory, called_steps = run()
+    assert called._rule[6] is not None
+    assert (called._rule[8] is not None) == (called.allocation == "saffron")
+    for name in ("alpha", "decision", "overshoot", "cost", "rejections", "fdp_hat", "wealth"):
+        assert (getattr(read_trajectory, name).tobytes()
+                == getattr(called_trajectory, name).tobytes()), name
+    assert read_steps == called_steps
+    assert read.next_alpha() == called.next_alpha()

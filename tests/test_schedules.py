@@ -131,3 +131,9 @@ def test_parse_round_trip_and_errors():
         Schedule.parse("constant,1.5")
     with pytest.raises(ValueError, match="bad schedule parameter"):
         Schedule.parse("constant,abc")
+
+
+def test_fixed_is_the_value_of_a_constant_kind_only():
+    assert Schedule.constant(0.05).fixed() == 0.05
+    assert Schedule.geometric(0.5).fixed() is None
+    assert Schedule.rai(0.05, 0.5, 0.5).fixed() is None
