@@ -77,7 +77,7 @@ def check_array(x, name: str, lo: float = -math.inf, hi: float = math.inf,
         if (arr := np.asarray(x)).dtype.kind in "SU":  # numeric text is not a real either
             raise TypeError
         arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the floats
         raise ValueError(f"{name} must be an array of reals, got {reprlib.repr(x)}") from None
     if arr.size and not (_inside(arr.min(), lo, hi, ends) and _inside(arr.max(), lo, hi, ends)):
         first = int(np.flatnonzero(~_inside(arr, lo, hi, ends))[0])
@@ -88,39 +88,76 @@ def check_array(x, name: str, lo: float = -math.inf, hi: float = math.inf,
     return arr
 
 
-def check_evidence_value(value: float, kind: str) -> float:
-    """Validate one evidence value: finite, non-negative, and at most 1 for ``kind="p"``.
-
-    A value that is not a real number, such as the string ``"2.0"``, fails
-    with the same ``ValueError`` as a negative one.
-    """
+def check_number(text: str, name: str, kind=float):
+    """``kind(text)``, ``kind`` being ``float`` or ``int``, for text that Python reads as
+    that number but the digit-group ``_`` (``1_000``), which is refused."""
     try:
-        valid = math.isfinite(value) and value >= 0.0
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"evidence must be a finite non-negative real, got {value!r}")
-    if kind == "p" and value > 1.0:
-        raise ValueError(f"p-value evidence must lie in [0, 1], got {value}")
-    return value
+        if "_" not in text:
+            return kind(text)
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be {'a number' if kind is float else 'an integer'}, "
+                     f"got {text!r}")
 
 
-def check_evidence_array(x, kind: str) -> np.ndarray:
-    """A 1-d stream ``X`` of ``kind`` ``"e"`` (values >= 0) or ``"p"`` (in [0, 1]) as floats."""
-    arr = check_array(x, "X", 0.0, *((1.0, "[]") if kind == "p" else (math.inf, "[)")))
-    if arr.ndim != 1:
-        raise ValueError(f"X must be 1-d, got shape {arr.shape}")
-    return arr
+#: Each evidence kind's interval, as :func:`check_array` takes it; the FDR bound
+#: ``I(y >= 1) <= y - (y - 1)_+`` holds only for evidence inside it.
+EVIDENCE = {"e": (0.0, math.inf, "[)"), "p": (0.0, 1.0, "[]")}
+#: The same intervals as their least and greatest floats, for one chained compare.
+_CLOSED = {kind: (lo if ends[0] == "[" else math.nextafter(lo, hi),
+                  hi if ends[1] == "]" else math.nextafter(hi, lo))
+           for kind, (lo, hi, ends) in EVIDENCE.items()}
 
 
-def check_truth_array(y, n: int) -> np.ndarray:
-    """Coerce ground-truth labels to a boolean array of length ``n``."""
-    arr = np.asarray(y)
-    if arr.shape != (n,):
-        raise ValueError(f"truth labels must have shape ({n},), got {arr.shape}")
-    if arr.dtype != bool:
-        vals = np.unique(arr)
-        if not np.all(np.isin(vals, [0, 1])):
-            raise ValueError("truth labels must be binary (0/1 or bool)")
-        arr = arr.astype(bool)
-    return arr
+def check_evidence(x, kind: str, name: str, ndim: int = 0):
+    """``x`` as ``kind`` evidence: given ``ndim=0``, one real in the kind's interval (anything
+    ``float`` converts but text: a bool, a ``Fraction``, a ``Decimal``, a numpy scalar) as a
+    float; given ``ndim=1``, a 1-d array of them, judged by :func:`check_array`."""
+    try:
+        low, high = _CLOSED[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ValueError(f"kind must be one of {tuple(EVIDENCE)}, got {kind!r}") from None
+    if type(x) is float and low <= x <= high and not ndim:  # the per-step case
+        return x
+    if ndim:
+        arr = check_array(x, name, *EVIDENCE[kind])
+        if arr.ndim == ndim:
+            return arr
+        raise ValueError(f"{name} must be {ndim}-d, got shape {arr.shape}")
+    try:
+        value = math.nan if isinstance(x, (str, bytes, bytearray)) else float(x)
+    except (TypeError, ValueError, ArithmeticError):
+        value = math.nan
+    if low <= value <= high:
+        return value
+    raise ValueError(f"{name} must be a finite real in {_interval(*EVIDENCE[kind])}, "
+                     f"got {x!r}")
+
+
+def check_truth(y, name: str, n: int | None = None):
+    """``y`` as truth labels, each a bool or a number equal to 0 or 1: given no ``n``, one
+    label as a bool; given ``n``, a 1-d array of ``n`` labels as a list of bools."""
+    if n is None:
+        labels = [y]
+    else:
+        arr = np.asarray(y, dtype=object)  # so a ragged entry is refused as a label
+        if arr.shape != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+        labels = arr.tolist()
+    for i, label in enumerate(labels):
+        try:
+            if label == 0 or label == 1:
+                continue
+        except (TypeError, ValueError, ArithmeticError):  # ValueError: an array's truth
+            pass
+        raise ValueError(f"{name} must be a bool, 0 or 1, got {label!r}"
+                         + ("" if n is None else f" at index {i}"))
+    return bool(y) if n is None else [bool(label) for label in labels]
+
+
+def check_kind(procedure, kind: str, source: str) -> None:
+    """Refuse ``kind`` evidence, which ``source`` gives, for a ``procedure`` that consumes
+    the other kind."""
+    if kind != procedure.evidence_kind:
+        raise ValueError(f"{procedure.procedure_id} consumes {procedure.evidence_kind!r} "
+                         f"evidence, but {source} gives {kind!r} evidence")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ._validation import check_array, check_real
+from ._validation import EVIDENCE, check_array, check_real
 from .core import MAX_EVALUE
 
 #: Smallest e-value returned by the likelihood-ratio builders; density
@@ -36,6 +36,9 @@ P_FLOOR = 1e-300
 #: p-values within this distance of 1 map to the calibrator's analytic
 #: limit 1/2 instead of evaluating a 0/0 expression.
 P_ONE_TOL = 1e-12
+
+#: The p-values the p-to-e calibrator takes (p = 0 has no finite e-value), as an interval.
+P_DOMAIN = (0.0, 1.0, "(]")
 
 LR_FAMILIES = ("gaussian_pair", "exponential_scale", "ar1_gaussian")
 
@@ -61,8 +64,8 @@ def _unless_nan(log_ratio, *fallbacks):
     """``log_ratio`` with its NaN entries filled from ``fallbacks`` in order, each
     called only while a NaN is left.  Past |x| of about 1e154 both squares of a
     Gaussian log-ratio overflow, and inf - inf is NaN; the same difference
-    rearranged subtracts no two squares, and :func:`_scaled_gaussian_quadratic`
-    overflows nowhere."""
+    rearranged subtracts no two squares, and :func:`_scaled_gaussian_quadratic` and
+    :func:`_scaled_ar1_difference` overflow nowhere."""
     for fallback in fallbacks:
         nan = np.isnan(log_ratio)
         if not nan.any():
@@ -84,6 +87,26 @@ def _scaled_gaussian_quadratic(x, m0, v0, m1, v1):
     return np.ldexp(product, 2 * exp)
 
 
+def _scaled_ar1_difference(x, c, phi0, phi1):
+    """``0.5 * ((x - phi0 c)**2 - (x - phi1 c)**2)`` as ``(phi1 - phi0) c (x - (phi0 + phi1)
+    c / 2)``, each factor split by ``frexp`` and the powers of two put back last: a finite
+    or infinite result, never NaN, and exactly 0 where a factor is."""
+    d = phi1 - phi0  # a float: inf where it overflows
+    b = x - (0.5 * phi0 + 0.5 * phi1) * c
+    (md, ed), (mc, ec), (mb, eb) = np.frexp(d), np.frexp(c), np.frexp(b)
+    return np.where((c == 0.0) | (b == 0.0) | (d == 0.0), 0.0,
+                    np.ldexp(md * mc * mb, ed + ec + eb))
+
+
+def _check_broadcast(x, x_name: str, y, y_name: str) -> None:
+    """Refuse arrays ``x`` and ``y`` whose shapes do not broadcast together."""
+    try:
+        np.broadcast_shapes(x.shape, y.shape)
+    except ValueError:
+        raise ValueError(f"{x_name} and {y_name} must broadcast together, got shapes "
+                         f"{x.shape} and {y.shape}") from None
+
+
 def _as_result(values):
     # a float when the inputs were all scalars, so that nothing broadcast to an array
     values = np.asarray(values, dtype=float)
@@ -99,7 +122,7 @@ def vovk_p_to_e(p):
     clamped there; p = 1 (and anything within 1e-12 of it) returns the
     analytic limit 1/2.  Accepts scalars or arrays.
     """
-    arr = np.maximum(check_array(p, "p", 0.0, 1.0, "(]"), P_FLOOR)
+    arr = np.maximum(check_array(p, "p", *P_DOMAIN), P_FLOOR)
     near_one = arr >= 1.0 - P_ONE_TOL
     safe = np.where(near_one, 0.5, arr)
     log_p = np.log(safe)
@@ -116,7 +139,7 @@ class CalibrationSet:
     scores: np.ndarray
 
     def __post_init__(self):
-        arr = check_array(self.scores, "scores", 0.0, math.inf, "[)").reshape(-1)
+        arr = check_array(self.scores, "scores", *EVIDENCE["e"]).reshape(-1)
         if arr.size == 0:
             raise ValueError("calibration set must be non-empty")
         object.__setattr__(self, "scores", arr)
@@ -134,7 +157,7 @@ def conformal_evalue(test_score, cal: CalibrationSet):
     """
     if not isinstance(cal, CalibrationSet):
         raise ValueError(f"cal must be a CalibrationSet, got {reprlib.repr(cal)}")
-    s = check_array(test_score, "test_score", 0.0, math.inf, "[)")
+    s = check_array(test_score, "test_score", *EVIDENCE["e"])
     total = float(np.sum(cal.scores))
     denom = (total + s) / (len(cal) + 1.0)
     if np.any(denom <= 0.0):
@@ -200,18 +223,16 @@ def lr_evalue(spec: LikelihoodRatioSpec, x, context=None):
     if context is None:
         raise ValueError(f"{spec.family} requires {what} as context")
     context = check_array(context, name, 0.0 if rate else -math.inf)
-    try:
-        np.broadcast_shapes(x.shape, context.shape)
-    except ValueError:
-        raise ValueError(f"x and {name} must broadcast together, got shapes {x.shape} and "
-                         f"{context.shape}") from None
+    _check_broadcast(x, "x", context, name)
     if rate:
         log_ratio = -math.log(spec.scale) + context * x * (1.0 - 1.0 / spec.scale)
     else:
-        u, w = x - spec.phi0 * context, x - spec.phi1 * context
         with np.errstate(over="ignore", invalid="ignore"):
-            log_ratio = _unless_nan(0.5 * (u ** 2 - w ** 2), lambda:
-                                    (spec.phi1 - spec.phi0) * context * (0.5 * u + 0.5 * w))
+            u, w = x - spec.phi0 * context, x - spec.phi1 * context
+            log_ratio = _unless_nan(
+                0.5 * (u ** 2 - w ** 2),
+                lambda: (spec.phi1 - spec.phi0) * context * (0.5 * u + 0.5 * w),
+                lambda: _scaled_ar1_difference(x, context, spec.phi0, spec.phi1))
     return _as_result(_clamped_exp(log_ratio))
 
 
@@ -222,7 +243,9 @@ def ar1_conditional_pvalue(x_t, x_prev, phi0: float):
     under the null given the previous observation, so this p-value is
     uniform conditionally on the history.
     """
-    resid = np.asarray(x_t, dtype=float) - phi0 * np.asarray(x_prev, dtype=float)
+    x_t, x_prev = check_array(x_t, "x_t"), check_array(x_prev, "x_prev")
+    _check_broadcast(x_t, "x_t", x_prev, "x_prev")
+    resid = x_t - check_real(phi0, "phi0") * x_prev
     return _as_result(ndtr(-resid))
 
 
@@ -234,5 +257,5 @@ def ar1_marginal_pvalue(x_t, null_var: float = 4.0 / 3.0):
     p-values to an online procedure can break FDR control under dependence;
     they exist here to demonstrate exactly that failure.
     """
-    z = np.asarray(x_t, dtype=float) / math.sqrt(null_var)
+    z = check_array(x_t, "x_t") / math.sqrt(check_real(null_var, "null_var", 0.0))
     return _as_result(ndtr(-z))

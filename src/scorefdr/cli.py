@@ -23,8 +23,9 @@ from itertools import chain
 
 import numpy as np
 
-from .calibration import CalibrationSet, conformal_evalue, vovk_p_to_e
-from ._validation import EntryError, check_array, check_checkpoints, check_count
+from .calibration import P_DOMAIN, CalibrationSet, conformal_evalue, vovk_p_to_e
+from ._validation import (EVIDENCE, EntryError, check_array, check_checkpoints,
+                          check_count, check_kind, check_number)
 from .procedures import OnlineProcedure, Trajectory, make_procedure
 from .reference import naive_trajectory, trace_divergence
 from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule
@@ -40,8 +41,10 @@ from .simulation import (
 DECISIONS_HEADER = ("index", "alpha", "decision", "overshoot", "cost", "rejections", "fdp_hat")
 METRICS_HEADER = ("t", "fdr", "fdr_se", "power", "power_se")
 
-#: Each evidence column's interval, as :func:`check_array` takes it.
-_COLUMNS = {"p": (0.0, 1.0, "(]"), "e": (0.0, math.inf, "[)"), "score": (0.0, math.inf, "[)")}
+#: Each evidence column's interval, as :func:`check_array` takes it.  A ``p`` column takes
+#: the p-to-e calibrator's domain under every calibrator, so that a file reads alike
+#: whether it is calibrated or not (FORMATS.md, "Input CSV").
+_COLUMNS = {"p": P_DOMAIN, "e": EVIDENCE["e"], "score": EVIDENCE["e"]}
 #: The evidence kind of each (column, calibrator) pair; any other pair is refused.
 _PAIRS = {("p", "none"): "p", ("p", "vovk"): "e", ("e", "none"): "e", ("score", "conformal"): "e"}
 CALIBRATORS = tuple(dict.fromkeys(calibrator for _, calibrator in _PAIRS))
@@ -92,25 +95,14 @@ def _fail(where: str, message: str):
     raise ConfigError(f"{where}: {message}")
 
 
-def _number(text: str, kind=float):
-    """``kind(text)``, but the digit-group ``_`` that Python accepts (``1_000``) is refused."""
-    if "_" in text:
-        raise ValueError(f"{text!r} holds an underscore")
-    return kind(text)
-
-
-def _to_float(raw, where, key):
+def _to_float(raw, where, key, kind=float):
     try:
-        return _number(raw)
-    except ValueError:
-        _fail(where, f"{key} must be a number, got {raw!r}")
+        return check_number(raw, key, kind)
+    except ValueError as exc:
+        _fail(where, str(exc))
 
 
-def _to_int(raw, where, key):
-    try:
-        return _number(raw, int)
-    except ValueError:
-        _fail(where, f"{key} must be an integer, got {raw!r}")
+_to_int = partial(_to_float, kind=int)
 
 
 def _to_choice(raw, where, key, choices=None):
@@ -122,8 +114,6 @@ def _to_choice(raw, where, key, choices=None):
 
 def _to_schedule(raw, where, key):
     try:
-        if "_" in raw.partition(",")[2]:  # a digit-group "_", as _number refuses it
-            raise ValueError(f"bad schedule parameter in {raw!r}")
         return Schedule.parse(raw)
     except ValueError as exc:
         _fail(where, f"{key}: {exc}")
@@ -269,7 +259,7 @@ def _read_text(path: str) -> tuple[str, bool]:
     """The UTF-8 text of the CSV file ``path``, and whether its bytes are plain: printable
     ASCII but the quote character, line ends LF or CR LF, and no line longer than the csv
     field limit.  There a csv row is its line split at commas, and numpy parses each
-    number as :func:`_number` does or not at all."""
+    number as :func:`check_number` does or not at all."""
     with open(path, "rb") as handle:
         data = handle.read()
     # lines as csv.reader counts them: ends are \n, \r\n or \r
@@ -332,19 +322,20 @@ def _read_rows(path: str, text: str, names: tuple[str, ...], calibrator: str | N
                     _fail(_at(path, reader), f"expected {width} fields, got {len(row)}")
                 continue
             record += 1
-            # the index is checked as written first; " 2", "+2" and "02" parse
-            if ix is not None and row[ix] != str(record):
-                idx = _to_int(row[ix], _at(path, reader), "index")
-                if idx != record:
-                    _fail(_at(path, reader), f"index must be >= 1, got {idx}" if idx < 1 else
-                          f"index must run 1..T in file order; expected {record}, got {idx}")
-            try:
-                values.append(_number(row[at]))
-            except ValueError:
-                _to_float(row[at], _at(path, reader), col)  # refuses, naming the row
             label = row[tx] if tx is not None else ""
-            if label not in ("", "0", "1"):
-                _fail(_at(path, reader), f"truth must be 0 or 1, got {label!r}")
+            try:
+                # the index is checked as written first; " 2", "+2" and "02" parse
+                if ix is not None and row[ix] != str(record):
+                    idx = check_number(row[ix], "index", int)
+                    if idx != record:
+                        raise ValueError(f"index must be >= 1, got {idx}" if idx < 1 else
+                                         f"index must run 1..T in file order; expected "
+                                         f"{record}, got {idx}")
+                values.append(check_number(row[at], col))
+                if label not in ("", "0", "1"):
+                    raise ValueError(f"truth must be 0 or 1, got {label!r}")
+            except ValueError as exc:
+                _fail(_at(path, reader), str(exc))
             lines.append(reader.line_num)
             labels.append(label)
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
@@ -430,19 +421,11 @@ def ingest_stream(
 ) -> tuple[np.ndarray, str, np.ndarray | None]:
     """Read an evidence stream from CSV, applying the chosen calibrator.
 
-    The file must have a header with exactly one evidence column among
-    ``p`` (p-values in (0, 1]), ``e`` (non-negative e-values), and ``score``
-    (non-negative raw scores, conformal calibration only), and at least one
-    data row.  Optional columns: ``index`` (must then run 1..T in file
-    order) and ``truth`` (0/1, on every row or on none).  Blank lines are
-    skipped.  A byte-order mark, a repeated column name, or a column that
-    ``calibrator`` does not apply to, is an error naming the file; a byte
-    that is not UTF-8, a field longer than ``csv.field_size_limit()``, a row
-    with another field count than the header, or any other malformed row or
-    value, is an error naming its file line, the header being line 1.
-    Returns ``(evidence, kind, truth)``: the calibrated evidence array, its
-    kind (``"p"`` for a ``p`` column under ``calibrator="none"``, else
-    ``"e"``) and the boolean truth array, or None when no row is labelled.
+    The file holds exactly one evidence column of :data:`_COLUMNS`, with optional
+    ``index`` and ``truth`` columns; FORMATS.md ("Input CSV") states every rule and
+    refusal.  Returns ``(evidence, kind, truth)``: the calibrated evidence array, its
+    kind (``"p"`` for a ``p`` column under ``calibrator="none"``, else ``"e"``) and the
+    boolean truth array, or None when no row is labelled.
     """
     col, evidence, truth = _read_column(path, tuple(_COLUMNS), calibrator)
     if calibrator == "vovk":
@@ -458,11 +441,7 @@ def _load_stream(cfg: RunConfig, procedure: OnlineProcedure):
     if cfg.calibrator == "conformal":
         calibration = CalibrationSet(_read_column(cfg.calibration_scores, ("score",))[1])
     evidence, kind, truth = ingest_stream(cfg.input, cfg.calibrator, calibration)
-    if kind != procedure.evidence_kind:
-        raise ConfigError(
-            f"{cfg.procedure} consumes {procedure.evidence_kind!r} evidence, but "
-            f"calibrator={cfg.calibrator} on {cfg.input} gives {kind!r} evidence"
-        )
+    check_kind(procedure, kind, f"calibrator={cfg.calibrator} on {cfg.input}")
     return evidence, truth
 
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from ._validation import check_count, check_evidence_value
+from ._validation import EVIDENCE, check_count, check_evidence, check_truth
 
 #: Largest representable e-value.  Calibrators and likelihood ratios clamp
 #: to this instead of returning inf so that ``alpha * e`` stays NaN-free.
 MAX_EVALUE = sys.float_info.max
 
-EVIDENCE_KINDS = ("e", "p")
+EVIDENCE_KINDS = tuple(EVIDENCE)
 
 
 @dataclass(frozen=True, init=False)
@@ -23,13 +23,13 @@ class Observation:
     index : int
         1-based position in the stream; must increase by one per step.
     evidence : float
-        An e-value (any non-negative real) or a p-value in [0, 1],
-        according to ``kind``.
+        An e-value or a p-value, according to ``kind``, inside that kind's
+        ``EVIDENCE`` interval; kept as a float.
     kind : str
         ``"e"`` or ``"p"``.
     truth : bool or None
         True when the hypothesis is a genuine non-null, when known; 0 and 1
-        are accepted as False and True.
+        are kept as False and True.
     """
 
     index: int
@@ -42,11 +42,9 @@ class Observation:
         # dict instead of through the frozen __setattr__ guard; a plain int index skips a call.
         if type(index) is not int or index < 1:
             index = check_count(index, "index")
-        if kind not in EVIDENCE_KINDS:
-            raise ValueError(f"kind must be one of {EVIDENCE_KINDS}, got {kind!r}")
-        check_evidence_value(evidence, kind)
-        if truth is not None and truth not in (0, 1):
-            raise ValueError(f"truth must be None, a bool, 0 or 1, got {truth!r}")
+        evidence = check_evidence(evidence, kind, "evidence")  # refuses a bad kind first
+        if truth is not None and type(truth) is not bool:  # a bool needs no call
+            truth = check_truth(truth, "truth")
         fields = self.__dict__
         fields["index"] = index
         fields["evidence"] = evidence

@@ -45,8 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validation import (check_evidence_array, check_evidence_value, check_real,
-                          check_truth_array)
+from ._validation import check_evidence, check_kind, check_real, check_truth
 from .core import Observation
 from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule, check_gamma
 
@@ -324,11 +323,8 @@ class OnlineProcedure:
         kind = self._rule[4]
         truth = None
         if isinstance(observation, Observation):
-            if observation.kind != kind:
-                raise ValueError(
-                    f"{self.procedure_id} consumes {kind!r}-kind evidence, "
-                    f"got {observation.kind!r}"
-                )
+            if observation.kind != kind:  # compared here, so a matching kind costs no call
+                check_kind(self, observation.kind, "the observation")
             expected = self._state[0] + 1
             if observation.index != expected:
                 raise ValueError(
@@ -338,14 +334,13 @@ class OnlineProcedure:
             value = observation.evidence
             truth = observation.truth
         else:
-            value = float(check_evidence_value(observation, kind))
+            value = check_evidence(observation, kind, "evidence")
         return self._run((value,), (truth,))
 
     def _stream(self, X, y):
         """``X`` and ``y`` validated, as the kernel's value and label lists."""
-        X = check_evidence_array(X, self.evidence_kind)
-        labels = [None] * len(X) if y is None else check_truth_array(y, len(X)).tolist()
-        return X.tolist(), labels
+        X = check_evidence(X, self.evidence_kind, "X", ndim=1)
+        return X.tolist(), [None] * len(X) if y is None else check_truth(y, "y", len(X))
 
     def partial_fit(self, X, y=None):
         """Consume more of the evidence stream without resetting state."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-from ._validation import check_count, check_real
+from ._validation import check_count, check_number, check_real
 
 #: RAI weights are clamped to this open sub-interval of (0, 1); the raw
 #: recurrence can leave (0, 1) for extreme phi/psi, but procedures require
@@ -103,15 +103,11 @@ class Schedule:
     @classmethod
     def parse(cls, text: str) -> "Schedule":
         """Parse ``"kind,param,..."``, e.g. ``"geometric,0.5"`` or ``"rai,0.05,0.5,0.5"``."""
-        parts = [p.strip() for p in str(text).split(",")]
-        kind = parts[0]
-        try:
-            params = tuple(float(p) for p in parts[1:])
-        except ValueError as exc:
-            raise ValueError(f"bad schedule parameter in {text!r}") from exc
-        if kind not in KINDS:
-            raise ValueError(f"unknown schedule kind {kind!r}")
-        return cls(kind, params)
+        kind, *params = (part.strip() for part in str(text).split(","))
+        names = KINDS[kind].params if kind in KINDS else ()
+        if len(params) == len(names):  # else the constructor refuses the kind or the count
+            params = [check_number(value, f"{kind} {name}") for name, value in zip(names, params)]
+        return cls(kind, tuple(params))
 
     def spec(self) -> str:
         """Inverse of :meth:`parse`."""

@@ -30,7 +30,7 @@ from .calibration import (
     lr_evalue,
     normal_ppf,
 )
-from ._validation import check_array, check_checkpoints, check_count, check_real
+from ._validation import check_array, check_checkpoints, check_count, check_kind, check_real
 from .procedures import OnlineProcedure, Trajectory
 
 DGP_NAMES = ("gaussian_mixture", "ar_exponential", "ar1_gaussian")
@@ -227,6 +227,7 @@ def _curves(decision: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def default_checkpoints(horizon: int) -> np.ndarray:
     """Every step up to 1000 steps; a uniform stride beyond that."""
+    horizon = check_count(horizon, "horizon")
     if horizon <= _MAX_CHECKPOINTS:
         return np.arange(1, horizon + 1)
     stride = math.ceil(horizon / _MAX_CHECKPOINTS)
@@ -247,12 +248,7 @@ def resolve_evidence(procedure: OnlineProcedure, evidence: str = "auto") -> str:
     if not isinstance(evidence, str) or evidence not in STREAM_EVIDENCE:
         raise ValueError(f"evidence must be auto or one of {', '.join(STREAM_EVIDENCE)}; "
                          f"got {evidence!r}")
-    kind = STREAM_EVIDENCE[evidence]
-    if kind != procedure.evidence_kind:
-        raise ValueError(
-            f"{procedure.procedure_id} consumes {procedure.evidence_kind!r} evidence, "
-            f"but evidence={evidence} gives {kind!r} evidence"
-        )
+    check_kind(procedure, STREAM_EVIDENCE[evidence], f"evidence={evidence}")
     return evidence
 
 

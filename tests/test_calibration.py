@@ -186,6 +186,37 @@ class TestLikelihoodRatios:
         e = lr_evalue(spec, [1e300, -1e300, 0.0, 1e308, -1e308])
         assert e.tolist() == [MIN_EVALUE, MAX_EVALUE, 1.0, MIN_EVALUE, MAX_EVALUE]
 
+    @pytest.mark.parametrize("phi0, phi1", [(-0.9, 0.9), (0.5, 0.5), (0.5, 3.0), (3.0, 0.5)])
+    def test_ar1_extremes_clamp_to_the_side_of_the_exact_ratio(self, phi0, phi1):
+        # 0.5 (u^2 - w^2) with u = x - phi0 c and w = x - phi1 c, computed exactly: no
+        # entry is NaN, and an entry is clamped only to the side of the exact log-ratio,
+        # and surely so past the log of either clamp
+        spec = LikelihoodRatioSpec("ar1_gaussian", phi0=phi0, phi1=phi1)
+        grid = [0.0, 1.0, -1.0, 1.7e308, -1.7e308]
+        for x in grid:
+            for c in grid:
+                u = Fraction(x) - Fraction(phi0) * Fraction(c)
+                w = Fraction(x) - Fraction(phi1) * Fraction(c)
+                exact = (u * u - w * w) / 2
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    e = lr_evalue(spec, x, c)
+                assert not math.isnan(e), (x, c)
+                if e == MAX_EVALUE or exact > math.log(MAX_EVALUE):
+                    assert e == MAX_EVALUE and exact > 0, (x, c, e)
+                if e == MIN_EVALUE or exact < math.log(MIN_EVALUE):
+                    assert e == MIN_EVALUE and exact < 0, (x, c, e)
+                if exact == 0:
+                    assert e == 1.0, (x, c, e)
+
+    def test_ar1_third_form_fills_only_what_is_nan(self):
+        # the entry the squares and the rearranged form both leave NaN is filled, and
+        # the finite entries next to it keep their bits
+        spec = LikelihoodRatioSpec("ar1_gaussian", phi0=-0.9, phi1=0.9)
+        x, c = np.array([2.0, 1.0, -0.3]), np.array([0.7, 1.7e308, 1.1])
+        e = lr_evalue(spec, x, c)
+        assert e.tolist() == [lr_evalue(spec, 2.0, 0.7), MAX_EVALUE, lr_evalue(spec, -0.3, 1.1)]
+
     @pytest.mark.parametrize("family", ["gaussian_pair", "exponential_scale", "ar1_gaussian"])
     def test_null_mean_at_most_one(self, family):
         rng = np.random.default_rng(29)
@@ -217,6 +248,25 @@ class TestAr1Pvalues:
         assert ar1_marginal_pvalue(0.0) == pytest.approx(0.5, abs=1e-15)
         assert ar1_marginal_pvalue(math.sqrt(4.0 / 3.0) * 1.6449) == pytest.approx(0.05, abs=1e-4)
         assert ar1_marginal_pvalue(-10.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ar1_marginal_pvalue("x"), "x_t must be an array of reals, got 'x'"),
+        (lambda: ar1_marginal_pvalue(1.0, null_var=-1), "null_var must be in (0, inf), got -1"),
+        (lambda: ar1_marginal_pvalue(1.0, null_var=0), "null_var must be in (0, inf), got 0"),
+        (lambda: ar1_conditional_pvalue(1.0, 2.0, "a"), "phi0 must be in (-inf, inf), got 'a'"),
+        (lambda: ar1_conditional_pvalue(math.nan, 1.0, 0.5),
+         "x_t must be a finite real in (-inf, inf), got nan"),
+        (lambda: ar1_conditional_pvalue(1.0, [0.0, math.inf], 0.5),
+         "x_prev must be a finite real in (-inf, inf), got inf at index 1"),
+        (lambda: ar1_conditional_pvalue([1.0, 2.0], [1.0, 2.0, 3.0], 0.5),
+         "x_t and x_prev must broadcast together, got shapes (2,) and (3,)"),
+    ], ids=["marginal-str", "null_var-negative", "null_var-zero", "phi0-str", "x_t-nan",
+            "x_prev-inf", "shapes"])
+    def test_inputs_are_judged(self, call, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
     def test_conditional_uniform_under_null(self):
         rng = np.random.default_rng(41)

@@ -117,7 +117,9 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("text", ["constant,0.0_5", "rai,0.05,0.5,0_5", "geometric,_0.5"])
     def test_schedule_refuses_digit_group_underscore(self, text):
-        message = f"line 3: omega: bad schedule parameter in {text!r}"
+        kind, *params = text.split(",")
+        name = {"constant": "value", "rai": "psi", "geometric": "ratio"}[kind]
+        message = f"line 3: omega: {kind} {name} must be a number, got {params[-1]!r}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(f"mode = simulate\nprocedure = score-lord\nomega = {text}\n")
 

@@ -44,7 +44,7 @@ def test_overshoot_rejects_negative_evidence():
 
 @pytest.mark.parametrize("value", ["2.0", None, 1j])
 def test_non_numeric_evidence_has_one_error(value):
-    message = f"evidence must be a finite non-negative real, got {value!r}"
+    message = f"evidence must be a finite real in [0, inf), got {value!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         sf.ScoreLord().step(value)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -177,7 +177,7 @@ class TestObservation:
             Observation(0, -1.0, kind="q", truth=5)
         with pytest.raises(ValueError, match="kind must be one of"):
             Observation(1, -1.0, kind="q", truth=5)
-        with pytest.raises(ValueError, match="evidence must be a finite non-negative real"):
+        with pytest.raises(ValueError, match=r"evidence must be a finite real in \[0, inf\)"):
             Observation(1, -1.0, kind="e", truth=5)
-        with pytest.raises(ValueError, match="truth must be None, a bool, 0 or 1, got 5"):
+        with pytest.raises(ValueError, match="truth must be a bool, 0 or 1, got 5"):
             Observation(1, 1.0, kind="e", truth=5)

@@ -4,6 +4,8 @@ the first bad index.  Nothing escapes as a ``TypeError`` or a numpy error."""
 
 import math
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -13,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import scorefdr as sf
 from scorefdr import simulation
-from scorefdr.calibration import (CalibrationSet, LikelihoodRatioSpec, conformal_evalue,
-                                  lr_evalue, vovk_p_to_e)
+from scorefdr._validation import EVIDENCE
+from scorefdr.calibration import (CalibrationSet, LikelihoodRatioSpec, ar1_conditional_pvalue,
+                                  ar1_marginal_pvalue, conformal_evalue, lr_evalue, vovk_p_to_e)
 from scorefdr.schedules import weight_at
 from scorefdr.simulation import aggregate
 from helpers import build
@@ -218,6 +221,7 @@ ENTRY_POINTS = {
     "set_params.gamma": (lambda v: build("e-lond").set_params(gamma=v),
                          ("gamma must", "summable gamma")),
     "fit": (lambda v: build("score-lord").fit(v), ("X must",)),
+    "fit.y": (lambda v: build("score-lord").fit([1.0, 2.0], v), ("y must",)),
     "partial_fit": (lambda v: build("p-saffron").partial_fit(v), ("X must",)),
     "step": (lambda v: build("score-plus-lord").step(v), ("evidence must",)),
     "vovk_p_to_e": (vovk_p_to_e, ("p must",)),
@@ -227,6 +231,14 @@ ENTRY_POINTS = {
     "lr_evalue.eta": (lambda v: lr_evalue(LikelihoodRatioSpec("exponential_scale"), 1.0,
                                           context=v), ("eta must", "eta as context")),
     "CalibrationSet": (CalibrationSet, ("scores must", "calibration set must")),
+    "ar1_conditional_pvalue.x_t": (lambda v: ar1_conditional_pvalue(v, 1.0, 0.5), ("x_t must",)),
+    "ar1_conditional_pvalue.x_prev": (lambda v: ar1_conditional_pvalue(1.0, v, 0.5),
+                                      ("x_prev must",)),
+    "ar1_conditional_pvalue.phi0": (lambda v: ar1_conditional_pvalue(1.0, 2.0, v),
+                                    ("phi0 must",)),
+    "ar1_marginal_pvalue.x_t": (ar1_marginal_pvalue, ("x_t must",)),
+    "ar1_marginal_pvalue.null_var": (lambda v: ar1_marginal_pvalue(1.0, v), ("null_var must",)),
+    "default_checkpoints": (sf.default_checkpoints, ("horizon must",)),
     "LikelihoodRatioSpec.null_var": (
         lambda v: LikelihoodRatioSpec("gaussian_pair", null_var=v), ("null_var (",)),
     "LikelihoodRatioSpec.scale": (
@@ -286,11 +298,79 @@ def test_replicate_refuses_before_generating(name, value):
 
 
 @pytest.mark.parametrize("y, message", [
-    ([True, False], "truth labels must have shape (3,), got (2,)"),
-    ([[1, 0, 1]], "truth labels must have shape (3,), got (1, 3)"),
-    ([0, 2, 1], "truth labels must be binary (0/1 or bool)"),
-    ([0.0, 0.5, 1.0], "truth labels must be binary (0/1 or bool)"),
-])
+    ([True, False], "y must have shape (3,), got (2,)"),
+    ([[1, 0, 1]], "y must have shape (3,), got (1, 3)"),
+    ([0, 2, 1], "y must be a bool, 0 or 1, got 2 at index 1"),
+    ([0.0, 0.5, 1.0], "y must be a bool, 0 or 1, got 0.5 at index 1"),
+    ([None, 1, 0], "y must be a bool, 0 or 1, got None at index 0"),
+    (["1", "0", "1"], "y must be a bool, 0 or 1, got '1' at index 0"),
+    ([[1], [0, 1], 1], "y must be a bool, 0 or 1, got [1] at index 0"),
+], ids=["short", "2-d", "two", "half", "none", "text", "ragged"])
 def test_fit_truth_labels_checked(y, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build("score-lord").fit([1.0, 2.0, 3.0], y)
+
+
+# -- One evidence rule and one label rule on every path. -------------------------
+
+#: A scalar of every type evidence or a label may arrive as.
+SCALARS = st.one_of(
+    st.floats(), st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, 1.0, 1.0000000000000002, 0.9999999999999999, 5e-324,
+                     2.2250738585072014e-308, sys.float_info.max, math.nan, math.inf,
+                     -math.inf, 0, 1, 2, -1, np.bool_(True), np.int64(0), np.int64(-3)]),
+    st.booleans(), st.integers(-10**400, 10**400), st.fractions(),
+    st.decimals(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+)
+PID = {"e": "score-plus-lord", "p": "p-lord"}
+
+
+def _refusal(call):
+    """The message of the ``ValueError`` that ``call`` raises, or None when it runs."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sf.core.EVIDENCE_KINDS), value=SCALARS)
+def test_one_evidence_rule_on_every_path(kind, value):
+    observation = _refusal(lambda: sf.Observation(1, value, kind))
+    step = _refusal(lambda: build(PID[kind]).step(value))
+    fit = _refusal(lambda: build(PID[kind]).fit([value]))
+    assert (observation is None) == (step is None) == (fit is None), (observation, step, fit)
+    lo, hi, ends = EVIDENCE[kind]
+    interval = f"{ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    if observation is None:
+        by_value = build(PID[kind]).step(value)
+        assert build(PID[kind]).step(sf.Observation(1, value, kind)) == by_value
+        fitted = build(PID[kind]).fit([value])
+        assert (fitted.alpha_[0], fitted.decision_[0], fitted.overshoot_[0],
+                fitted.cost_[0]) == by_value[:4]
+        return
+    assert observation == step == f"evidence must be a finite real in {interval}, got {value!r}"
+    try:
+        float(value)
+        real = not isinstance(value, str)
+    except (ValueError, OverflowError):  # text, a signaling NaN, an int past the floats
+        real = False
+    assert (f"X must be a finite real in {interval}" if real
+            else "X must be an array of reals") in fit, fit
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=SCALARS)
+def test_one_label_rule_on_every_path(label):
+    observation = _refusal(lambda: sf.Observation(1, 0.5, truth=label))
+    fit = _refusal(lambda: build("score-lord").fit([0.5], [label]))
+    assert (observation is None) == (fit is None), (observation, fit)
+    if observation is None:
+        stepped = build("score-lord")
+        stepped.step(sf.Observation(1, 0.5, truth=label))
+        assert (stepped.trajectory().truth.tolist()
+                == build("score-lord").fit([0.5], [label]).trajectory().truth.tolist())
+    else:
+        assert observation == f"truth must be a bool, 0 or 1, got {label!r}"
+        assert fit.startswith("y must be a bool, 0 or 1, got "), fit

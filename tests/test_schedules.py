@@ -123,14 +123,24 @@ def test_parse_round_trip_and_errors():
     for text in ("constant,0.05", "geometric,0.5", "rai,0.05,0.5,0.5"):
         sched = Schedule.parse(text)
         assert Schedule.parse(sched.spec()) == sched
-    with pytest.raises(ValueError, match="unknown schedule kind"):
+    with pytest.raises(ValueError, match="kind must be one of"):
         Schedule.parse("harmonic,0.1")
     with pytest.raises(ValueError, match="parameter"):
         Schedule.parse("rai,0.05")
     with pytest.raises(ValueError):
         Schedule.parse("constant,1.5")
-    with pytest.raises(ValueError, match="bad schedule parameter"):
+    with pytest.raises(ValueError, match="^constant value must be a number, got 'abc'$"):
         Schedule.parse("constant,abc")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("constant,0.0_5", "constant value must be a number, got '0.0_5'"),
+    ("rai,0.05,x,0.5", "rai phi must be a number, got 'x'"),
+    ("geometric,1_0", "geometric ratio must be a number, got '1_0'"),
+])
+def test_parse_names_the_parameter(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Schedule.parse(text)
 
 
 def test_fixed_is_the_value_of_a_constant_kind_only():
