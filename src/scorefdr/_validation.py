@@ -70,11 +70,12 @@ def check_checkpoints(checkpoints, n: int) -> np.ndarray:
 
 def check_array(x, name: str, lo: float = -math.inf, hi: float = math.inf,
                 ends: str = "()") -> np.ndarray:
-    """``x`` as a float array, if it holds no text and every entry lies in the interval of
-    :func:`check_real`.  Valid input costs one ``min`` and one ``max``; the error, an
-    :class:`EntryError`, names the first bad index."""
+    """``x`` as a float array, if it holds no text or complex number and every entry lies in
+    the interval of :func:`check_real`.  Valid input costs one ``min`` and one ``max``; the
+    error, an :class:`EntryError`, names the first bad index."""
     try:
-        if (arr := np.asarray(x)).dtype.kind in "SU":  # numeric text is not a real either
+        # numeric text is not a real, nor is a complex number, whose cast drops its imaginary part
+        if (arr := np.asarray(x)).dtype.kind in "SUc":
             raise TypeError
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the floats

@@ -26,7 +26,7 @@ import numpy as np
 from .calibration import P_DOMAIN, CalibrationSet, conformal_evalue, vovk_p_to_e
 from ._validation import (EVIDENCE, EntryError, check_array, check_checkpoints,
                           check_count, check_kind, check_number)
-from .procedures import OnlineProcedure, Trajectory, make_procedure
+from .procedures import PROCEDURES, OnlineProcedure, Trajectory, make_procedure
 from .reference import naive_trajectory, trace_divergence
 from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule
 from .simulation import (
@@ -134,9 +134,11 @@ _INGEST = ("ingest",)
 #: Every config key but ``mode``: the modes it applies to, its converter
 #: ``(raw, where, key) -> value``, which only parses, its :class:`RunConfig`
 #: field and the library rule ``(cfg) -> None`` that judges the value, if any.
-#: Keys are set and judged in this order, so the first bad key reported does
-#: not depend on the order of the file or the flags.  ``ingest`` judges the
-#: checkpoints against the stream length only once it has read the stream.
+#: A refusal names the first bad key in this order, so it does not depend on
+#: the order of the file or the flags.  A rule reads only the fields of its
+#: own keys and of keys listed before them, and judges each field on its own.
+#: ``ingest`` judges the checkpoints against the stream length only once it
+#: has read the stream.
 _KEYS = {
     "procedure": (MODES, _to_choice, "procedure", RunConfig.build_procedure),
     "alpha": (MODES, _to_float, "alpha", RunConfig.build_procedure),
@@ -158,8 +160,9 @@ _KEYS = {
     "phi1": (_SIMULATE, _to_float, "phi1", RunConfig.build_dgp),
     "replicates": (_SIMULATE, _to_int, "replicates",
                    lambda cfg: check_count(cfg.replicates, "replicates")),
+    # the class carries the id and evidence kind that resolve_evidence reads
     "evidence": (_SIMULATE, _to_choice, "evidence",
-                 lambda cfg: resolve_evidence(cfg.build_procedure(), cfg.evidence)),
+                 lambda cfg: resolve_evidence(PROCEDURES[cfg.procedure], cfg.evidence)),
     "calibrator": (_INGEST, partial(_to_choice, choices=CALIBRATORS), "calibrator", None),
     "input": (_INGEST, _to_path, "input", None),
     "calibration_scores": (_INGEST, _to_path, "calibration_scores", None),
@@ -188,10 +191,25 @@ def read_raw_config(text: str) -> dict[str, tuple[str, str]]:
     return entries
 
 
+def _set_keys(cfg: RunConfig, entries, keys, judged: bool) -> RunConfig:
+    """Convert and set ``keys`` on ``cfg`` in order; if ``judged``, judge each key once
+    set, so that a refusal reads ``<its line or flag>: <the library's message>``."""
+    for key in keys:
+        raw, where = entries[key]
+        _, convert, field, judge = _KEYS[key]
+        setattr(cfg, field, convert(raw, where, key))
+        if judged and judge is not None:
+            try:
+                judge(cfg)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+    return cfg
+
+
 def build_config(entries: dict[str, tuple[str, str]], mode: str | None = None) -> RunConfig:
     """Set raw entries (from file and/or flags) on a :class:`RunConfig` in ``_KEYS``
-    order.  Each key is judged once set, the keys before it having passed, so a
-    refusal reads ``<its line or flag>: <the library's message>``."""
+    order, then judge each rule once.  Only a config that some rule refuses is set
+    again key by key, each judged once set, to name the first bad key."""
     if "mode" in entries:
         raw, where = entries["mode"]
         file_mode = _to_choice(raw, where, "mode", MODES)
@@ -207,16 +225,17 @@ def build_config(entries: dict[str, tuple[str, str]], mode: str | None = None) -
 
     if "procedure" not in entries:
         raise ConfigError("config: missing key 'procedure'")
-    cfg = RunConfig(mode=mode, procedure="")
-    for key, (_, convert, field, judge) in _KEYS.items():
-        if key in entries:
-            raw, where = entries[key]
-            setattr(cfg, field, convert(raw, where, key))
+    keys = [key for key in _KEYS if key in entries]
+    try:
+        cfg = _set_keys(RunConfig(mode=mode, procedure=""), entries, keys, judged=False)
+        for judge in dict.fromkeys(_KEYS[key][3] for key in keys):
             if judge is not None:
-                try:
-                    judge(cfg)
-                except ValueError as exc:
-                    raise ConfigError(f"{where}: {exc}") from None
+                judge(cfg)
+    except ValueError:  # a converter's ConfigError too
+        # Each rule judges its fields one by one, so a rule that passes on the whole
+        # config passed at each key before, and one that fails fails at its last key.
+        _set_keys(RunConfig(mode=mode, procedure=""), entries, keys, judged=True)
+        raise  # not reached: the key-by-key pass refuses the same config
 
     if mode == "ingest" and cfg.input is None:
         raise ConfigError("config: ingest mode requires the 'input' key")

@@ -29,6 +29,17 @@ value.  Each step ends by computing the budget of the step after it, which
 stays behind as held state until that step spends it, so ``next_alpha()``
 reads a value and computes nothing.
 
+The kernel records each step's row under one history policy, held with the
+history and read once per kernel call.  Under "all", which ``reset()`` (and
+so ``fit``) sets, every column is kept: ``alpha``, ``decision``,
+``overshoot``, ``cost``, ``fdp_hat`` and the truth label.  Under
+"decisions", only the decisions are kept, for callers that read nothing
+else: :func:`~scorefdr.simulation.replicate` runs all its replicates but
+the first this way.  There ``decision_``, ``rejections_`` and
+``rejections_before_`` read as under "all", while the other fitted views
+and ``trajectory()`` raise a ``ValueError`` naming themselves.  Decisions,
+warnings and errors are the same under both policies.
+
 The classes follow the familiar estimator protocol: construct with
 parameters, ``fit(X)`` on a full evidence array (or ``partial_fit`` to
 stream), then read per-step results from trailing-underscore attributes.
@@ -41,6 +52,7 @@ import inspect
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -105,9 +117,20 @@ class Trajectory:
         return int(self.rejections[-1]) if len(self.alpha) else 0
 
 
-def _view(column: int, dtype) -> property:
-    """A fitted view: one per-step list of the history as an array."""
-    return property(lambda self: np.asarray(self._history[column], dtype=dtype))
+def _not_kept(view: str):
+    raise ValueError(f"{view} is not available: this run recorded only the decisions; "
+                     "fit, partial_fit and step record every column")
+
+
+def _view(column: int, dtype, name: str) -> property:
+    """A fitted view: one per-step list of the history as an array, refused by
+    ``name`` when the history policy did not keep it."""
+    def view(self):
+        values = self._history[column]
+        if values is None:
+            _not_kept(name)
+        return np.asarray(values, dtype=dtype)
+    return property(view)
 
 
 class OnlineProcedure:
@@ -115,7 +138,7 @@ class OnlineProcedure:
 
     A subclass states its rule in ``allocation``, ``refund``,
     ``global_denominator`` and ``evidence_kind``, and its constructor takes
-    the schedules that rule reads.  ``reset()`` holds three things:
+    the schedules that rule reads.  ``reset()`` holds four things:
 
     * the rule, one tuple: the four choices, each schedule as its value
       when it is constant or else its bound formula, and the validated
@@ -124,7 +147,9 @@ class OnlineProcedure:
       count ``n_rejections_``, LOND's pot, the global charge sum,
       ``fdp_hat``, SAFFRON's ``lambda`` for the upcoming step and whether
       the ``alpha_t >= 1`` warning has fired;
-    * the upcoming step's budget, which ``next_alpha()`` returns.
+    * the upcoming step's budget, which ``next_alpha()`` returns;
+    * the history, one list per recorded column, ``None`` for a column the
+      history policy does not keep.
 
     The kernel ``_run`` reads the rule and the state into locals once per
     call and writes the state back once, also when a step raises, so the
@@ -147,8 +172,9 @@ class OnlineProcedure:
     # -- parameter protocol -------------------------------------------------
 
     @classmethod
-    def _param_names(cls):
-        return [p for p in inspect.signature(cls.__init__).parameters if p != "self"]
+    @cache
+    def _param_names(cls) -> tuple[str, ...]:
+        return tuple(p for p in inspect.signature(cls.__init__).parameters if p != "self")
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
@@ -232,6 +258,7 @@ class OnlineProcedure:
         e_kind = kind == "e"
         t, rej, pot, charged, fdp, lam, warned = self._state
         alphas, decisions, overshoots, costs, fdps, truths = self._history
+        keep_all = alphas is not None  # the history policy: "all", else "decisions"
         start = t
         spent = 0.0
         truths.extend(labels)
@@ -274,11 +301,12 @@ class OnlineProcedure:
                         if decision:
                             rej += 1
                     t += 1
-                    alphas.append(alpha_t)
                     decisions.append(decision)
-                    overshoots.append(over)
-                    costs.append(cost)
-                    fdps.append(fdp)
+                    if keep_all:
+                        alphas.append(alpha_t)
+                        overshoots.append(over)
+                        costs.append(cost)
+                        fdps.append(fdp)
                     spent = alpha_t
                 # The budget of step t + 1, held until that step spends it.
                 weight = weight_c if weight_at is None else weight_at(t + 1, rej)
@@ -362,17 +390,26 @@ class OnlineProcedure:
         self._run(*self._stream(X, y))
         return self
 
+    def _fit_decisions(self, X):
+        """``fit(X)`` under the "decisions" history policy: ``decision_``,
+        ``rejections_`` and ``rejections_before_`` read as after ``fit``, and the
+        other views refuse until the next ``fit`` or ``reset``."""
+        self.reset()
+        self._history = (None, [], None, None, None, [])  # no labels: the truth list stays empty
+        self._run(check_evidence(X, self.evidence_kind, "X", ndim=1).tolist(), ())
+        return self
+
     def predict(self, X) -> np.ndarray:
         """Decisions for a fresh run over ``X`` (does not touch fitted state)."""
-        return self.clone().fit(X).decision_
+        return self.clone()._fit_decisions(X).decision_
 
     # -- fitted views ----------------------------------------------------------
 
-    alpha_ = _view(0, float)
-    decision_ = _view(1, bool)
-    overshoot_ = _view(2, float)
-    cost_ = _view(3, float)
-    fdp_hat_ = _view(4, float)
+    alpha_ = _view(0, float, "alpha_")
+    decision_ = _view(1, bool, "decision_")
+    overshoot_ = _view(2, float, "overshoot_")
+    cost_ = _view(3, float, "cost_")
+    fdp_hat_ = _view(4, float, "fdp_hat_")
 
     @property
     def rejections_(self) -> np.ndarray:
@@ -385,12 +422,16 @@ class OnlineProcedure:
     @property
     def wealth_(self) -> np.ndarray:
         """``alpha - fdp_hat_`` after each step, the kernel's wealth; NaN for LOND."""
+        if self._history[4] is None:
+            _not_kept("wealth_")
         lond, alpha = self._rule[0], self._rule[-1]
         if lond:
             return np.full(self.t_, math.nan)
         return alpha - self.fdp_hat_
 
     def trajectory(self) -> Trajectory:
+        if self._history[0] is None:
+            _not_kept("trajectory()")
         truths = self._history[5]
         truth = None
         if truths and all(v is not None for v in truths):

@@ -30,7 +30,8 @@ from .calibration import (
     lr_evalue,
     normal_ppf,
 )
-from ._validation import check_array, check_checkpoints, check_count, check_kind, check_real
+from ._validation import (check_array, check_checkpoints, check_count, check_kind, check_real,
+                          check_truth)
 from .procedures import OnlineProcedure, Trajectory
 
 DGP_NAMES = ("gaussian_mixture", "ar_exponential", "ar1_gaussian")
@@ -225,6 +226,11 @@ def _curves(decision: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.nda
     return fdp, power
 
 
+def _labels(values, name: str) -> np.ndarray:
+    """``values`` judged by the label rule, as a boolean array."""
+    return np.array(check_truth(values, name, len(values)), dtype=bool)
+
+
 def default_checkpoints(horizon: int) -> np.ndarray:
     """Every step up to 1000 steps; a uniform stride beyond that."""
     horizon = check_count(horizon, "horizon")
@@ -256,11 +262,12 @@ def aggregate(runs, checkpoints, procedure: OnlineProcedure, dgp: DgpConfig | No
               evidence: str = "e") -> MetricsReport:
     """FDR and average power at ``checkpoints`` over labelled runs of ``procedure``.
 
-    ``runs`` yields one ``(decision, truth)`` pair of boolean arrays per
-    stream.  Means and standard errors (sample sd over sqrt(n), zero for a
-    single run) of the :func:`evaluate` curves are taken in run order, so a
-    report is bit-identical across calls.  ``dgp`` and ``evidence`` label it.
-    Each run's checkpoints must lie within its length.
+    ``runs`` yields one ``(decision, truth)`` pair of arrays per stream, each
+    entry a bool, 0 or 1; a boolean array is taken as it is.  Means and
+    standard errors (sample sd over sqrt(n), zero for a single run) of the
+    :func:`evaluate` curves are taken in run order, so a report is
+    bit-identical across calls.  ``dgp`` and ``evidence`` label it.  Each
+    run's checkpoints must lie within its length.
     """
     # row 0 is FDP, row 1 average power
     total = squares = 0.0
@@ -268,6 +275,10 @@ def aggregate(runs, checkpoints, procedure: OnlineProcedure, dgp: DgpConfig | No
     for decision, truth in runs:
         if len(decision) != len(truth):
             raise ValueError(f"runs[{n_runs}]: {len(decision)} decisions but {len(truth)} labels")
+        if getattr(decision, "dtype", None) != bool:
+            decision = _labels(decision, f"runs[{n_runs}] decision")
+        if getattr(truth, "dtype", None) != bool:
+            truth = _labels(truth, f"runs[{n_runs}] truth")
         if len(decision) != length:  # checked once per run length
             length = len(decision)
             points = check_checkpoints(checkpoints, length)
@@ -309,8 +320,11 @@ def replicate(
 
     Replicate r uses seed ``dgp.seed + r``, so ``report.dgp`` is the
     configuration of replicate 0.  Replicate 0 runs on ``procedure``, which is
-    left fitted on that stream's evidence; the rest run on one clone.  Every
-    argument is checked before the first stream is generated.
+    left fitted on that stream's evidence with its full history.  The rest run
+    on one clone under the "decisions" history policy (see
+    :mod:`scorefdr.procedures`): the clone records only the decisions, which
+    is all the curves read.  Every argument is checked before the first
+    stream is generated.
     """
     n_reps = check_count(n_reps, "n_reps")
     evidence = resolve_evidence(procedure, evidence)
@@ -319,12 +333,13 @@ def replicate(
     points = check_checkpoints(checkpoints, dgp.horizon)
 
     def runs():
-        proc = procedure
+        proc, fit = procedure, procedure.fit
         for r in range(n_reps):
             if r == 1:
                 proc = procedure.clone()
+                fit = proc._fit_decisions
             stream = generate(replace(dgp, seed=dgp.seed + r))
-            proc.fit(stream.evidence(evidence))
+            fit(stream.evidence(evidence))
             yield proc.decision_, stream.truth
 
     return aggregate(runs(), points, procedure, dgp, evidence)

@@ -18,6 +18,7 @@ from scorefdr.cli import (
     MODES,
     ConfigError,
     RunConfig,
+    build_config,
     build_parser,
     emit_decisions,
     emit_metrics,
@@ -263,6 +264,45 @@ class TestCliMatchesLibrary:
         with pytest.raises(ValueError) as library:
             _library_accepts(RunConfig("simulate", procedure, **{field: value}))
         assert refusal == f"line 3: {library.value}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(procedure=st.sampled_from(sf.PROCEDURE_IDS),
+           values=st.dictionaries(st.sampled_from(JUDGED_KEYS), VALUE_TEXT, max_size=6))
+    @example(procedure="p-lord", values={"evidence": "e", "alpha": "2", "horizon": "0"})
+    @example(procedure="e-lord", values={"checkpoints": "5,600", "horizon": "500"})
+    def test_whole_config_judged_as_key_by_key(self, procedure, values):
+        # build_config judges each rule once on the whole config; judging each key
+        # once set, in _KEYS order, must accept the same configs and refuse the
+        # others with the same message
+        entries = {"procedure": (procedure, "line 1")}
+        for line, (key, text) in enumerate(values.items(), start=2):
+            entries[key] = (text, f"line {line}")
+
+        def outcome(build):
+            try:
+                return build()
+            except ConfigError as exc:
+                return str(exc)
+
+        keys = [key for key in _KEYS if key in entries]
+        each = outcome(lambda: cli._set_keys(RunConfig("simulate", ""), entries, keys, True))
+        assert outcome(lambda: build_config(entries, mode="simulate")) == each
+
+    def test_each_owner_built_once(self, monkeypatch):
+        built = {"procedure": 0, "dgp": 0}
+
+        def counted(name, build):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "make_procedure", counted("procedure", cli.make_procedure))
+        monkeypatch.setattr(cli, "DgpConfig", counted("dgp", cli.DgpConfig))
+        parse_config("mode = simulate\nprocedure = score-saffron\nalpha = 0.1\n"
+                     "omega = geometric,0.5\nlambda = constant,0.25\nevidence = e\n"
+                     "dgp = ar_exponential\nhorizon = 300\nrho = 0.25\nseed = 3\n")
+        assert built == {"procedure": 1, "dgp": 1}
 
     @pytest.mark.parametrize("command, flag, value, message", [
         ("simulate", "--rho", "-1", "flag --rho: rho must be in [0, inf), got -1.0"),
@@ -1005,22 +1045,25 @@ class TestMain:
 
     def test_simulate_fits_each_replicate_once(self, tmp_path, capsys, monkeypatch):
         # the decisions CSV is replicate 0's ledger, not a fresh run of its stream
-        calls = {"generate": 0, "fit": 0}
+        calls = {"generate": 0}
+        runs = []  # the steps of each kernel run over a stream
 
-        def counted(name, func):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return func(*args, **kwargs)
-            return wrapper
+        def generate(config):
+            calls["generate"] += 1
+            return sf.generate(config)
 
-        generate = counted("generate", sf.generate)
+        def run(self, values, labels, _run=sf.OnlineProcedure._run):
+            if values is not sf.procedures._NO_EVIDENCE:  # reset()'s run takes no step
+                runs.append(len(values))
+            return _run(self, values, labels)
+
         # the CLI imports generate by name, so both bindings are counted
         monkeypatch.setattr("scorefdr.simulation.generate", generate)
         monkeypatch.setattr("scorefdr.cli.generate", generate)
-        monkeypatch.setattr(sf.OnlineProcedure, "fit", counted("fit", sf.OnlineProcedure.fit))
+        monkeypatch.setattr(sf.OnlineProcedure, "_run", run)
         assert main(["simulate", "--procedure", "score-lord", "--horizon", "100",
                      "--replicates", "3", "--decisions-out", str(tmp_path / "d.csv")]) == 0
-        assert calls == {"generate": 3, "fit": 3}
+        assert calls == {"generate": 3} and runs == [100, 100, 100]
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -125,6 +125,30 @@ class TestAggregate:
         with pytest.raises(ValueError, match=re.escape("runs[1]: 3 decisions but 2 labels")):
             aggregate(runs, [1], build("e-lord"))
 
+    @pytest.mark.parametrize("decision, truth, message", [
+        ([True, True, False], [2, 0, 0], "runs[1] truth must be a bool, 0 or 1, got 2 at index 0"),
+        ([True, True, False], [0.5, 0, 0],
+         "runs[1] truth must be a bool, 0 or 1, got 0.5 at index 0"),
+        ([1, 0, 3], [1, 0, 0], "runs[1] decision must be a bool, 0 or 1, got 3 at index 2"),
+        ([1.0, 0.0, np.nan], [1, 0, 0],
+         "runs[1] decision must be a bool, 0 or 1, got nan at index 2"),
+    ], ids=["truth-two", "truth-half", "decision-three", "decision-nan"])
+    def test_labels_judged_by_the_label_rule(self, decision, truth, message):
+        runs = [(self.DECISION, self.TRUTH), (np.array(decision), np.array(truth))]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            aggregate(runs, [3], build("e-lord"))
+
+    def test_zero_one_labels_aggregate_as_bools(self):
+        as_bools = aggregate([(self.DECISION, self.TRUTH)], [1, 2, 3], build("e-lord"))
+        as_ints = aggregate([(self.DECISION.astype(int), self.TRUTH.astype(float).tolist())],
+                            [1, 2, 3], build("e-lord"))
+        for name in ("fdr", "fdr_se", "power", "power_se"):
+            assert getattr(as_ints, name).tobytes() == getattr(as_bools, name).tobytes()
+
+    def test_boolean_arrays_are_not_rejudged(self, monkeypatch):
+        monkeypatch.setattr(simulation, "check_truth", None)  # a call would raise
+        aggregate([(self.DECISION, self.TRUTH)], [3], build("e-lord"))
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: vovk_p_to_e([0.5, -1.0]), "p must be a finite real in (0, 1], got -1.0 at index 1"),
@@ -148,9 +172,21 @@ class TestAggregate:
     (lambda: vovk_p_to_e([b"0.5"]), "p must be an array of reals, got [b'0.5']"),
     (lambda: build("score-lord").fit(["1.0", "2.0"]),
      "X must be an array of reals, got ['1.0', '2.0']"),
+    # a complex number is not a real either, even with a zero imaginary part
+    (lambda: build("score-lord").fit([1j]), "X must be an array of reals, got [1j]"),
+    (lambda: build("p-lord").fit(np.array([0.5, 0.25], dtype=complex)),
+     "X must be an array of reals, got array([0.5 +0.j, 0.25+0.j])"),
+    (lambda: vovk_p_to_e(0.5 + 0j), "p must be an array of reals, got (0.5+0j)"),
+    (lambda: conformal_evalue([1.0, 2j], CalibrationSet([1.0])),
+     "test_score must be an array of reals, got [1.0, 2j]"),
+    (lambda: lr_evalue(LikelihoodRatioSpec("gaussian_pair"), [1.0, 1 + 0j]),
+     "x must be an array of reals, got [1.0, (1+0j)]"),
+    (lambda: lr_evalue(LikelihoodRatioSpec("ar1_gaussian"), 1.0, context=1j),
+     "context must be an array of reals, got 1j"),
 ], ids=["vovk", "vovk-scalar", "conformal", "calibration-set", "calibration-set-2d", "fit",
         "partial_fit", "fit-str", "lr-eta", "lr-x", "vovk-numeric-str", "vovk-bytes",
-        "fit-numeric-str"])
+        "fit-numeric-str", "fit-complex", "fit-complex-real-valued", "vovk-complex",
+        "conformal-complex", "lr-x-complex", "lr-context-complex"])
 def test_array_error_names_first_bad_index(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
