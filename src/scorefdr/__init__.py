@@ -13,8 +13,6 @@ from .schedules import (
     DEFAULT_OMEGA,
     DEFAULT_RAI,
     Schedule,
-    gamma_at,
-    rai_omega,
     weight_at,
 )
 from .procedures import (
@@ -43,8 +41,6 @@ from .calibration import (
     ar1_marginal_pvalue,
     conformal_evalue,
     lr_evalue,
-    normal_cdf,
-    normal_ppf,
     vovk_p_to_e,
 )
 from .simulation import (
@@ -70,9 +66,7 @@ __all__ = [
     "MAX_EVALUE",
     "Observation",
     "Schedule",
-    "gamma_at",
     "weight_at",
-    "rai_omega",
     "DEFAULT_GAMMA",
     "DEFAULT_OMEGA",
     "DEFAULT_LAMBDA",
@@ -101,8 +95,6 @@ __all__ = [
     "lr_evalue",
     "ar1_conditional_pvalue",
     "ar1_marginal_pvalue",
-    "normal_cdf",
-    "normal_ppf",
     "DgpConfig",
     "GeneratedStream",
     "MetricsReport",

@@ -2,14 +2,21 @@
 
 Numerical notes
 ---------------
-The standard normal CDF and its inverse are ``scipy.special.ndtr`` /
+The AR(1) p-values call the standard normal CDF ``scipy.special.ndtr``
+directly, as the generators of :mod:`scorefdr.simulation` call its inverse
 ``ndtri`` (Cephes erfc-based implementations, absolute error well below
 1e-12), so results are bit-stable across builds.  Exponential families are
 parameterized by *rate* throughout: a null Exp(rate eta) against an
 alternative Exp(rate eta / mu) gives the likelihood ratio
-``(1/mu) * exp(eta * x * (1 - 1/mu))``.  Likelihood ratios and the p-to-e
-calibrator clamp to the largest finite float instead of overflowing, and to
-the smallest positive normal float instead of underflowing to zero.
+``(1/mu) * exp(eta * x * (1 - 1/mu))``.  A Gaussian log-ratio is the
+direct difference of squares, except on the entries where both squares
+overflow and that form is NaN.  There the AR(1) ratio takes a scaled
+product of factors.  The Gaussian pair first takes the quadratic expanded
+in x, exact for equal variances and means small next to x, and the scaled
+product only on the entries that form still leaves NaN.
+Likelihood ratios and the p-to-e calibrator clamp to the largest finite
+float instead of overflowing, and to the smallest positive normal float
+instead of underflowing to zero.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from ._validation import EVIDENCE, check_array, check_real
 from .core import MAX_EVALUE
@@ -43,16 +50,6 @@ P_DOMAIN = (0.0, 1.0, "(]")
 LR_FAMILIES = ("gaussian_pair", "exponential_scale", "ar1_gaussian")
 
 
-def normal_cdf(x):
-    """Standard normal CDF, elementwise."""
-    return ndtr(x)
-
-
-def normal_ppf(u):
-    """Standard normal quantile function (inverse CDF), elementwise."""
-    return ndtri(u)
-
-
 def _clamped_exp(log_value):
     with np.errstate(over="ignore"):
         out = np.exp(log_value)
@@ -63,9 +60,8 @@ def _clamped_exp(log_value):
 def _unless_nan(log_ratio, *fallbacks):
     """``log_ratio`` with its NaN entries filled from ``fallbacks`` in order, each
     called only while a NaN is left.  Past |x| of about 1e154 both squares of a
-    Gaussian log-ratio overflow, and inf - inf is NaN; the same difference
-    rearranged subtracts no two squares, and :func:`_scaled_gaussian_quadratic` and
-    :func:`_scaled_ar1_difference` overflow nowhere."""
+    Gaussian log-ratio overflow, and inf - inf is NaN; :func:`_scaled_gaussian_quadratic`
+    and :func:`_scaled_ar1_difference` subtract no two squares and give NaN nowhere."""
     for fallback in fallbacks:
         nan = np.isnan(log_ratio)
         if not nan.any():
@@ -214,6 +210,7 @@ def lr_evalue(spec: LikelihoodRatioSpec, x, context=None):
         with np.errstate(over="ignore", invalid="ignore"):
             log_ratio = _unless_nan(
                 0.5 * math.log(v0 / v1) + (x - m0) ** 2 / (2.0 * v0) - (x - m1) ** 2 / (2.0 * v1),
+                # exact where the scaled form rounds small means to 0 next to a huge x
                 lambda: 0.5 * math.log(v0 / v1) + (0.5 * m0 * m0 / v0 - 0.5 * m1 * m1 / v1)
                 + x * ((0.5 / v0 - 0.5 / v1) * x + (m1 / v1 - m0 / v0)),
                 lambda: 0.5 * math.log(v0 / v1) + _scaled_gaussian_quadratic(x, m0, v0, m1, v1))
@@ -228,10 +225,8 @@ def lr_evalue(spec: LikelihoodRatioSpec, x, context=None):
         log_ratio = -math.log(spec.scale) + context * x * (1.0 - 1.0 / spec.scale)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            u, w = x - spec.phi0 * context, x - spec.phi1 * context
             log_ratio = _unless_nan(
-                0.5 * (u ** 2 - w ** 2),
-                lambda: (spec.phi1 - spec.phi0) * context * (0.5 * u + 0.5 * w),
+                0.5 * ((x - spec.phi0 * context) ** 2 - (x - spec.phi1 * context) ** 2),
                 lambda: _scaled_ar1_difference(x, context, spec.phi0, spec.phi1))
     return _as_result(_clamped_exp(log_ratio))
 

@@ -4,9 +4,10 @@ The naive trajectory recomputes every step of a procedure directly from the
 displayed budget formulas, re-summing the entire ledger at each step with no
 incremental accumulators.  It deliberately shares nothing with
 :mod:`scorefdr.procedures` beyond a procedure's id and parameters, the
-:class:`~scorefdr.procedures.Trajectory` result type and the pure schedule
-accessors, so agreement between the two is meaningful evidence that the
-incremental bookkeeping is right.  It is intentionally quadratic.
+:class:`~scorefdr.procedures.Trajectory` result type and the schedule
+accessor :func:`~scorefdr.schedules.weight_at`, so agreement between the two
+is meaningful evidence that the incremental bookkeeping is right.  It is
+intentionally quadratic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .procedures import OnlineProcedure, Trajectory
-from .schedules import gamma_at, weight_at
+from .schedules import weight_at
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,10 @@ def naive_trajectory(procedure: OnlineProcedure, evidence) -> Trajectory:
         k = t - 1
         # -- budget from the full ledger ------------------------------------
         if pid in ("e-lond", "p-lond"):
-            alpha_t = gamma_at(gamma, t) * (r_prev + 1.0) * alpha
+            alpha_t = weight_at(gamma, t, 0) * (r_prev + 1.0) * alpha
         elif pid == "score-lond":
             refunds = np.minimum(overs[:k], alphas[:k]) / (rej_before[:k] + 1.0)
-            alpha_t = gamma_at(gamma, t) * (r_prev + 1.0) * (alpha + refunds.sum())
+            alpha_t = weight_at(gamma, t, 0) * (r_prev + 1.0) * (alpha + refunds.sum())
         elif pid == "e-lord":
             spent = (alphas[:k] / (rej_before[:k] + 1.0)).sum()
             alpha_t = weight_at(omega, t, r_prev) * (r_prev + 1.0) * (alpha - spent)

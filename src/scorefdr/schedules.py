@@ -3,8 +3,8 @@
 Each kind has one entry in :data:`KINDS`: its parameter names and its single
 formula, the value at step ``t`` given the ``rejections`` made before it, and
 whether that value is the same at every step.  The entry drives
-:class:`Schedule` validation and parsing, :func:`gamma_at`, :func:`weight_at`,
-:func:`rai_omega` and the engine's :meth:`Schedule.fixed` and
+:class:`Schedule` validation and parsing, :func:`weight_at` (the one checked
+accessor of a value) and the engine's :meth:`Schedule.fixed` and
 :meth:`Schedule.formula`.
 
 ``constant``
@@ -16,7 +16,8 @@ whether that value is the same at every step.  The entry drives
     Rejection-adjusted investment: the weight drifts up by ``phi``-powers
     during quiet stretches and down by ``psi``-powers after rejections,
     ``omega_{t+1} = omega1 + omega1 * (sum_{j<=t-R} phi**j - sum_{j<=R} psi**j)``
-    where R is the rejection count after step t.
+    where R is the rejection count after step t; so
+    ``weight_at(Schedule.rai(omega1, phi, psi), t + 1, R)`` is that weight.
 """
 
 from __future__ import annotations
@@ -140,23 +141,9 @@ def check_gamma(schedule: Schedule) -> Schedule:
     return schedule
 
 
-def gamma_at(schedule: Schedule, t: int) -> float:
-    """The t-th element of a discovery-spreading sequence (see :func:`check_gamma`)."""
-    return weight_at(check_gamma(schedule), t, 0)
-
-
-def rai_omega(omega1: float, phi: float, psi: float, t: int, rejections: int) -> float:
-    """Rejection-adjusted investment weight for step ``t + 1``.
-
-    ``t`` is the number of steps already taken and ``rejections`` the number
-    of rejections among them.  The result is clamped to
-    ``[RAI_WEIGHT_MIN, 1 - RAI_WEIGHT_MIN]`` so it remains a valid weight.
-    """
-    return weight_at(Schedule.rai(omega1, phi, psi), t + 1, rejections)
-
-
 def weight_at(schedule: Schedule, t: int, rejections: int) -> float:
-    """Weight for step ``t`` given the ``rejections`` made strictly before it."""
+    """The value of ``schedule`` at step ``t`` (counted from 1) given the ``rejections``
+    made strictly before it, with both counts checked."""
     t = check_count(t, "t")
     rejections = check_count(rejections, "rejections", 0)
     if rejections >= t:

@@ -19,16 +19,17 @@ order, so reports are bit-identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import reprlib
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from .calibration import (
     LikelihoodRatioSpec,
     ar1_conditional_pvalue,
     ar1_marginal_pvalue,
     lr_evalue,
-    normal_ppf,
 )
 from ._validation import (check_array, check_checkpoints, check_count, check_kind, check_real,
                           check_truth)
@@ -64,9 +65,7 @@ class DgpConfig:
             raise ValueError(f"dgp must be one of {', '.join(DGP_NAMES)}; got {self.dgp!r}")
         object.__setattr__(self, "horizon", check_count(self.horizon, "horizon"))
         check_real(self.pi1, "pi1", 0.0, 1.0, "[]")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
         check_real(self.rho, "rho", 0.0, math.inf, "[)")  # so the rate 1 + rho * x is >= 1
         mu_set = check_array(self.mu_set, "mu_set", 1.0, math.inf)
         if mu_set.ndim != 1 or not mu_set.size:
@@ -112,7 +111,6 @@ class MetricsReport:
     n_reps: int
     dgp: DgpConfig | None
     procedure_id: str
-    procedure_params: dict = field(default_factory=dict)
     evidence: str = "e"
 
 
@@ -124,7 +122,7 @@ def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _std_normals(rng: np.random.Generator, size: int) -> np.ndarray:
-    return normal_ppf(_uniforms(rng, size))
+    return ndtri(_uniforms(rng, size))
 
 
 def generate(config: DgpConfig) -> GeneratedStream:
@@ -182,7 +180,7 @@ def generate(config: DgpConfig) -> GeneratedStream:
 
     # ar1_gaussian
     init_sd = math.sqrt(1.0 / (1.0 - config.phi0**2))
-    x0 = init_sd * float(normal_ppf(_uniforms(rng, 1)[0]))
+    x0 = init_sd * float(ndtri(_uniforms(rng, 1)[0]))
     theta = _uniforms(rng, T) < config.pi1
     eps = _std_normals(rng, T)
     phi = np.where(theta, config.phi1, config.phi0)
@@ -262,17 +260,30 @@ def aggregate(runs, checkpoints, procedure: OnlineProcedure, dgp: DgpConfig | No
               evidence: str = "e") -> MetricsReport:
     """FDR and average power at ``checkpoints`` over labelled runs of ``procedure``.
 
-    ``runs`` yields one ``(decision, truth)`` pair of arrays per stream, each
-    entry a bool, 0 or 1; a boolean array is taken as it is.  Means and
+    ``runs`` yields one ``(decision, truth)`` pair of 1-d arrays per stream,
+    each entry a bool, 0 or 1; a boolean array is taken as it is.  Means and
     standard errors (sample sd over sqrt(n), zero for a single run) of the
     :func:`evaluate` curves are taken in run order, so a report is
     bit-identical across calls.  ``dgp`` and ``evidence`` label it.  Each
     run's checkpoints must lie within its length.
     """
+    try:
+        runs = iter(runs)
+    except TypeError:
+        raise ValueError(f"runs must be an iterable of (decision, truth) pairs, "
+                         f"got {reprlib.repr(runs)}") from None
     # row 0 is FDP, row 1 average power
     total = squares = 0.0
     n_runs, length = 0, None
-    for decision, truth in runs:
+    for run in runs:
+        try:
+            decision, truth = run
+            pair = np.ndim(decision) == np.ndim(truth) == 1
+        except (TypeError, ValueError):  # ValueError: a ragged sequence, or not two items
+            pair = False
+        if not pair:
+            raise ValueError(f"runs[{n_runs}] must be a (decision, truth) pair of 1-d "
+                             f"sequences, got {reprlib.repr(run)}")
         if len(decision) != len(truth):
             raise ValueError(f"runs[{n_runs}]: {len(decision)} decisions but {len(truth)} labels")
         if getattr(decision, "dtype", None) != bool:
@@ -304,7 +315,6 @@ def aggregate(runs, checkpoints, procedure: OnlineProcedure, dgp: DgpConfig | No
         n_reps=n_runs,
         dgp=dgp,
         procedure_id=procedure.procedure_id,
-        procedure_params={k: repr(v) for k, v in procedure.get_params().items()},
         evidence=evidence,
     )
 

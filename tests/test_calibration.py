@@ -15,8 +15,6 @@ from scorefdr import (
     ar1_marginal_pvalue,
     conformal_evalue,
     lr_evalue,
-    normal_cdf,
-    normal_ppf,
     vovk_p_to_e,
 )
 from scorefdr.calibration import MIN_EVALUE
@@ -147,15 +145,24 @@ class TestLikelihoodRatios:
         tiny = lr_evalue(spec, -1e6, context=1e3)
         assert tiny > 0.0 and math.isfinite(tiny)
 
-    @pytest.mark.parametrize("family, x, context, expected", [
-        ("gaussian_pair", 1e200, None, MAX_EVALUE),
-        ("gaussian_pair", -1e200, None, MAX_EVALUE),
-        ("ar1_gaussian", 1e200, 1.0, MAX_EVALUE),
-        ("ar1_gaussian", 1e200, 1e200, MIN_EVALUE),
+    @pytest.mark.parametrize("family, params, x, context, expected", [
+        ("gaussian_pair", {}, 1e200, None, MAX_EVALUE),
+        ("gaussian_pair", {}, -1e200, None, MAX_EVALUE),
+        ("ar1_gaussian", {}, 1e200, 1.0, MAX_EVALUE),
+        ("ar1_gaussian", {}, 1e200, 1e200, MIN_EVALUE),
+        # the exact log-ratio (phi1 - phi0) c (x - (phi0 + phi1) c / 2) = 1.8 c x is about
+        # -1.8e354; x - phi0 c and x - phi1 c round to opposites, so their sum loses x
+        ("ar1_gaussian", {"phi0": -0.9, "phi1": 0.9}, 1e154, -1e200, MIN_EVALUE),
+        # equal variances: the exact log-ratio is (m1 - m0) x = -1 and +1, from means
+        # that a scale set by x would round to 0
+        ("gaussian_pair", {"alt_mean": -1e-200, "alt_var": 1.0}, 1e200, None,
+         pytest.approx(math.exp(-1.0))),
+        ("gaussian_pair", {"alt_mean": 1e-200, "alt_var": 1.0}, 1e200, None,
+         pytest.approx(math.exp(1.0))),
     ])
-    def test_squares_that_overflow_are_clamped(self, family, x, context, expected):
+    def test_squares_that_overflow_are_clamped(self, family, params, x, context, expected):
         # past |x| of about 1e154 both squares of the log-ratio are inf; no NaN, no warning
-        spec = LikelihoodRatioSpec(family)
+        spec = LikelihoodRatioSpec(family, **params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert lr_evalue(spec, x, context) == expected
@@ -166,8 +173,8 @@ class TestLikelihoodRatios:
     @pytest.mark.parametrize("mean", [1e200, -1e200, 1e308, -1e308])
     @pytest.mark.parametrize("x", [1e300, -1e300])
     def test_extreme_means_clamp_to_the_side_of_the_quadratic(self, name, mean, x):
-        # the squares and the rearranged form both overflow here; the clamp side is
-        # the sign of (x - m0)^2 / (2 v0) - (x - m1)^2 / (2 v1), computed exactly
+        # the squares overflow here; the clamp side is the sign of
+        # (x - m0)^2 / (2 v0) - (x - m1)^2 / (2 v1), computed exactly
         spec = LikelihoodRatioSpec("gaussian_pair", **{name: mean})
         quadratic = ((Fraction(x) - Fraction(spec.null_mean)) ** 2 / (2 * Fraction(spec.null_var))
                      - (Fraction(x) - Fraction(spec.alt_mean)) ** 2 / (2 * Fraction(spec.alt_var)))
@@ -278,14 +285,3 @@ class TestAr1Pvalues:
         ks = np.max(np.maximum(np.abs(grid - sorted_p), np.abs(sorted_p - (grid - 1.0 / len(p)))))
         assert ks < 1.6276 / math.sqrt(len(p))  # 1% critical value
 
-
-def test_normal_cdf_accuracy():
-    # against the complementary error function identity
-    for x in (-8.0, -3.2, -1.0, 0.0, 0.5, 2.4, 7.0):
-        expected = 0.5 * math.erfc(-x / math.sqrt(2.0))
-        assert normal_cdf(x) == pytest.approx(expected, abs=1e-12)
-
-
-def test_normal_ppf_round_trip():
-    for u in (1e-12, 0.025, 0.5, 0.975, 1.0 - 1e-12):
-        assert normal_cdf(normal_ppf(u)) == pytest.approx(u, rel=1e-9, abs=1e-13)

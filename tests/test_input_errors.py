@@ -138,6 +138,21 @@ class TestAggregate:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             aggregate(runs, [3], build("e-lord"))
 
+    @pytest.mark.parametrize("run", [
+        (None, None), 1, (DECISION, TRUTH, TRUTH), (DECISION.reshape(1, 3), TRUTH.reshape(1, 3)),
+        (DECISION, TRUTH[0]), ("101", "100"),
+    ], ids=["nones", "int", "triple", "two-d", "scalar-truth", "strings"])
+    def test_run_must_be_a_pair_of_1d_sequences(self, run):
+        message = "runs[1] must be a (decision, truth) pair of 1-d sequences, got "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            aggregate([(self.DECISION, self.TRUTH), run], [3], build("e-lord"))
+
+    @pytest.mark.parametrize("runs", [None, 3])
+    def test_runs_must_be_iterable(self, runs):
+        message = f"runs must be an iterable of (decision, truth) pairs, got {runs!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            aggregate(runs, [3], build("e-lord"))
+
     def test_zero_one_labels_aggregate_as_bools(self):
         as_bools = aggregate([(self.DECISION, self.TRUTH)], [1, 2, 3], build("e-lord"))
         as_ints = aggregate([(self.DECISION.astype(int), self.TRUTH.astype(float).tolist())],

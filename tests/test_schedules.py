@@ -4,21 +4,21 @@ import re
 import numpy as np
 import pytest
 
-from scorefdr import ELond, Schedule, gamma_at, rai_omega, weight_at
+from scorefdr import ELond, Schedule, weight_at
 from scorefdr.schedules import RAI_WEIGHT_MIN
 
 
 def test_geometric_examples():
     g = Schedule.geometric(0.5)
-    assert gamma_at(g, 1) == 0.5
-    assert gamma_at(g, 3) == 0.125
-    assert gamma_at(Schedule.constant(0.05), 100) == 0.05
+    assert weight_at(g, 1, 0) == 0.5
+    assert weight_at(g, 3, 0) == 0.125
+    assert weight_at(Schedule.constant(0.05), 100, 0) == 0.05
 
 
 def test_geometric_partial_sum_converges():
     for q in (0.3, 0.5, 0.9):
         g = Schedule.geometric(q)
-        partial = sum(gamma_at(g, t) for t in range(1, 61))
+        partial = sum(weight_at(g, t, 0) for t in range(1, 61))
         assert partial <= 1.0
         if q**60 > 1e-13:  # tail still representable at double precision
             assert partial < 1.0
@@ -27,17 +27,15 @@ def test_geometric_partial_sum_converges():
 
 def test_gamma_rejects_rai():
     with pytest.raises(ValueError, match="summable"):
-        gamma_at(Schedule.rai(0.05, 0.5, 0.5), 1)
-    with pytest.raises(ValueError, match="summable"):
         ELond(gamma=Schedule.rai(0.05, 0.5, 0.5))
 
 
 def test_gamma_rejects_bad_t():
     with pytest.raises(ValueError):
-        gamma_at(Schedule.geometric(0.5), 0)
+        weight_at(Schedule.geometric(0.5), 0, 0)
 
 
-@pytest.mark.parametrize("t", [None, "3", True, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("t", [0, None, "3", True, 2.5, math.nan, math.inf])
 def test_weight_at_names_a_non_integer_t(t):
     with pytest.raises(ValueError, match=re.escape(f"t must be a positive integer, got {t!r}")):
         weight_at(Schedule.constant(0.5), t, 0)
@@ -56,34 +54,34 @@ def test_non_real_schedule_parameter_rejected(params):
 
 
 def test_rai_examples():
-    assert rai_omega(0.05, 0.5, 0.5, 1, 0) == pytest.approx(0.075, abs=1e-15)
-    assert rai_omega(0.05, 0.5, 0.5, 1, 1) == pytest.approx(0.025, abs=1e-15)
+    rai = Schedule.rai(0.05, 0.5, 0.5)
+    assert weight_at(rai, 2, 0) == pytest.approx(0.075, abs=1e-15)
+    assert weight_at(rai, 2, 1) == pytest.approx(0.025, abs=1e-15)
     # phi = psi with balanced counts cancels exactly
-    assert rai_omega(0.05, 0.5, 0.5, 2, 1) == 0.05
+    assert weight_at(rai, 3, 1) == 0.05
 
 
 def test_rai_balanced_returns_base_exactly():
     for rejections in (1, 3, 7):
-        assert rai_omega(0.05, 0.4, 0.4, 2 * rejections, rejections) == 0.05
+        assert weight_at(Schedule.rai(0.05, 0.4, 0.4), 2 * rejections + 1, rejections) == 0.05
 
 
 def test_rai_nonincreasing_in_rejections():
+    rai = Schedule.rai(0.05, 0.5, 0.5)
     for t in (1, 5, 20):
-        values = [rai_omega(0.05, 0.5, 0.5, t, r) for r in range(t + 1)]
+        values = [weight_at(rai, t + 1, r) for r in range(t + 1)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_rai_clamped_to_unit_interval():
     # extreme psi drives the raw recurrence negative; the clamp holds it in
-    lo = rai_omega(0.01, 0.01, 0.99, 200, 200)
+    lo = weight_at(Schedule.rai(0.01, 0.01, 0.99), 201, 200)
     assert lo == RAI_WEIGHT_MIN
-    hi = rai_omega(0.9, 0.99, 0.01, 400, 0)
+    hi = weight_at(Schedule.rai(0.9, 0.99, 0.01), 401, 0)
     assert hi == 1.0 - RAI_WEIGHT_MIN
 
 
 def test_rai_rejects_inconsistent_counts():
-    with pytest.raises(ValueError):
-        rai_omega(0.05, 0.5, 0.5, 2, 3)
     for sched in (Schedule.constant(0.05), Schedule.rai(0.05, 0.5, 0.5)):
         with pytest.raises(ValueError, match="rejections"):
             weight_at(sched, 3, 3)
@@ -94,13 +92,18 @@ def test_rai_rejects_inconsistent_counts():
 def test_weight_at_matches_rai_indexing():
     sched = Schedule.rai(0.05, 0.5, 0.5)
     assert weight_at(sched, 1, 0) == 0.05
-    assert weight_at(sched, 2, 0) == rai_omega(0.05, 0.5, 0.5, 1, 0)
-    assert weight_at(sched, 10, 4) == rai_omega(0.05, 0.5, 0.5, 9, 4)
+    # step t + 1 after t steps with R rejections, by the module's displayed sums:
+    # omega1 + omega1 * (sum_{j<=t-R} phi**j - sum_{j<=R} psi**j)
+    for t, rejections in ((1, 0), (1, 1), (9, 4), (12, 3)):
+        up = sum(0.5**j for j in range(1, t - rejections + 1))
+        down = sum(0.5**j for j in range(1, rejections + 1))
+        assert weight_at(sched, t + 1, rejections) == pytest.approx(0.05 + 0.05 * (up - down),
+                                                                    abs=1e-15)
 
 
 def test_bound_formula_matches_public_functions():
-    # The engine's per-step evaluator against gamma_at / weight_at, which
-    # add argument checks and, for rai, the rai_omega step indexing.
+    # The engine's per-step evaluator against weight_at, which adds the
+    # argument checks.
     rng = np.random.default_rng(1)
     cases = [
         Schedule.constant(0.05),
@@ -113,10 +116,7 @@ def test_bound_formula_matches_public_functions():
         for _ in range(50):
             t = int(rng.integers(1, 200))
             r = int(rng.integers(0, t))
-            if sched.kind == "geometric":
-                assert fast(t, r) == gamma_at(sched, t)
-            else:
-                assert fast(t, r) == weight_at(sched, t, r)
+            assert fast(t, r) == weight_at(sched, t, r)
 
 
 def test_parse_round_trip_and_errors():

@@ -49,7 +49,7 @@ class TestDgpConfig:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             sf.DgpConfig(dgp, **{name: value})
 
-    @pytest.mark.parametrize("seed", [3.0, True, "3"])
+    @pytest.mark.parametrize("seed", [2.5, -1, True, "3"])
     def test_seed_must_be_an_integer(self, seed):
         message = f"seed must be a non-negative integer, got {seed!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -58,6 +58,12 @@ class TestDgpConfig:
     def test_numpy_integer_seed_accepted(self):
         cfg = sf.DgpConfig("gaussian_mixture", horizon=50, seed=np.int64(3))
         assert np.array_equal(sf.generate(cfg).x, sf.generate(replace(cfg, seed=3)).x)
+
+    @pytest.mark.parametrize("seed", [2.0, np.float64(2.0), np.int64(2)])
+    def test_whole_seed_stored_as_int(self, seed):
+        # the count rule horizon follows: a whole real passes, and the int is kept
+        cfg = sf.DgpConfig("gaussian_mixture", seed=seed)
+        assert type(cfg.seed) is int and cfg.seed == 2
 
     def test_every_parameter_is_checked_whatever_the_dgp(self):
         # a parameter the chosen dgp does not read is still refused
