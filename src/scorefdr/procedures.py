@@ -122,14 +122,26 @@ def _not_kept(view: str):
                      "fit, partial_fit and step record every column")
 
 
-def _view(column: int, dtype, name: str) -> property:
+def _floats(values: list) -> np.ndarray:
+    """A list of floats as a float array, converted element by element in C."""
+    return np.fromiter(values, float, len(values))
+
+
+def _bools(values: list) -> np.ndarray:
+    """A list of bools as a bool array, converted in C through one byte buffer
+    and copied so that the array owns its memory.  A None among the values
+    raises ``TypeError``."""
+    return np.frombuffer(bytes(values), bool).copy()
+
+
+def _view(column: int, convert, name: str) -> property:
     """A fitted view: one per-step list of the history as an array, refused by
     ``name`` when the history policy did not keep it."""
     def view(self):
         values = self._history[column]
         if values is None:
             _not_kept(name)
-        return np.asarray(values, dtype=dtype)
+        return convert(values)
     return property(view)
 
 
@@ -253,7 +265,7 @@ class OnlineProcedure:
         Returns the last step's :class:`StepResult`, or None when no step
         was taken.
         """
-        alpha_t = self.next_alpha()
+        alpha_t = self._budget
         lond, saffron, refund, glob, kind, weight_c, weight_at, lam_c, lam_at, alpha = self._rule
         e_kind = kind == "e"
         t, rej, pot, charged, fdp, lam, warned = self._state
@@ -320,17 +332,17 @@ class OnlineProcedure:
                     if wealth < WEALTH_UNDERFLOW_TOL:
                         alpha_t = math.nan  # no valid budget follows; held as NaN
                         raise RuntimeError(
-                            f"{self.procedure_id}: wealth underflow ({wealth!r}); the update "
-                            "rule guarantees non-negativity, so this indicates a bug"
+                            f"{self.procedure_id}: wealth underflow ({wealth!r}) after step {t}; "
+                            "the update rule guarantees non-negativity, so this indicates a bug"
                         )
                     scale = (rej if rej > 1 else 1.0) if glob else rej + 1.0
                     alpha_t = weight * scale * (wealth if wealth > 0.0 else 0.0)
                 if spent >= 1.0 and not warned:
                     warned = True
                     warnings.warn(
-                        f"{self.procedure_id}: per-step budget alpha_t={spent:.3g} reached 1; "
-                        "the decision rule remains well defined but the budget is no longer "
-                        "a probability",
+                        f"{self.procedure_id}: per-step budget alpha_t={spent:.3g} reached 1 "
+                        f"at step {t}; the decision rule remains well defined but the budget "
+                        "is no longer a probability",
                         RuntimeWarning,
                         stacklevel=3,
                     )
@@ -405,45 +417,53 @@ class OnlineProcedure:
 
     # -- fitted views ----------------------------------------------------------
 
-    alpha_ = _view(0, float, "alpha_")
-    decision_ = _view(1, bool, "decision_")
-    overshoot_ = _view(2, float, "overshoot_")
-    cost_ = _view(3, float, "cost_")
-    fdp_hat_ = _view(4, float, "fdp_hat_")
+    alpha_ = _view(0, _floats, "alpha_")
+    decision_ = _view(1, _bools, "decision_")
+    overshoot_ = _view(2, _floats, "overshoot_")
+    cost_ = _view(3, _floats, "cost_")
+    fdp_hat_ = _view(4, _floats, "fdp_hat_")
 
     @property
     def rejections_(self) -> np.ndarray:
-        return np.cumsum(self._history[1]).astype(int)
+        return np.cumsum(self.decision_)
 
     @property
     def rejections_before_(self) -> np.ndarray:
-        return self.rejections_ - self.decision_
+        decision = self.decision_
+        return np.cumsum(decision) - decision
 
     @property
     def wealth_(self) -> np.ndarray:
         """``alpha - fdp_hat_`` after each step, the kernel's wealth; NaN for LOND."""
-        if self._history[4] is None:
+        fdps = self._history[4]
+        if fdps is None:
             _not_kept("wealth_")
+        return self._wealth(_floats(fdps))
+
+    def _wealth(self, fdp_hat: np.ndarray) -> np.ndarray:
         lond, alpha = self._rule[0], self._rule[-1]
-        if lond:
-            return np.full(self.t_, math.nan)
-        return alpha - self.fdp_hat_
+        return np.full(len(fdp_hat), math.nan) if lond else alpha - fdp_hat
 
     def trajectory(self) -> Trajectory:
-        if self._history[0] is None:
+        alphas, decisions, overshoots, costs, fdps, truths = self._history
+        if alphas is None:
             _not_kept("trajectory()")
-        truths = self._history[5]
+        decision = _bools(decisions)
+        fdp_hat = _floats(fdps)
         truth = None
-        if truths and all(v is not None for v in truths):
-            truth = np.asarray(truths, dtype=bool)
+        if truths:
+            try:
+                truth = _bools(truths)
+            except TypeError:  # a step without a label
+                pass
         return Trajectory(
-            alpha=self.alpha_,
-            decision=self.decision_,
-            overshoot=self.overshoot_,
-            cost=self.cost_,
-            rejections=self.rejections_,
-            fdp_hat=self.fdp_hat_,
-            wealth=self.wealth_,
+            alpha=_floats(alphas),
+            decision=decision,
+            overshoot=_floats(overshoots),
+            cost=_floats(costs),
+            rejections=np.cumsum(decision),
+            fdp_hat=fdp_hat,
+            wealth=self._wealth(fdp_hat),
             truth=truth,
         )
 

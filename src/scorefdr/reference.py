@@ -73,7 +73,11 @@ def naive_trajectory(procedure: OnlineProcedure, evidence) -> Trajectory:
     The procedure's id and parameters select the displayed budget formula;
     the procedure itself is never stepped.  At every step the budget is
     rebuilt by summing the full history of per-step records; nothing is
-    carried forward.  The returned trajectory has no truth labels.
+    carried forward.  A re-summed wealth is clipped at 0 before it forms a
+    budget, as in the displayed rules, so rounding that takes it a few ulps
+    below 0 gives a zero budget, not a negative one.  Each step's scalar
+    arithmetic is on Python floats.  The returned trajectory has no truth
+    labels.
     """
     if not isinstance(procedure, OnlineProcedure):
         raise TypeError(f"expected an OnlineProcedure, got {type(procedure).__name__}")
@@ -102,21 +106,22 @@ def naive_trajectory(procedure: OnlineProcedure, evidence) -> Trajectory:
         if pid in ("e-lond", "p-lond"):
             alpha_t = weight_at(gamma, t, 0) * (r_prev + 1.0) * alpha
         elif pid == "score-lond":
-            refunds = np.minimum(overs[:k], alphas[:k]) / (rej_before[:k] + 1.0)
-            alpha_t = weight_at(gamma, t, 0) * (r_prev + 1.0) * (alpha + refunds.sum())
+            refunds = float((np.minimum(overs[:k], alphas[:k]) / (rej_before[:k] + 1.0)).sum())
+            alpha_t = weight_at(gamma, t, 0) * (r_prev + 1.0) * (alpha + refunds)
         elif pid == "e-lord":
-            spent = (alphas[:k] / (rej_before[:k] + 1.0)).sum()
-            alpha_t = weight_at(omega, t, r_prev) * (r_prev + 1.0) * (alpha - spent)
+            spent = float((alphas[:k] / (rej_before[:k] + 1.0)).sum())
+            alpha_t = weight_at(omega, t, r_prev) * (r_prev + 1.0) * max(alpha - spent, 0.0)
         elif pid == "score-lord":
             charges = np.maximum(alphas[:k] - overs[:k], 0.0)
-            spent = (charges / (rej_before[:k] + 1.0)).sum()
-            alpha_t = weight_at(omega, t, r_prev) * (r_prev + 1.0) * (alpha - spent)
+            spent = float((charges / (rej_before[:k] + 1.0)).sum())
+            alpha_t = weight_at(omega, t, r_prev) * (r_prev + 1.0) * max(alpha - spent, 0.0)
         elif pid == "e-saffron":
             lam_t = weight_at(lam, t, r_prev)
             charges = alphas[:k] * (evidence[:k] < 1.0 / lams[:k]) / (1.0 - lams[:k])
-            spent = (charges / (rej_before[:k] + 1.0)).sum()
+            spent = float((charges / (rej_before[:k] + 1.0)).sum())
             alpha_t = (
-                weight_at(omega, t, r_prev) * (1.0 - lam_t) * (r_prev + 1.0) * (alpha - spent)
+                weight_at(omega, t, r_prev) * (1.0 - lam_t) * (r_prev + 1.0)
+                * max(alpha - spent, 0.0)
             )
         elif pid == "score-saffron":
             lam_t = weight_at(lam, t, r_prev)
@@ -124,13 +129,14 @@ def naive_trajectory(procedure: OnlineProcedure, evidence) -> Trajectory:
                 alphas[:k] * (1.0 - lams[:k] * evidence[:k]) / (1.0 - lams[:k]) - overs[:k],
                 0.0,
             )
-            spent = (charges / (rej_before[:k] + 1.0)).sum()
+            spent = float((charges / (rej_before[:k] + 1.0)).sum())
             alpha_t = (
-                weight_at(omega, t, r_prev) * (1.0 - lam_t) * (r_prev + 1.0) * (alpha - spent)
+                weight_at(omega, t, r_prev) * (1.0 - lam_t) * (r_prev + 1.0)
+                * max(alpha - spent, 0.0)
             )
         elif pid == "score-plus-lord":
             rmax = max(r_prev, 1)
-            w_t = alpha - np.maximum(alphas[:k] - overs[:k], 0.0).sum() / rmax
+            w_t = max(alpha - float(np.maximum(alphas[:k] - overs[:k], 0.0).sum()) / rmax, 0.0)
             alpha_t = weight_at(omega, t, r_prev) * rmax * w_t
         elif pid == "score-plus-saffron":
             lam_t = weight_at(lam, t, r_prev)
@@ -139,23 +145,23 @@ def naive_trajectory(procedure: OnlineProcedure, evidence) -> Trajectory:
                 alphas[:k] * (1.0 - lams[:k] * evidence[:k]) / (1.0 - lams[:k]) - overs[:k],
                 0.0,
             )
-            w_t = alpha - charges.sum() / rmax
+            w_t = max(alpha - float(charges.sum()) / rmax, 0.0)
             alpha_t = weight_at(omega, t, r_prev) * (1.0 - lam_t) * rmax * w_t
         elif pid == "p-lord":
             rmax = max(r_prev, 1)
-            w_t = alpha - alphas[:k].sum() / rmax
+            w_t = max(alpha - float(alphas[:k].sum()) / rmax, 0.0)
             alpha_t = weight_at(omega, t, r_prev) * rmax * w_t
         elif pid == "p-saffron":
             lam_t = weight_at(lam, t, r_prev)
             rmax = max(r_prev, 1)
             charges = alphas[:k] * (evidence[:k] > lams[:k]) / (1.0 - lams[:k])
-            w_t = alpha - charges.sum() / rmax
+            w_t = max(alpha - float(charges.sum()) / rmax, 0.0)
             alpha_t = weight_at(omega, t, r_prev) * (1.0 - lam_t) * rmax * w_t
         else:  # pragma: no cover - registry and branches are kept in sync
             raise ValueError(f"unknown procedure {pid!r}")
 
         # -- decide, charge, record -----------------------------------------
-        value = evidence[k]
+        value = float(evidence[k])
         if is_p:
             decision = alpha_t > 0.0 and value <= alpha_t
             over = 0.0

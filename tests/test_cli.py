@@ -29,6 +29,7 @@ from scorefdr.cli import (
     read_raw_config,
 )
 from scorefdr._validation import check_checkpoints, check_count
+from scorefdr.reference import naive_trajectory
 from scorefdr.simulation import resolve_evidence
 from helpers import build, random_e_stream
 
@@ -1242,13 +1243,18 @@ class TestMain:
             f"error: {where}: checkpoints must be indices in [1, 100], got (50, 200)\n")
         assert captured.out == "" and not metrics.exists()
 
-    def test_oracle_check_fails_on_non_finite_gap(self, capsys):
-        # The oracle's wealth re-sum overflows to inf on this stream while the
-        # engine's stays finite; an infinite gap must fail, not compare as NaN.
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["oracle-check", "--mode", "ingest",
-                       "--input", str(DATA / "synthetic_pvalues.csv"),
-                       "--calibrator", "vovk", "--procedure", "score-saffron"])
+    def test_oracle_check_fails_on_non_finite_gap(self, capsys, monkeypatch):
+        # An oracle whose wealth runs away to -inf from some step on, while the
+        # engine's stays finite: the infinite gap must fail, not compare as NaN.
+        def runaway(procedure, evidence):
+            trace = naive_trajectory(procedure, evidence)
+            trace.wealth[1898:] = -math.inf
+            return trace
+
+        monkeypatch.setattr(cli, "naive_trajectory", runaway)
+        rc = main(["oracle-check", "--mode", "ingest",
+                   "--input", str(DATA / "synthetic_pvalues.csv"),
+                   "--calibrator", "vovk", "--procedure", "score-plus-lord"])
         assert rc == 1
         out = capsys.readouterr().out
         assert "nan" not in out

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scorefdr as sf
-from scorefdr.procedures import WEALTH_UNDERFLOW_TOL
+from scorefdr.procedures import _NO_EVIDENCE, WEALTH_UNDERFLOW_TOL
 from helpers import (
     E_PROCEDURE_IDS,
     GAMMA,
@@ -292,10 +292,23 @@ class TestExtremeInputs:
                 proc.step(sf.MAX_EVALUE)
                 assert len(caught) == (t >= 400), t
         assert issubclass(caught[0].category, RuntimeWarning)
+        assert "reached 1 at step 400; " in str(caught[0].message)
         t = np.arange(1, 1001)
         assert proc.alpha_.tobytes() == (0.05 * t * 0.05).tobytes()
         assert proc.decision_.all()
         assert not np.any(proc.wealth_ < WEALTH_UNDERFLOW_TOL)
+
+    def test_both_history_policies_name_the_step(self):
+        stream = np.full(1000, sf.MAX_EVALUE)
+        messages = []
+        for method in ("fit", "_fit_decisions"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                getattr(sf.make_procedure("score-lord"), method)(stream)
+            messages.append([str(w.message) for w in caught])
+        assert messages[0] == messages[1] == [
+            "score-lord: per-step budget alpha_t=1 reached 1 at step 400; the decision rule "
+            "remains well defined but the budget is no longer a probability"]
 
     @pytest.mark.parametrize("pid, last", [("e-lond", 1029), ("score-lond", 1030)])
     def test_lond_stops_once_gamma_underflows(self, pid, last):
@@ -315,6 +328,52 @@ class TestExtremeInputs:
     def test_p_at_zero_and_one(self, pid, values):
         proc = _fit_all(pid, values)
         assert np.array_equal(proc.decision_, np.asarray(values) == 0.0)
+
+
+def _at_threshold(pid, alpha_t):
+    """Evidence exactly at the rejection threshold of the budget ``alpha_t``, and
+    one ulp past it on the side that does not reject."""
+    if pid.startswith("p-"):
+        return alpha_t, float(np.nextafter(alpha_t, 1.0))
+    e = 1.0 / alpha_t
+    return e, float(np.nextafter(e, 0.0))
+
+
+class TestDecisionBoundary:
+    """A tie rejects, ``e_t == fl(1 / alpha_t)`` or ``p_t == alpha_t``, and one ulp
+    past it does not; on every path, at step 1 and after a prefix."""
+
+    @pytest.mark.parametrize("prefix", [0, 50])
+    @pytest.mark.parametrize("pid", sf.PROCEDURE_IDS)
+    def test_tie_rejects_and_one_ulp_past_does_not(self, pid, prefix):
+        X = evidence_for(pid, np.random.default_rng(prefix), prefix)
+        engine_alpha = build(pid).fit(X).next_alpha()
+        # the oracle re-sums its budget, so its threshold is found from its own alpha_t
+        oracle_alpha = sf.naive_trajectory(build(pid), np.append(X, 1.0)).alpha[-1]
+        for alpha_t in (engine_alpha, oracle_alpha):
+            assert 0.0 < alpha_t < 1.0
+        for value, rejects in zip(_at_threshold(pid, engine_alpha), (True, False)):
+            assert build(pid).fit(X).step(value).decision is rejects, "step"
+            assert build(pid).fit(np.append(X, value)).decision_[-1] == rejects, "fit"
+        for value, rejects in zip(_at_threshold(pid, oracle_alpha), (True, False)):
+            trace = sf.naive_trajectory(build(pid), np.append(X, value))
+            assert trace.decision[-1] == rejects, "naive_trajectory"
+
+    @pytest.mark.parametrize("wealth, raises", [(-1e-9, True), (-1e-13, False)])
+    @pytest.mark.parametrize("pid", [pid for pid in sf.PROCEDURE_IDS if "lond" not in pid])
+    def test_wealth_underflow_tolerance(self, pid, wealth, raises):
+        proc = build(pid).fit(evidence_for(pid, np.random.default_rng(0), 50))
+        t, rej, pot, charged, fdp, lam, warned = proc._state
+        fdp = proc.alpha - wealth
+        proc._state = (t, rej, pot, charged, fdp, lam, warned)
+        if raises:
+            message = f"{pid}: wealth underflow ({proc.alpha - fdp!r}) after step 50; "
+            with pytest.raises(RuntimeError, match="^" + re.escape(message)):
+                proc._run(_NO_EVIDENCE, ())
+            assert math.isnan(proc.next_alpha())
+        else:
+            proc._run(_NO_EVIDENCE, ())
+            assert proc.next_alpha() == 0.0
 
 
 class TestRunStream:

@@ -1,9 +1,12 @@
 import dataclasses
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import scorefdr as sf
+from scorefdr.cli import ingest_stream
 from scorefdr.reference import (
     _scaled_gap,
     bound_scan,
@@ -12,6 +15,8 @@ from scorefdr.reference import (
     trace_divergence,
 )
 from helpers import OMEGA, build, evidence_for
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_bound_slack_pointwise():
@@ -124,3 +129,17 @@ def test_trace_divergence_never_reports_nan():
     gaps = trace_divergence(broken, traj)
     assert gaps["alpha"] == np.inf and gaps["wealth"] == np.inf
     assert not any(np.isnan(v) for v in gaps.values())
+
+
+@pytest.mark.parametrize("pid", sf.PROCEDURE_IDS)
+def test_oracle_stays_finite_where_wealth_reaches_zero(pid):
+    # On this stream the re-summed wealth of the LORD and SAFFRON rules falls a
+    # few ulps past 0; clipped there, as in the engine, no budget goes negative,
+    # so no charge runs away and no step overflows.
+    calibrator = "none" if pid.startswith("p-") else "vovk"
+    evidence = ingest_stream(str(DATA / "synthetic_pvalues.csv"), calibrator)[0][:2000]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = naive_trajectory(sf.make_procedure(pid), evidence)
+    for name in ("alpha", "cost", "fdp_hat"):
+        assert np.isfinite(getattr(trace, name)).all(), name
