@@ -363,7 +363,7 @@ class TestDecisionBoundary:
     @pytest.mark.parametrize("pid", [pid for pid in sf.PROCEDURE_IDS if "lond" not in pid])
     def test_wealth_underflow_tolerance(self, pid, wealth, raises):
         proc = build(pid).fit(evidence_for(pid, np.random.default_rng(0), 50))
-        t, rej, pot, charged, fdp, lam, warned = proc._state
+        t, rej, pot, charged, _, lam, warned = proc._state
         fdp = proc.alpha - wealth
         proc._state = (t, rej, pot, charged, fdp, lam, warned)
         if raises:
