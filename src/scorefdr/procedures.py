@@ -265,7 +265,7 @@ class OnlineProcedure:
         Returns the last step's :class:`StepResult`, or None when no step
         was taken.
         """
-        alpha_t = self._budget
+        alpha_t = self.next_alpha()
         lond, saffron, refund, glob, kind, weight_c, weight_at, lam_c, lam_at, alpha = self._rule
         e_kind = kind == "e"
         t, rej, pot, charged, fdp, lam, warned = self._state
