@@ -11,7 +11,6 @@ from .schedules import (
     DEFAULT_GAMMA,
     DEFAULT_LAMBDA,
     DEFAULT_OMEGA,
-    DEFAULT_RAI,
     Schedule,
     weight_at,
 )
@@ -53,9 +52,6 @@ from .simulation import (
     replicate,
 )
 from .reference import (
-    BoundScanReport,
-    bound_scan,
-    bound_slack,
     naive_trajectory,
     trace_divergence,
 )
@@ -70,7 +66,6 @@ __all__ = [
     "DEFAULT_GAMMA",
     "DEFAULT_OMEGA",
     "DEFAULT_LAMBDA",
-    "DEFAULT_RAI",
     "OnlineProcedure",
     "ELond",
     "ScoreLond",
@@ -102,9 +97,6 @@ __all__ = [
     "evaluate",
     "replicate",
     "default_checkpoints",
-    "BoundScanReport",
-    "bound_scan",
-    "bound_slack",
     "naive_trajectory",
     "trace_divergence",
 ]

@@ -15,8 +15,9 @@ _REALS = (int, float, Fraction, np.integer, np.floating)
 
 
 class EntryError(ValueError):
-    """A :func:`check_array` refusal: ``index`` is the flat index of the first bad entry
-    and ``reason`` the message without its place, for a caller that names the place."""
+    """A refusal of one entry, by :func:`check_array` or by a CSV file's row rules: ``index``
+    is the flat index of the first bad entry and ``reason`` the message without its place,
+    for a caller that names the place."""
 
     def __init__(self, reason: str, index: int, place: str):
         super().__init__(reason + place)

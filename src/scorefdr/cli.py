@@ -254,11 +254,6 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _at(path: str, reader) -> str:
-    """``"<path> row N"``: the file line ``reader`` read last, the header being line 1."""
-    return f"{path} row {reader.line_num}"
-
-
 def _decode(data: bytes, path: str, unit: str, split) -> str:
     """``data``, read from ``path``, as UTF-8 text.  A byte that is not UTF-8 is refused
     at ``"<path> <unit> N"``, line N as ``split`` divides the text into lines."""
@@ -296,7 +291,10 @@ def _read_text(path: str) -> tuple[str, bool]:
 def _header(path: str, reader, names: tuple[str, ...], calibrator: str | None):
     """``(header, column)``: the row ``reader`` reads first and the one column of
     ``names`` it holds.  Given a ``calibrator``, a pair that ``_PAIRS`` lacks is refused."""
-    header = next(reader, [])
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        _fail(f"{path} row {reader.line_num}", str(exc))
     if header and header[0].startswith("\ufeff"):
         _fail(path, "the file starts with a UTF-8 byte-order mark (U+FEFF); "
                     "save it without one")
@@ -313,70 +311,87 @@ def _header(path: str, reader, names: tuple[str, ...], calibrator: str | None):
     return header, col
 
 
-def _read_rows(path: str, text: str, names: tuple[str, ...], calibrator: str | None):
-    """:func:`_read_column`'s result for ``text``, the contents of ``path``, read a row at
-    a time: the reader that names each refusal's file line.
+def _parse(fields, name: str, kind):
+    """``(numbers, refusal)``: the leading ``fields`` that :func:`check_number` reads as
+    ``kind``, read, and its refusal of the next one, or None.  Numbers pass as they are."""
+    if isinstance(fields, np.ndarray):  # numpy parsed them
+        return fields, None
+    if "_" not in "".join(fields):  # then kind() reads each field as check_number does
+        with suppress(ValueError):
+            return list(map(kind, fields)), None
+    numbers = []
+    for text in fields:
+        try:
+            numbers.append(check_number(text, name, kind))
+        except ValueError as exc:
+            return numbers, str(exc)
+    return numbers, None
 
-    Each data row is parsed in file order: its field count, ``index``, number and
-    ``truth`` label.  Then the whole column is judged by :func:`check_array` against its
-    ``_COLUMNS`` interval, and then a partly blank ``truth`` column is refused.  A refusal
-    names ``path``, and a row's refusal its file line.  The header is judged by
-    :func:`_header` before any data row is read.
-    """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header, col = _header(path, reader, names, calibrator)
-        # Field positions are resolved once; a row's location and message are
-        # built only when it fails.
-        at = header.index(col)
-        ix = header.index("index") if "index" in header else None
-        tx = header.index("truth") if "truth" in header else None
-        values: list[float] = []
-        lines: list[int] = []
-        labels: list[str] = []
-        width, record = len(header), 0
-        for row in reader:
-            if len(row) != width:  # a blank line is skipped, a ragged row refused
-                if row:
-                    _fail(_at(path, reader), f"expected {width} fields, got {len(row)}")
-                continue
-            record += 1
-            label = row[tx] if tx is not None else ""
-            try:
-                # the index is checked as written first; " 2", "+2" and "02" parse
-                if ix is not None and row[ix] != str(record):
-                    idx = check_number(row[ix], "index", int)
-                    if idx != record:
-                        raise ValueError(f"index must be >= 1, got {idx}" if idx < 1 else
-                                         f"index must run 1..T in file order; expected "
-                                         f"{record}, got {idx}")
-                values.append(check_number(row[at], col))
-                if label not in ("", "0", "1"):
-                    raise ValueError(f"truth must be 0 or 1, got {label!r}")
-            except ValueError as exc:
-                _fail(_at(path, reader), str(exc))
-            lines.append(reader.line_num)
-            labels.append(label)
-    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-        _fail(_at(path, reader), str(exc))
 
-    if not values:
+def _judge(path: str, col: str, columns: dict, stop: str | None = None):
+    """:func:`_read_column`'s result for the tokenized data rows of ``path``.  ``columns``
+    holds the fields of its ``index``, ``truth`` and evidence column ``col``, those it has,
+    as text (the labels in an object array) or as numpy parsed them; ``stop`` refuses the
+    row after them.  Each row rule is stated here once, and the first failure is refused:
+    per row in file order its index (read, then its value), number and label, ``stop`` in
+    its row's place; then the ``_COLUMNS`` interval; then a partly blank ``truth`` column.
+    A row's refusal is an :class:`EntryError` at the row's position."""
+    failures = [] if stop is None else [(len(columns[col]), 0, stop)]
+    values, refusal = _parse(columns[col], col, float)
+    if refusal is not None:
+        failures.append((len(values), 1, refusal))
+    if "index" in columns:
+        numbers, refusal = _parse(columns["index"], "index", int)
+        wrong = np.not_equal(numbers, np.arange(1, len(numbers) + 1))
+        if wrong.any():  # a wrong value comes before a field that does not read
+            at, got = int(wrong.argmax()), numbers[wrong.argmax()]
+            failures.append((at, 0, f"index must be >= 1, got {got}" if got < 1 else
+                             f"index must run 1..T in file order; expected {at + 1}, got {got}"))
+        elif refusal is not None:
+            failures.append((len(numbers), 0, refusal))
+    labels = columns.get("truth")
+    if labels is not None:
+        blank, ones = labels == "", labels == "1"
+        if not (known := blank | ones | (labels == "0")).all():
+            at = int(known.argmin())
+            failures.append((at, 2, f"truth must be 0 or 1, got {str(labels[at])!r}"))
+    if failures:
+        at, _, reason = min(failures)
+        raise EntryError(reason, at, "")
+    if not len(values):
         _fail(path, "no data rows")
+    column = check_array(np.array(values), col, *_COLUMNS[col])
+    if labels is None or blank.all():
+        return col, column, None
+    if blank.any():
+        raise EntryError("truth is blank; label every row or none", int(blank.argmax()), "")
+    return col, column, ones
+
+
+def _read_rows(path: str, text: str, names: tuple[str, ...], calibrator: str | None):
+    """:func:`_read_column`'s result for ``text``, the contents of ``path``, split into rows
+    by ``csv.reader``: the tokenizer that names each refusal's file line.  A row of another
+    length than the header, or one csv refuses, ends the data rows."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header, col = _header(path, reader, names, calibrator)
+    rows, lines, stop, width = [], [], None, len(header)
     try:
-        column = check_array(values, col, *_COLUMNS[col])
+        for row in filter(None, reader):  # a blank line is skipped
+            if len(row) != width:
+                raise csv.Error(f"expected {width} fields, got {len(row)}")
+            rows.append(row)
+            lines.append(reader.line_num)
+    except csv.Error as exc:  # that, or csv's own: e.g. a field over its size limit
+        lines.append(reader.line_num)
+        stop = str(exc)
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(header)
+               if name in (col, "index", "truth")}
+    if "truth" in columns:  # not a str array, which drops a last NUL
+        columns["truth"] = np.array(columns["truth"], dtype=object)
+    try:
+        return _judge(path, col, columns, stop)
     except EntryError as exc:
         _fail(f"{path} row {lines[exc.index]}", exc.reason)
-    truth = None
-    if any(labels):
-        if "" in labels:
-            _fail(f"{path} row {lines[labels.index('')]}",
-                  "truth is blank; label every row or none")
-        truth = np.asarray(labels) == "1"
-    return col, column, truth
-
-
-#: The ``np.loadtxt`` type of each column of a plain file; any other column is skipped.
-_PARSED = {"index": "i8", "truth": "U2"}  # a 1-char truth would cut "10" to "1"
 
 
 def _blocks(text: str, start: int):
@@ -389,48 +404,32 @@ def _blocks(text: str, start: int):
 
 
 def _read_plain(path: str, text: str, names: tuple[str, ...], calibrator: str | None):
-    """:func:`_read_rows`'s result for the text of a plain file, its data rows parsed by
-    one ``np.loadtxt`` call; None, or an exception, for a file that :func:`_read_rows`
-    might refuse."""
+    """``(col, columns)`` of :func:`_judge` for the text of a plain file, its data rows
+    parsed by one ``np.loadtxt`` call, which raises where numpy refuses a field."""
     first = text.partition("\n")[0]
     header, col = _header(path, csv.reader([first]), names, calibrator)
-    kinds = {**_PARSED, col: "f8"}
+    kinds = {"index": "i8", "truth": "U2", col: "f8"}  # a 1-char truth would cut "10" to "1"
     lines = chain.from_iterable(map(str.splitlines, _blocks(text, len(first) + 1)))
     with warnings.catch_warnings():
         # numpy warns where it guesses (no rows; "2.0" read as an int by older numpy)
         warnings.simplefilter("error")
         table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=1,
-                           dtype=[(f"f{i}", kinds.get(name, "U0"))
+                           dtype=[(f"f{i}", kinds.get(name, "U0"))  # other columns skipped
                                   for i, name in enumerate(header)])
-    column = {name: table[f"f{i}"] for i, name in enumerate(header)}
-    if "index" in column and not np.array_equal(column["index"], np.arange(1, len(table) + 1)):
-        return None
-    truth = None
-    if "truth" in column:
-        labels = column["truth"]
-        ones, blank = labels == "1", labels == ""
-        if not (ones | blank | (labels == "0")).all() or blank.any() and not blank.all():
-            return None
-        truth = None if blank.all() else ones
-    return col, check_array(np.array(column[col]), col, *_COLUMNS[col]), truth
+    return col, {name: table[f"f{i}"] for i, name in enumerate(header) if name in kinds}
 
 
 def _read_column(path: str, names: tuple[str, ...], calibrator: str | None = None):
     """``(column, values, truth)``: the one column of ``names`` that the CSV file ``path``
-    holds, as a float array, and its ``truth`` labels as a boolean array, or None.
-
-    A plain file (see :func:`_read_text`) is parsed column by column; any other file,
-    and any file that parse does not accept, goes to :func:`_read_rows`, which gives the
-    same result or names the refusal's row.  So which reader runs changes the speed only.
-    """
+    holds, as a float array, and its ``truth`` labels as a boolean array, or None.  A plain
+    file (see :func:`_read_text`) is tokenized by :func:`_read_plain`; any other file, and
+    any that numpy or :func:`_judge` refuses, by :func:`_read_rows`, which names the row.
+    Both feed the one judge, so which tokenizer runs changes the speed only."""
     text, plain = _read_text(path)
-    found = None
     if plain:
-        try:
-            found = _read_plain(path, text, names, calibrator)
-        except (ValueError, Warning):  # numpy's refusals, and the header's: left to be named
-            pass
-    return found or _read_rows(path, text, names, calibrator)
+        with suppress(ValueError, Warning):  # numpy's refusals and the judge's: to be named
+            return _judge(path, *_read_plain(path, text, names, calibrator))
+    return _read_rows(path, text, names, calibrator)
 
 
 def ingest_stream(
@@ -450,7 +449,10 @@ def ingest_stream(
     if calibrator == "vovk":
         evidence = vovk_p_to_e(evidence)
     elif calibrator == "conformal":
-        evidence = conformal_evalue(evidence, calibration)
+        try:
+            evidence = conformal_evalue(evidence, calibration)
+        except ValueError as exc:  # e.g. a zero test score when every calibration score is 0
+            raise ConfigError(f"{path}: {exc}") from None
     return evidence, _PAIRS[col, calibrator], truth
 
 
@@ -542,23 +544,6 @@ def _write_reports(reports) -> None:
             with suppress(OSError):
                 os.remove(path)
         raise
-
-
-def read_decisions(path: str) -> dict[str, np.ndarray]:
-    """Read back a decisions CSV into arrays (used for round-trip checks)."""
-    columns = {name: [] for name in DECISIONS_HEADER}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if tuple(reader.fieldnames or ()) != DECISIONS_HEADER:
-            raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
-        for row in reader:
-            for name in DECISIONS_HEADER:
-                columns[name].append(float(row[name]))
-    out = {name: np.asarray(vals) for name, vals in columns.items()}
-    out["index"] = out["index"].astype(int)
-    out["decision"] = out["decision"].astype(bool)
-    out["rejections"] = out["rejections"].astype(int)
-    return out
 
 
 # ---------------------------------------------------------------------------

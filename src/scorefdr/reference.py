@@ -13,58 +13,11 @@ intentionally quadratic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .procedures import OnlineProcedure, Trajectory
 from .schedules import weight_at
-
-
-@dataclass(frozen=True)
-class BoundScanReport:
-    """Result of scanning the decision-indicator bound over a grid."""
-
-    grid_step: float
-    y_max: float
-    n_points: int
-    n_violations: int
-    min_slack: float
-    equality_max_gap: float
-
-    @property
-    def passed(self) -> bool:
-        return self.n_violations == 0
-
-
-def bound_slack(y: float) -> float:
-    """Slack of the indicator bound at one point: ``(y - (y-1)_+) - I(y >= 1)``.
-
-    Non-negative for every y >= 0, and exactly zero for y >= 1, which is the
-    fact that makes the overshoot refundable.
-    """
-    if y < 0.0:
-        raise ValueError("y must be non-negative")
-    return (y - max(y - 1.0, 0.0)) - (1.0 if y >= 1.0 else 0.0)
-
-
-def bound_scan(grid_step: float = 1e-3, y_max: float = 10.0) -> BoundScanReport:
-    """Verify ``I(y >= 1) <= y - (y - 1)_+`` on a uniform grid of y values."""
-    if grid_step <= 0.0 or y_max <= 0.0:
-        raise ValueError("grid_step and y_max must be positive")
-    n_points = int(round(y_max / grid_step)) + 1
-    y = np.arange(n_points) * grid_step
-    indicator = (y >= 1.0).astype(float)
-    slack = (y - np.maximum(y - 1.0, 0.0)) - indicator
-    at_or_above_one = slack[y >= 1.0]
-    return BoundScanReport(
-        grid_step=grid_step,
-        y_max=y_max,
-        n_points=n_points,
-        n_violations=int(np.sum(slack < 0.0)),
-        min_slack=float(slack.min()),
-        equality_max_gap=float(np.abs(at_or_above_one).max()) if at_or_above_one.size else 0.0,
-    )
 
 
 def naive_trajectory(procedure: OnlineProcedure, evidence) -> Trajectory:

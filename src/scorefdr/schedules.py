@@ -155,4 +155,3 @@ def weight_at(schedule: Schedule, t: int, rejections: int) -> float:
 DEFAULT_GAMMA = Schedule.geometric(0.5)
 DEFAULT_OMEGA = Schedule.constant(0.05)
 DEFAULT_LAMBDA = Schedule.constant(0.5)
-DEFAULT_RAI = Schedule.rai(0.05, 0.5, 0.5)

@@ -1,8 +1,12 @@
-"""Shared stream generators and procedure builders for the test suite."""
+"""Stream generators, the procedure `build` helper and checks shared by the test suite."""
+
+import csv
+from dataclasses import dataclass
 
 import numpy as np
 
 import scorefdr as sf
+from scorefdr.cli import DECISIONS_HEADER
 
 GAMMA = sf.Schedule.geometric(0.5)
 OMEGA = sf.Schedule.constant(0.05)
@@ -39,3 +43,66 @@ def random_p_stream(rng, n, alt_prob=0.3):
 
 def evidence_for(pid, rng, n):
     return random_p_stream(rng, n) if pid.startswith("p-") else random_e_stream(rng, n)
+
+
+def read_decisions(path: str) -> dict[str, np.ndarray]:
+    """Read back a decisions CSV into arrays (used for round-trip checks)."""
+    columns = {name: [] for name in DECISIONS_HEADER}
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        if tuple(reader.fieldnames or ()) != DECISIONS_HEADER:
+            raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
+        for row in reader:
+            for name in DECISIONS_HEADER:
+                columns[name].append(float(row[name]))
+    out = {name: np.asarray(vals) for name, vals in columns.items()}
+    out["index"] = out["index"].astype(int)
+    out["decision"] = out["decision"].astype(bool)
+    out["rejections"] = out["rejections"].astype(int)
+    return out
+
+
+@dataclass(frozen=True)
+class BoundScanReport:
+    """Result of scanning the decision-indicator bound over a grid."""
+
+    grid_step: float
+    y_max: float
+    n_points: int
+    n_violations: int
+    min_slack: float
+    equality_max_gap: float
+
+    @property
+    def passed(self) -> bool:
+        return self.n_violations == 0
+
+
+def bound_slack(y: float) -> float:
+    """Slack of the indicator bound at one point: ``(y - (y-1)_+) - I(y >= 1)``.
+
+    Non-negative for every y >= 0, and exactly zero for y >= 1, which is the
+    fact that makes the overshoot refundable.
+    """
+    if y < 0.0:
+        raise ValueError("y must be non-negative")
+    return (y - max(y - 1.0, 0.0)) - (1.0 if y >= 1.0 else 0.0)
+
+
+def bound_scan(grid_step: float = 1e-3, y_max: float = 10.0) -> BoundScanReport:
+    """Verify ``I(y >= 1) <= y - (y - 1)_+`` on a uniform grid of y values."""
+    if grid_step <= 0.0 or y_max <= 0.0:
+        raise ValueError("grid_step and y_max must be positive")
+    n_points = int(round(y_max / grid_step)) + 1
+    y = np.arange(n_points) * grid_step
+    indicator = (y >= 1.0).astype(float)
+    slack = (y - np.maximum(y - 1.0, 0.0)) - indicator
+    at_or_above_one = slack[y >= 1.0]
+    return BoundScanReport(
+        grid_step=grid_step,
+        y_max=y_max,
+        n_points=n_points,
+        n_violations=int(np.sum(slack < 0.0)),
+        min_slack=float(slack.min()),
+        equality_max_gap=float(np.abs(at_or_above_one).max()) if at_or_above_one.size else 0.0,
+    )

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 
 import scorefdr as sf
-from scorefdr.cli import main, read_decisions
-from scorefdr.reference import bound_scan, naive_trajectory
-from helpers import LAMBDA, OMEGA, build, random_e_stream, random_p_stream
+from scorefdr.cli import main
+from scorefdr.reference import naive_trajectory
+from helpers import (LAMBDA, OMEGA, bound_scan, build, random_e_stream, random_p_stream,
+                     read_decisions)
 
 ALPHA = 0.05
 

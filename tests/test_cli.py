@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -25,13 +26,12 @@ from scorefdr.cli import (
     ingest_stream,
     main,
     parse_config,
-    read_decisions,
     read_raw_config,
 )
 from scorefdr._validation import check_checkpoints, check_count
 from scorefdr.reference import naive_trajectory
 from scorefdr.simulation import resolve_evidence
-from helpers import build, random_e_stream
+from helpers import build, random_e_stream, read_decisions
 
 
 class TestParseConfig:
@@ -340,6 +340,10 @@ def _ingest_stderr(capsys, *args) -> str:
     return capsys.readouterr().err
 
 
+#: A field one character longer than csv's default field size limit.
+_OVERSIZED = "x" * 131073
+
+
 def _conformal_args(tmp_path, cal):
     scores = _write_csv(tmp_path / "scores.csv", "score", ["1.0"])
     return ["--input", scores, "--calibrator", "conformal", "--calibration-scores", str(cal),
@@ -529,6 +533,34 @@ class TestReader:
     def test_check_order_within_a_row(self, tmp_path, row, message):
         path = _write_csv(tmp_path / "s.csv", "index,p,truth", [row])
         assert _ingest_error(path) == f"{path} row 2: {message}"
+
+    @pytest.mark.parametrize("rows, message", [
+        ([["p"], ["0.5"], ["abc"], [_OVERSIZED]], "row 3: p must be a number, got 'abc'"),
+        ([["p", "truth"], ["0.5", "1"], ["0.4", "yes"], ["0.3"]],
+         "row 3: truth must be 0 or 1, got 'yes'"),
+        ([["p", "truth"], ["0.5", "1"], ["1.5", "0"], ["0.3"]],
+         "row 4: expected 2 fields, got 1"),
+        ([["p"], ["0.5"], ["1.5"], [_OVERSIZED]],
+         "row 4: field larger than field limit (131072)"),
+        ([["p", "truth"], ["0.5", "1"], ["0.4", ""], ["0.3", "7"]],
+         "row 4: truth must be 0 or 1, got '7'"),
+        ([["p", "truth"], ["0.5", "1"], ["1.5", ""], ["0.3", "0"]],
+         "row 3: p must be a finite real in (0, 1], got 1.5"),
+        ([["index", "p"], ["1", "0.5"], ["3", "0.4"], ["3", _OVERSIZED]],
+         "row 3: index must run 1..T in file order; expected 2, got 3"),
+    ], ids=["parse-before-oversized", "truth-before-ragged", "ragged-before-range",
+            "oversized-before-range", "truth-before-blank", "range-before-blank",
+            "index-before-oversized"])
+    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL],
+                             ids=["as-written", "quoted"])
+    def test_check_order_across_rows(self, tmp_path, capsys, rows, message, quoting):
+        # per row in file order, an unsplittable row in its place; then the column's
+        # interval; then the blank-label rule
+        path = tmp_path / "s.csv"
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle, quoting=quoting, lineterminator="\n").writerows(rows)
+        assert _ingest_stderr(capsys, "--input", str(path), "--procedure", "p-lord") == (
+            f"error: {path} {message}\n")
 
     @pytest.mark.parametrize("header, rows, message", [
         ("p,truth", ["0.4", "0.3"], " row 2: expected 2 fields, got 1"),
@@ -825,6 +857,78 @@ def test_ingest_matches_dictreader(tmp_path, case):
         assert truth.tolist() == [row["truth"] == "1" for row in rows]
     else:
         assert truth is None
+
+
+def _insert(piece: bytes):
+    """A mutation that puts ``piece`` at a drawn position of the bytes."""
+    def mutate(draw, data: bytes) -> bytes:
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        return data[:at] + piece + data[at:]
+    return mutate
+
+
+def _inside_a_number(draw, data: bytes) -> bytes:
+    """``data`` with a ``_`` between two digits, or at its end when no two digits meet."""
+    spots = [i for i in range(1, len(data)) if data[i - 1:i + 1].isdigit()]
+    at = draw(st.sampled_from(spots)) if spots else len(data)
+    return data[:at] + b"_" + data[at:]
+
+
+#: The byte-level mutations of the ingest fuzz, each ``(draw, data) -> data``.
+_MUTATIONS = {
+    "truncate": lambda draw, data: data[:draw(st.integers(min_value=0, max_value=len(data)))],
+    "nul": _insert(b"\x00"),
+    "not-utf8": lambda draw, data: _insert(draw(st.sampled_from([b"\xe9", b"\xff", b"\xc3"])))(
+        draw, data),
+    "bom": lambda draw, data: b"\xef\xbb\xbf" + data,
+    "cr-only": lambda draw, data: data.replace(b"\r\n", b"\n").replace(b"\n", b"\r"),
+    "quote": _insert(b'"'),
+    "underscore": _inside_a_number,
+    "oversized": _insert(_OVERSIZED.encode()),
+}
+
+
+@st.composite
+def _fuzzed_ingest(draw):
+    """``(input bytes, calibration bytes, calibrator, procedure)``: a few-row evidence file
+    and a calibration file, well formed, then 1-4 mutations spread over the two."""
+    col, calibrator, procedure = draw(st.sampled_from([
+        ("p", "none", "p-lord"), ("p", "vovk", "e-lord"), ("e", "none", "e-lord"),
+        ("score", "conformal", "score-lord")]))
+    columns = {name: fields[:3] for name, fields in _columns(draw, col).items()}
+    scores = {name: fields[:3] for name, fields in _columns(draw, "score").items()}
+    files = [_csv_text(draw, columns)[0].encode(), _csv_text(draw, scores)[0].encode()]
+    for name in draw(st.lists(st.sampled_from(sorted(_MUTATIONS)), min_size=1, max_size=4)):
+        target = draw(st.integers(min_value=0, max_value=1))
+        files[target] = _MUTATIONS[name](draw, files[target])
+    return files[0], files[1], calibrator, procedure
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=_fuzzed_ingest(), metrics=st.booleans())
+@example(case=(b"score\r0.0\r0.0\r", b"score\n0.0\n", "conformal", "score-lord"), metrics=False)
+def test_ingest_fuzz_exits_0_or_2_with_one_located_line(tmp_path_factory, case, metrics):
+    data, scores, calibrator, procedure = case
+    folder = tmp_path_factory.mktemp("fuzz")
+    stream, cal = folder / "in.csv", folder / "cal.csv"
+    stream.write_bytes(data)
+    cal.write_bytes(scores)
+    outputs = [folder / "d.csv"] + ([folder / "m.csv"] if metrics else [])
+    argv = ["ingest", "--input", str(stream), "--calibrator", calibrator, "--procedure",
+            procedure, "--calibration-scores", str(cal), "--decisions-out", str(outputs[0])]
+    if metrics:
+        argv += ["--metrics-out", str(outputs[1])]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    err = err.getvalue()
+    if rc == 0:
+        assert all(path.exists() for path in outputs)
+    else:
+        assert rc == 2 and not any(path.exists() for path in outputs)
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert str(stream) in err or str(cal) in err
 
 
 class TestReports:
@@ -1414,6 +1518,14 @@ class TestErrorBytes:
         cal = _write_csv(tmp_path / "c.csv", header, rows)
         err = _ingest_stderr(capsys, *_conformal_args(tmp_path, cal))
         assert err == f"error: {cal}: {message}\n"
+
+    def test_zero_scores_name_the_input(self, tmp_path, capsys):
+        stream = _write_csv(tmp_path / "in.csv", "score", ["1.0", "0"])
+        cal = _write_csv(tmp_path / "c.csv", "score", ["0", "0.0"])
+        err = _ingest_stderr(capsys, "--input", stream, "--calibrator", "conformal",
+                             "--calibration-scores", cal, "--procedure", "score-lord")
+        assert err == (f"error: {stream}: degenerate conformal denominator: all calibration "
+                       f"and test scores are zero\n")
 
     def test_negative_score_evidence(self, tmp_path, capsys):
         stream = _write_csv(tmp_path / "in.csv", "score,truth", ["0.4,0", "-35,1", "1.2,0"])

@@ -13,3 +13,10 @@ def test_every_exported_name_resolves_once():
 def test_retired_aliases_are_gone(name):
     # each computation has one entry point: weight_at for schedules, scipy.special for ndtr/ndtri
     assert not hasattr(sf, name)
+
+
+@pytest.mark.parametrize("name", ["DEFAULT_RAI", "BoundScanReport", "bound_scan", "bound_slack"])
+def test_test_only_names_are_gone(name):
+    # the package holds what runs: the bound scan lives in the tests, and no default
+    # schedule is kept that nothing reads
+    assert not hasattr(sf, name) and name not in sf.__all__

@@ -7,14 +7,8 @@ import pytest
 
 import scorefdr as sf
 from scorefdr.cli import ingest_stream
-from scorefdr.reference import (
-    _scaled_gap,
-    bound_scan,
-    bound_slack,
-    naive_trajectory,
-    trace_divergence,
-)
-from helpers import OMEGA, build, evidence_for
+from scorefdr.reference import _scaled_gap, naive_trajectory, trace_divergence
+from helpers import OMEGA, bound_scan, bound_slack, build, evidence_for
 
 DATA = Path(__file__).parent / "data"
 
