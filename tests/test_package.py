@@ -9,14 +9,9 @@ def test_every_exported_name_resolves_once():
         assert getattr(sf, name) is not None, name
 
 
-@pytest.mark.parametrize("name", ["gamma_at", "rai_omega", "normal_cdf", "normal_ppf"])
+@pytest.mark.parametrize("name", ["gamma_at", "rai_omega", "normal_cdf", "normal_ppf",
+                                  "DEFAULT_RAI", "BoundScanReport", "bound_scan", "bound_slack"])
 def test_retired_aliases_are_gone(name):
-    # each computation has one entry point: weight_at for schedules, scipy.special for ndtr/ndtri
+    # each computation has one entry point: weight_at for schedules, scipy.special for ndtr/ndtri;
+    # and the package holds what runs: the bound scan lives in the tests
     assert not hasattr(sf, name)
-
-
-@pytest.mark.parametrize("name", ["DEFAULT_RAI", "BoundScanReport", "bound_scan", "bound_slack"])
-def test_test_only_names_are_gone(name):
-    # the package holds what runs: the bound scan lives in the tests, and no default
-    # schedule is kept that nothing reads
-    assert not hasattr(sf, name) and name not in sf.__all__
