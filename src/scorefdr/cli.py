@@ -368,10 +368,11 @@ def _judge(path: str, col: str, columns: dict, stop: str | None = None):
     return col, column, ones
 
 
-def _read_rows(path: str, text: str, names: tuple[str, ...], calibrator: str | None):
-    """:func:`_read_column`'s result for ``text``, the contents of ``path``, split into rows
-    by ``csv.reader``: the tokenizer that names each refusal's file line.  A row of another
-    length than the header, or one csv refuses, ends the data rows."""
+def _tokenize_rows(path: str, text: str, names: tuple[str, ...], calibrator: str | None):
+    """``(col, columns, lines, stop)`` of ``text``, the contents of ``path``, split into
+    rows by ``csv.reader``: :func:`_judge`'s ``col``, ``columns`` and ``stop``, and the
+    file line of each data row, then of the row ``stop`` refuses.  A row of another length
+    than the header, or one csv refuses, ends the data rows."""
     reader = csv.reader(io.StringIO(text, newline=""))
     header, col = _header(path, reader, names, calibrator)
     rows, lines, stop, width = [], [], None, len(header)
@@ -388,6 +389,13 @@ def _read_rows(path: str, text: str, names: tuple[str, ...], calibrator: str | N
                if name in (col, "index", "truth")}
     if "truth" in columns:  # not a str array, which drops a last NUL
         columns["truth"] = np.array(columns["truth"], dtype=object)
+    return col, columns, lines, stop
+
+
+def _read_rows(path: str, text: str, names: tuple[str, ...], calibrator: str | None):
+    """:func:`_read_column`'s result for ``text``, the contents of ``path``, split into rows
+    by :func:`_tokenize_rows`: the tokenizer that names each refusal's file line."""
+    col, columns, lines, stop = _tokenize_rows(path, text, names, calibrator)
     try:
         return _judge(path, col, columns, stop)
     except EntryError as exc:
@@ -432,6 +440,16 @@ def _read_column(path: str, names: tuple[str, ...], calibrator: str | None = Non
     return _read_rows(path, text, names, calibrator)
 
 
+class _ZeroScore(ConfigError):
+    """A test score of 0, at ``place``, when every calibration score is 0 too, so that
+    its conformal e-value has a zero denominator."""
+
+    def __init__(self, place: str, calibration: str = "calibration score"):
+        super().__init__(f"{place}: degenerate conformal denominator: the score is 0, "
+                         f"and so is every {calibration}")
+        self.place = place
+
+
 def ingest_stream(
     path: str,
     calibrator: str = "none",
@@ -451,8 +469,14 @@ def ingest_stream(
     elif calibrator == "conformal":
         try:
             evidence = conformal_evalue(evidence, calibration)
-        except ValueError as exc:  # e.g. a zero test score when every calibration score is 0
-            raise ConfigError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            zero = evidence == 0.0
+            if not isinstance(calibration, CalibrationSet) or not zero.any():
+                raise ConfigError(f"{path}: {exc}") from None
+            # every calibration score is 0, and so is a test score: tokenize the file
+            # again, only here, for the line of the first one
+            lines = _tokenize_rows(path, _read_text(path)[0], tuple(_COLUMNS), calibrator)[2]
+            raise _ZeroScore(f"{path} row {lines[int(zero.argmax())]}") from None
     return evidence, _PAIRS[col, calibrator], truth
 
 
@@ -461,7 +485,10 @@ def _load_stream(cfg: RunConfig, procedure: OnlineProcedure):
     calibration = None
     if cfg.calibrator == "conformal":
         calibration = CalibrationSet(_read_column(cfg.calibration_scores, ("score",))[1])
-    evidence, kind, truth = ingest_stream(cfg.input, cfg.calibrator, calibration)
+    try:
+        evidence, kind, truth = ingest_stream(cfg.input, cfg.calibrator, calibration)
+    except _ZeroScore as exc:  # named here by the file that holds the calibration scores
+        raise _ZeroScore(exc.place, f"score in {cfg.calibration_scores}") from None
     check_kind(procedure, kind, f"calibrator={cfg.calibrator} on {cfg.input}")
     return evidence, truth
 

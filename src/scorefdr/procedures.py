@@ -24,7 +24,8 @@ p-saffron             saffron     raw     global       p
 ====================  ==========  ======  ===========  ========
 
 The recurrence is written once, in the engine's kernel ``_run``.  ``fit``
-and ``partial_fit`` hand it a whole evidence array and ``step`` a single
+and ``partial_fit`` hand it ``_CHUNK`` evidence values per call, so that
+only that much of their input is ever a Python list, and ``step`` a single
 value.  Each step ends by computing the budget of the step after it, which
 stays behind as held state until that step spends it, so ``next_alpha()``
 reads a value and computes nothing.
@@ -40,6 +41,14 @@ the first this way.  There ``decision_``, ``rejections_`` and
 and ``trajectory()`` raise a ``ValueError`` naming themselves.  Decisions,
 warnings and errors are the same under both policies.
 
+Each kept column is a list that the kernel appends to once per step.  For
+the four float columns that list is only a write buffer: once it holds
+``_CHUNK`` steps, the kernel packs it onto the end of the column's
+``bytearray`` of C doubles and empties it, so a long stream keeps 8 bytes
+per float rather than a Python float object.  A view reads a float column
+as its packed bytes followed by its list.  The decisions and labels stay
+lists, of pointers to the shared ``True``, ``False`` and ``None``.
+
 The classes follow the familiar estimator protocol: construct with
 parameters, ``fit(X)`` on a full evidence array (or ``partial_fit`` to
 stream), then read per-step results from trailing-underscore attributes.
@@ -50,6 +59,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 from functools import cache
@@ -67,6 +77,10 @@ WEALTH_UNDERFLOW_TOL = -1e-12
 
 #: Kernel input holding no evidence: ``reset`` runs it to compute the first budget.
 _NO_EVIDENCE = (None,)
+#: Steps the float columns of the history hold as Python floats before the
+#: kernel packs them into their bytes; also the most values that ``fit`` and
+#: ``partial_fit`` hand the kernel in one call.
+_CHUNK = 4096
 #: Builds a StepResult from a plain tuple in C, skipping the NamedTuple's
 #: Python-level constructor on the per-step path.
 _new_row = tuple.__new__
@@ -122,9 +136,16 @@ def _not_kept(view: str):
                      "fit, partial_fit and step record every column")
 
 
-def _floats(values: list) -> np.ndarray:
-    """A list of floats as a float array, converted element by element in C."""
-    return np.fromiter(values, float, len(values))
+def _floats(packed: bytearray, values: list) -> np.ndarray:
+    """A float column as a float array: its packed doubles, then its floats not
+    yet packed, copied so that the array owns its memory."""
+    return np.frombuffer(packed + struct.pack(f"{len(values)}d", *values)).copy()
+
+
+def _nothing_packed() -> tuple:
+    """The packed doubles of each history column, none yet: a ``bytearray`` for
+    each float column and ``None`` for the decisions and the labels."""
+    return (bytearray(), None, bytearray(), bytearray(), bytearray(), None)
 
 
 def _bools(values: list) -> np.ndarray:
@@ -134,14 +155,15 @@ def _bools(values: list) -> np.ndarray:
     return np.frombuffer(bytes(values), bool).copy()
 
 
-def _view(column: int, convert, name: str) -> property:
-    """A fitted view: one per-step list of the history as an array, refused by
+def _view(column: int, name: str) -> property:
+    """A fitted view: one column of the history as an array, refused by
     ``name`` when the history policy did not keep it."""
     def view(self):
         values = self._history[column]
         if values is None:
             _not_kept(name)
-        return convert(values)
+        packed = self._packed[column]
+        return _bools(values) if packed is None else _floats(packed, values)
     return property(view)
 
 
@@ -161,7 +183,9 @@ class OnlineProcedure:
       the ``alpha_t >= 1`` warning has fired;
     * the upcoming step's budget, which ``next_alpha()`` returns;
     * the history, one list per recorded column, ``None`` for a column the
-      history policy does not keep.
+      history policy does not keep, and the packed doubles of its float
+      columns, one ``bytearray`` each (``None`` for the others): the steps
+      of a float column are its bytes followed by its list.
 
     The kernel ``_run`` reads the rule and the state into locals once per
     call and writes the state back once, also when a step raises, so the
@@ -227,9 +251,15 @@ class OnlineProcedure:
         self._state = (0, 0, alpha, 0.0, 0.0, 0.0, False)
         # alpha, decision, overshoot, cost, fdp_hat and truth of every step
         self._history = ([], [], [], [], [], [])
+        self._packed = _nothing_packed()
         self._budget = 0.0
         self._run(_NO_EVIDENCE, ())
         return self
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if "_packed" not in state:  # pickled before the history was packed: all in its lists
+            self._packed = _nothing_packed()
 
     def _schedule(self, name: str):
         """Schedule ``name`` for the kernel: ``(value, None)`` when it is constant,
@@ -352,9 +382,18 @@ class OnlineProcedure:
         finally:
             self._state = (t, rej, pot, charged, fdp, lam, warned)
             self._budget = alpha_t
+        if keep_all and len(alphas) >= _CHUNK:
+            self._pack()
         if t != start:
             return _new_row(StepResult, (spent, decision, over, cost, rb, fdp))
         return None
+
+    def _pack(self):
+        """Append each float column's list to its packed doubles and empty it."""
+        for packed, values in zip(self._packed, self._history):
+            if packed is not None:
+                packed += struct.pack(f"{len(values)}d", *values)
+                values.clear()
 
     # -- the estimator protocol ------------------------------------------------
 
@@ -377,14 +416,21 @@ class OnlineProcedure:
             value = check_evidence(observation, kind, "evidence")
         return self._run((value,), (truth,))
 
-    def _stream(self, X, y):
-        """``X`` and ``y`` validated, as the kernel's value and label lists."""
+    def _chunks(self, X, y):
+        """``X`` and ``y``, validated before the first chunk, as the kernel's value
+        and label lists of at most ``_CHUNK`` steps each.  The caller runs the
+        kernel itself, so that a warning names the caller's caller."""
         X = check_evidence(X, self.evidence_kind, "X", ndim=1)
-        return X.tolist(), [None] * len(X) if y is None else check_truth(y, "y", len(X))
+        y = None if y is None else check_truth(y, "y", len(X))
+        chunk = _CHUNK
+        for lo in range(0, len(X), chunk):
+            values = X[lo:lo + chunk].tolist()
+            yield values, [None] * len(values) if y is None else y[lo:lo + chunk]
 
     def partial_fit(self, X, y=None):
         """Consume more of the evidence stream without resetting state."""
-        self._run(*self._stream(X, y))
+        for values, labels in self._chunks(X, y):
+            self._run(values, labels)
         return self
 
     def fit(self, X, y=None):
@@ -399,7 +445,8 @@ class OnlineProcedure:
             Ground-truth non-null indicators, kept for metric evaluation.
         """
         self.reset()
-        self._run(*self._stream(X, y))
+        for values, labels in self._chunks(X, y):
+            self._run(values, labels)
         return self
 
     def _fit_decisions(self, X):
@@ -408,7 +455,8 @@ class OnlineProcedure:
         other views refuse until the next ``fit`` or ``reset``."""
         self.reset()
         self._history = (None, [], None, None, None, [])  # no labels: the truth list stays empty
-        self._run(check_evidence(X, self.evidence_kind, "X", ndim=1).tolist(), ())
+        for values, _ in self._chunks(X, None):
+            self._run(values, ())
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -417,11 +465,11 @@ class OnlineProcedure:
 
     # -- fitted views ----------------------------------------------------------
 
-    alpha_ = _view(0, _floats, "alpha_")
-    decision_ = _view(1, _bools, "decision_")
-    overshoot_ = _view(2, _floats, "overshoot_")
-    cost_ = _view(3, _floats, "cost_")
-    fdp_hat_ = _view(4, _floats, "fdp_hat_")
+    alpha_ = _view(0, "alpha_")
+    decision_ = _view(1, "decision_")
+    overshoot_ = _view(2, "overshoot_")
+    cost_ = _view(3, "cost_")
+    fdp_hat_ = _view(4, "fdp_hat_")
 
     @property
     def rejections_(self) -> np.ndarray:
@@ -438,18 +486,18 @@ class OnlineProcedure:
         fdps = self._history[4]
         if fdps is None:
             _not_kept("wealth_")
-        return self._wealth(_floats(fdps))
+        return self._wealth(_floats(self._packed[4], fdps))
 
     def _wealth(self, fdp_hat: np.ndarray) -> np.ndarray:
         lond, alpha = self._rule[0], self._rule[-1]
         return np.full(len(fdp_hat), math.nan) if lond else alpha - fdp_hat
 
     def trajectory(self) -> Trajectory:
-        alphas, decisions, overshoots, costs, fdps, truths = self._history
-        if alphas is None:
+        if self._history[0] is None:
             _not_kept("trajectory()")
-        decision = _bools(decisions)
-        fdp_hat = _floats(fdps)
+        decision = self.decision_
+        fdp_hat = self.fdp_hat_
+        truths = self._history[5]
         truth = None
         if truths:
             try:
@@ -457,10 +505,10 @@ class OnlineProcedure:
             except TypeError:  # a step without a label
                 pass
         return Trajectory(
-            alpha=_floats(alphas),
+            alpha=self.alpha_,
             decision=decision,
-            overshoot=_floats(overshoots),
-            cost=_floats(costs),
+            overshoot=self.overshoot_,
+            cost=self.cost_,
             rejections=np.cumsum(decision),
             fdp_hat=fdp_hat,
             wealth=self._wealth(fdp_hat),

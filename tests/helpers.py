@@ -1,9 +1,11 @@
 """Stream generators, the procedure `build` helper and checks shared by the test suite."""
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
 import scorefdr as sf
 from scorefdr.cli import DECISIONS_HEADER
@@ -14,6 +16,21 @@ LAMBDA = sf.Schedule.constant(0.5)
 
 E_PROCEDURE_IDS = tuple(pid for pid in sf.PROCEDURE_IDS if not pid.startswith("p-"))
 P_PROCEDURE_IDS = tuple(pid for pid in sf.PROCEDURE_IDS if pid.startswith("p-"))
+
+
+#: Sizes of ``scorefdr.procedures._CHUNK`` that the history tests also run
+#: under, small enough that their short streams pack; None keeps the default.
+CHUNKS = (None, 1, 2, 7)
+
+
+@contextmanager
+def chunk_size(chunk):
+    """Inside the block, the kernel packs its float columns every ``chunk``
+    steps (None: every ``_CHUNK`` steps, the default)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(sf.procedures, "_CHUNK", chunk)
+        yield
 
 
 def build(pid, alpha=0.05, omega=OMEGA, lam=LAMBDA, gamma=GAMMA):

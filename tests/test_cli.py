@@ -1519,13 +1519,32 @@ class TestErrorBytes:
         err = _ingest_stderr(capsys, *_conformal_args(tmp_path, cal))
         assert err == f"error: {cal}: {message}\n"
 
-    def test_zero_scores_name_the_input(self, tmp_path, capsys):
-        stream = _write_csv(tmp_path / "in.csv", "score", ["1.0", "0"])
+    @pytest.mark.parametrize("end", ["\n", "\r"], ids=["plain", "cr-only"])
+    def test_zero_scores_name_the_input(self, tmp_path, capsys, end):
+        # line 3 is blank, and line 4 holds the first zero score
+        stream = tmp_path / "in.csv"
+        stream.write_text(end.join(["score", "1.0", "", "0", "0.0", ""]), newline="")
         cal = _write_csv(tmp_path / "c.csv", "score", ["0", "0.0"])
-        err = _ingest_stderr(capsys, "--input", stream, "--calibrator", "conformal",
+        err = _ingest_stderr(capsys, "--input", str(stream), "--calibrator", "conformal",
                              "--calibration-scores", cal, "--procedure", "score-lord")
-        assert err == (f"error: {stream}: degenerate conformal denominator: all calibration "
-                       f"and test scores are zero\n")
+        assert err == (f"error: {stream} row 4: degenerate conformal denominator: the score "
+                       f"is 0, and so is every score in {cal}\n")
+        with pytest.raises(ConfigError) as caught:
+            ingest_stream(str(stream), "conformal", sf.CalibrationSet([0.0]))
+        assert str(caught.value) == (f"{stream} row 4: degenerate conformal denominator: "
+                                     "the score is 0, and so is every calibration score")
+
+    def test_only_a_zero_score_refusal_tokenizes_again(self, tmp_path, monkeypatch):
+        calls = []
+        tokenize = cli._tokenize_rows
+        monkeypatch.setattr(cli, "_tokenize_rows", lambda *args: calls.append(args) or
+                            tokenize(*args))
+        stream = _write_csv(tmp_path / "in.csv", "score", ["1.0", "0"])
+        ingest_stream(stream, "conformal", sf.CalibrationSet([0.5]))
+        assert calls == []  # a plain file, accepted: read once, by numpy
+        with pytest.raises(ConfigError, match="row 3: degenerate"):
+            ingest_stream(stream, "conformal", sf.CalibrationSet([0.0]))
+        assert len(calls) == 1
 
     def test_negative_score_evidence(self, tmp_path, capsys):
         stream = _write_csv(tmp_path / "in.csv", "score,truth", ["0.4,0", "-35,1", "1.2,0"])

@@ -4,7 +4,8 @@ Every procedure holds the budget of its upcoming step between calls.  A
 stream cut at random into ``partial_fit`` chunks (empty ones included) and
 single ``step()`` calls, pickled and restored between pieces, must give the
 same bytes as one ``fit`` in every ``Trajectory`` field, and ``next_alpha()``
-must return, bit for bit, the ``alpha`` that the next step then spends.
+must return, bit for bit, the ``alpha`` that the next step then spends,
+also when the kernel packs its history every few steps.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scorefdr as sf
+from helpers import CHUNKS, chunk_size
 # The same procedures, schedule kinds and evidence as the resume tests.
 from test_resume import E_VALUES, P_VALUES, SCHEDULES, _cases
 
@@ -31,10 +33,11 @@ def _fields(proc) -> dict:
     return {name: None if a is None else (a.dtype.str, a.tobytes()) for name, a in arrays.items()}
 
 
+@pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("pid, kinds", list(_cases()))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_split_stream_equals_one_fit(pid, kinds, data):
+def test_split_stream_equals_one_fit(pid, kinds, chunk, data):
     cls = sf.PROCEDURES[pid]
     params = {name: data.draw(SCHEDULES[kind], label=name) for name, kind in kinds.items()}
     params["alpha"] = data.draw(st.floats(0.01, 0.5), label="alpha")
@@ -52,7 +55,7 @@ def test_split_stream_equals_one_fit(pid, kinds, data):
         taken += pieces[-1][1]
     pieces.append(("chunk", 0))
 
-    with warnings.catch_warnings(record=True) as caught:
+    with chunk_size(chunk), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         whole = cls(**params).fit(X, y)
         n_warnings = len(caught)

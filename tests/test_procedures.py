@@ -493,15 +493,19 @@ def test_large_alpha_warning_names_the_caller(entry):
     assert caught[0].filename == __file__
 
 
-def test_state_matches_history_when_a_step_raises():
-    # With warnings as errors the alpha_t >= 1 step raises after it is
-    # recorded; counters, labels and the held budget still agree with a
-    # clean run of the same steps.
+@pytest.mark.parametrize("chunk", [None, 64, 1])
+def test_state_matches_history_when_a_step_raises(chunk, monkeypatch):
+    # With warnings as errors the alpha_t >= 1 step (step 401) raises after
+    # it is recorded; counters, labels and the held budget still agree with
+    # a clean run of the same steps, also when the history was packed
+    # before the raise.
     stream = np.full(450, 1e9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         clean = sf.ScorePlusLord().fit(stream, np.ones(450, bool))
     first = int(np.argmax(clean.alpha_ >= 1.0))
+    if chunk is not None:
+        monkeypatch.setattr(sf.procedures, "_CHUNK", chunk)
     proc = sf.ScorePlusLord()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

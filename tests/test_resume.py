@@ -3,7 +3,8 @@
 For every procedure, every schedule kind each of its schedules accepts and
 every split point ``0 <= k <= T``, a run saved after ``X[:k]`` (by pickle or
 ``copy.deepcopy``) and continued on ``X[k:]`` must reproduce ``fit(X)``
-exactly, through ``partial_fit`` and through per-event ``step()``.
+exactly, through ``partial_fit`` and through per-event ``step()``, also
+when the kernel packs its history every few steps.
 """
 
 import copy
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scorefdr as sf
+from helpers import CHUNKS, chunk_size
 
 UNIT = st.floats(0.01, 0.99)
 SCHEDULES = {
@@ -57,10 +59,11 @@ def _steps(proc, X, y, start):
     return proc
 
 
+@pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("pid, kinds", list(_cases()))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_resume_bit_for_bit(pid, kinds, data):
+def test_resume_bit_for_bit(pid, kinds, chunk, data):
     cls = sf.PROCEDURES[pid]
     params = {name: data.draw(SCHEDULES[kind], label=name) for name, kind in kinds.items()}
     params["alpha"] = data.draw(st.floats(0.01, 0.5), label="alpha")
@@ -69,7 +72,7 @@ def test_resume_bit_for_bit(pid, kinds, data):
     y = np.asarray(data.draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X))),
                    dtype=bool)
 
-    with warnings.catch_warnings(record=True) as caught:
+    with chunk_size(chunk), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         whole = _state(cls(**params).fit(X, y))
         n_warnings = len(caught)
@@ -91,3 +94,12 @@ def test_unfitted_pickles(pid):
     assert repr(restored) == repr(proc)
     X = np.linspace(0.01, 1.0, 50) if proc.evidence_kind == "p" else np.geomspace(0.1, 1e4, 50)
     assert _state(restored.fit(X)) == _state(proc.fit(X))
+
+
+def test_a_pickle_from_before_the_packed_history_resumes():
+    # Such a pickle has no packed bytes: its history holds every float in lists.
+    X = np.geomspace(0.1, 1e4, 2 * sf.procedures._CHUNK)
+    head = sf.ScoreLord().fit(X[:100])
+    del head._packed
+    resumed = pickle.loads(pickle.dumps(head)).partial_fit(X[100:])
+    assert _state(resumed) == _state(sf.ScoreLord().fit(X))
