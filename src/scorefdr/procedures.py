@@ -30,6 +30,14 @@ value.  Each step ends by computing the budget of the step after it, which
 stays behind as held state until that step spends it, so ``next_alpha()``
 reads a value and computes nothing.
 
+A varying schedule (geometric, rai) is read from its table, the kind's
+scalar terms filled by its own formula (see :mod:`scorefdr.schedules`),
+not by calling the formula each step.  The kernel grows a table before a
+call that could read past its end, never past where its terms stop
+changing.  Each procedure keeps its own tables in its rule, across
+``reset()`` while the schedule is the same object; a pickle leaves them
+out, and loading rebuilds them from the parameters.
+
 The kernel records each step's row under one history policy, held with the
 history and read once per kernel call.  Under "all", which ``reset()`` (and
 so ``fit``) sets, every column is kept: ``alpha``, ``decision``,
@@ -69,7 +77,8 @@ import numpy as np
 
 from ._validation import check_evidence, check_kind, check_real, check_truth
 from .core import Observation
-from .schedules import DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA, Schedule, check_gamma
+from .schedules import (_RAI_WEIGHT_MAX, DEFAULT_GAMMA, DEFAULT_LAMBDA, DEFAULT_OMEGA,
+                        RAI_WEIGHT_MIN, Schedule, _Table, check_gamma)
 
 #: Tolerance below which a wealth value is treated as an implementation bug
 #: rather than rounding noise; the update rules guarantee non-negativity.
@@ -175,8 +184,10 @@ class OnlineProcedure:
     the schedules that rule reads.  ``reset()`` holds four things:
 
     * the rule, one tuple: the four choices, each schedule as its value
-      when it is constant or else its bound formula, and the validated
-      float ``alpha``;
+      when it is constant or else its table (see
+      :mod:`scorefdr.schedules`), and the validated float ``alpha``.  The
+      tables outlive ``reset()`` while the schedule is the same object, and
+      are left out of a pickle and rebuilt from the parameters;
     * the stream state, one tuple: the step count ``t_``, the rejection
       count ``n_rejections_``, LOND's pot, the global charge sum,
       ``fdp_hat``, SAFFRON's ``lambda`` for the upcoming step and whether
@@ -239,12 +250,8 @@ class OnlineProcedure:
 
     def reset(self):
         """Discard all stream state; parameters are revalidated."""
-        alpha = check_real(self.alpha, "alpha", 0.0, 1.0)
-        lond = self.allocation == "lond"
-        saffron = self.allocation == "saffron"
-        self._rule = (lond, saffron, self.refund, self.global_denominator, self.evidence_kind,
-                      *self._schedule("gamma" if lond else "omega"),
-                      *(self._schedule("lam") if saffron else (None, None)), alpha)
+        self._rule = self._make_rule()
+        alpha = self._rule[-1]
         # t, R_t, LOND's pot (alpha plus the banked refunds
         # sum_j min(O_j, alpha_j) / (R_{j-1} + 1)), the sum of charges under the
         # global denominator, fdp_hat, the upcoming lambda, warned
@@ -256,19 +263,41 @@ class OnlineProcedure:
         self._run(_NO_EVIDENCE, ())
         return self
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_rule"]  # its tables are rebuilt on loading
+        return state
+
     def __setstate__(self, state):
-        self.__dict__.update(state)
+        self.__dict__.update(state)  # a pickle from before the tables holds a rule: replaced
+        self._rule = self._make_rule()
         if "_packed" not in state:  # pickled before the history was packed: all in its lists
             self._packed = _nothing_packed()
 
-    def _schedule(self, name: str):
+    def _make_rule(self) -> tuple:
+        """The rule tuple, from the parameters, each revalidated."""
+        alpha = check_real(self.alpha, "alpha", 0.0, 1.0)
+        lond = self.allocation == "lond"
+        saffron = self.allocation == "saffron"
+        return (lond, saffron, self.refund, self.global_denominator, self.evidence_kind,
+                *self._schedule("gamma" if lond else "omega", 6),
+                *(self._schedule("lam", 8) if saffron else (None, None)), alpha)
+
+    def _schedule(self, name: str, slot: int):
         """Schedule ``name`` for the kernel: ``(value, None)`` when it is constant,
-        else ``(None, formula)``; a gamma must be summable."""
+        else ``(None, table)``, the table at ``slot`` of the current rule while it
+        tabulates this schedule object; a gamma must be summable."""
         schedule = getattr(self, name)
         if not isinstance(schedule, Schedule):
             raise ValueError(f"{name} must be a Schedule, got {schedule!r}")
         value = (check_gamma(schedule) if name == "gamma" else schedule).fixed()
-        return (value, None) if value is not None else (None, schedule.formula())
+        if value is not None:
+            return value, None
+        rule = getattr(self, "_rule", None)
+        table = rule[slot] if rule else None
+        if not (isinstance(table, _Table) and table.schedule is schedule):
+            table = _Table(schedule)
+        return None, table
 
     @property
     def t_(self) -> int:
@@ -296,9 +325,19 @@ class OnlineProcedure:
         was taken.
         """
         alpha_t = self.next_alpha()
-        lond, saffron, refund, glob, kind, weight_c, weight_at, lam_c, lam_at, alpha = self._rule
+        lond, saffron, refund, glob, kind, weight_c, weights, lam_c, lams, alpha = self._rule
         e_kind = kind == "e"
         t, rej, pot, charged, fdp, lam, warned = self._state
+        # A varying schedule's tables, grown first if this call could read past
+        # their ends, as (head, ups, n_ups, last_up, downs, n_downs, last_down).
+        if weights is not None:
+            if t + len(values) >= weights.limit:
+                weights.grow(t + len(values))
+            w_head, w_ups, w_n_ups, w_last_up, w_downs, w_n_downs, w_last_down = weights.view
+        if lams is not None:
+            if t + len(values) >= lams.limit:
+                lams.grow(t + len(values))
+            l_head, l_ups, l_n_ups, l_last_up, l_downs, l_n_downs, l_last_down = lams.view
         alphas, decisions, overshoots, costs, fdps, truths = self._history
         keep_all = alphas is not None  # the history policy: "all", else "decisions"
         start = t
@@ -316,7 +355,9 @@ class OnlineProcedure:
                         decision = alpha_t > 0.0 and evidence <= alpha_t
                         over = 0.0
                     if saffron:
-                        if evidence >= 1.0 / lam if e_kind else evidence <= lam:
+                        # lam = 0.0, where a geometric lambda underflows, makes
+                        # no e-value a candidate
+                        if (lam > 0.0 and evidence >= 1.0 / lam) if e_kind else evidence <= lam:
                             # A candidate is free under both costs, even where
                             # 1 - lam * e rounds above 0 at e = fl(1 / lam): the
                             # continuous penalty is <= 0 here.
@@ -350,13 +391,37 @@ class OnlineProcedure:
                         costs.append(cost)
                         fdps.append(fdp)
                     spent = alpha_t
-                # The budget of step t + 1, held until that step spends it.
-                weight = weight_c if weight_at is None else weight_at(t + 1, rej)
+                # The budget of step t + 1, held until that step spends it.  A
+                # table read by step alone holds the value at t + 1 at index t; a
+                # rai table is read as schedules._rai, past the same sums.
+                if weights is None:
+                    weight = weight_c
+                elif w_downs is None:
+                    weight = w_ups[t] if t < w_n_ups else w_last_up
+                else:
+                    q = t - rej
+                    up = w_ups[q] if q < w_n_ups else w_last_up
+                    down = w_downs[rej] if rej < w_n_downs else w_last_down
+                    weight = w_head + w_head * (up - down)
+                    if t:  # clamped from step 2 on
+                        weight = RAI_WEIGHT_MIN if weight < RAI_WEIGHT_MIN else (
+                            _RAI_WEIGHT_MAX if weight > _RAI_WEIGHT_MAX else weight)
                 if lond:
                     alpha_t = weight * (rej + 1.0) * pot
                 else:
                     if saffron:
-                        lam = lam_c if lam_at is None else lam_at(t + 1, rej)
+                        if lams is None:
+                            lam = lam_c
+                        elif l_downs is None:
+                            lam = l_ups[t] if t < l_n_ups else l_last_up
+                        else:
+                            q = t - rej
+                            up = l_ups[q] if q < l_n_ups else l_last_up
+                            down = l_downs[rej] if rej < l_n_downs else l_last_down
+                            lam = l_head + l_head * (up - down)
+                            if t:
+                                lam = RAI_WEIGHT_MIN if lam < RAI_WEIGHT_MIN else (
+                                    _RAI_WEIGHT_MAX if lam > _RAI_WEIGHT_MAX else lam)
                         weight *= 1.0 - lam
                     wealth = alpha - fdp
                     if wealth < WEALTH_UNDERFLOW_TOL:

@@ -28,7 +28,9 @@ def naive_trajectory(procedure: OnlineProcedure, evidence) -> Trajectory:
     rebuilt by summing the full history of per-step records; nothing is
     carried forward.  A re-summed wealth is clipped at 0 before it forms a
     budget, as in the displayed rules, so rounding that takes it a few ulps
-    below 0 gives a zero budget, not a negative one.  Each step's scalar
+    below 0 gives a zero budget, not a negative one.  A lambda of 0, where a
+    geometric lambda underflows, puts the candidate threshold ``1 / lambda``
+    at infinity, so no e-value is a candidate.  Each step's scalar
     arithmetic is on Python floats.  The returned trajectory has no truth
     labels.
     """
@@ -70,7 +72,11 @@ def naive_trajectory(procedure: OnlineProcedure, evidence) -> Trajectory:
             alpha_t = weight_at(omega, t, r_prev) * (r_prev + 1.0) * max(alpha - spent, 0.0)
         elif pid == "e-saffron":
             lam_t = weight_at(lam, t, r_prev)
-            charges = alphas[:k] * (evidence[:k] < 1.0 / lams[:k]) / (1.0 - lams[:k])
+            # 1 / lambda is inf for a lambda of 0 or a subnormal one, as in Python
+            # float division: no (finite) e-value is a candidate
+            with np.errstate(divide="ignore", over="ignore"):
+                cut = 1.0 / lams[:k]
+            charges = alphas[:k] * (evidence[:k] < cut) / (1.0 - lams[:k])
             spent = float((charges / (rej_before[:k] + 1.0)).sum())
             alpha_t = (
                 weight_at(omega, t, r_prev) * (1.0 - lam_t) * (r_prev + 1.0)
@@ -129,7 +135,8 @@ def naive_trajectory(procedure: OnlineProcedure, evidence) -> Trajectory:
         elif pid in ("score-lord", "score-plus-lord"):
             cost = max(alpha_t - over, 0.0)
         elif pid == "e-saffron":
-            cost = alpha_t / (1.0 - lam_t) if value < 1.0 / lam_t else 0.0
+            cut = 1.0 / lam_t if lam_t > 0.0 else math.inf
+            cost = alpha_t / (1.0 - lam_t) if value < cut else 0.0
         elif pid in ("score-saffron", "score-plus-saffron"):
             cost = max(alpha_t * (1.0 - lam_t * value) / (1.0 - lam_t) - over, 0.0)
         else:  # p-saffron

@@ -4,8 +4,8 @@ Each kind has one entry in :data:`KINDS`: its parameter names and its single
 formula, the value at step ``t`` given the ``rejections`` made before it, and
 whether that value is the same at every step.  The entry drives
 :class:`Schedule` validation and parsing, :func:`weight_at` (the one checked
-accessor of a value) and the engine's :meth:`Schedule.fixed` and
-:meth:`Schedule.formula`.
+accessor of a value), the engine's :meth:`Schedule.fixed` and the tables
+the engine's kernel reads a varying schedule from.
 
 ``constant``
     The same value at every step.
@@ -18,12 +18,32 @@ accessor of a value) and the engine's :meth:`Schedule.fixed` and
     ``omega_{t+1} = omega1 + omega1 * (sum_{j<=t-R} phi**j - sum_{j<=R} psi**j)``
     where R is the rejection count after step t; so
     ``weight_at(Schedule.rai(omega1, phi, psi), t + 1, R)`` is that weight.
+
+A :class:`_Table` holds the scalar terms of one varying schedule, so that
+the kernel looks a value up instead of calling the formula at every step.
+Each list of terms is filled by the kind's own formula, only as far as a
+run reads it, and never past the index where its terms stop changing:
+
+* a geometric table is one list, ``(1 - q) * q**k`` at index k, which stops
+  at its first 0.0: k = 1074 at q = 0.5, 162 at q = 0.01;
+* a rai table is omega1 and two lists, ``_sums(phi, k)`` over quiet steps
+  and ``_sums(psi, k)`` over rejections, each of which stops at its first
+  ``1.0 - r**k == 1.0``: k = 54 at r = 0.5, 356 at 0.9, 37 412 at 0.999.
+
+A read past the end of a list uses its last entry.  Short of that end, a
+list reaches the upcoming step of the longest stream it served: one entry
+more than that stream's steps (two after a bare ``reset()``).  So a slowly
+decaying geometric schedule, q = 0.999 say, can hold up to 737 859 entries
+of 32 bytes.  Each procedure keeps its own tables with its rule, and they
+are not pickled.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import count, islice
 from typing import Callable, NamedTuple
 
 from ._validation import check_count, check_number, check_real
@@ -44,15 +64,16 @@ def _geometric(scale, ratio, t, rejections):
     return scale * ratio ** (t - 1)
 
 
+def _sums(r, k):
+    """``sum_{j=1..k} r**j`` in closed form, exact enough for r in (0, 1)."""
+    return r * (1.0 - r**k) / (1.0 - r) if k > 0 else 0.0
+
+
 def _rai(omega1, phi, psi, t, rejections):
     if t == 1:
         return omega1
-    # sum_{j=1..k} r**j in closed form, exact enough for r in (0, 1), for
-    # k = quiet steps (phi) and k = rejections (psi)
-    quiet = t - 1 - rejections
-    up = phi * (1.0 - phi**quiet) / (1.0 - phi) if quiet > 0 else 0.0
-    down = psi * (1.0 - psi**rejections) / (1.0 - psi) if rejections > 0 else 0.0
-    raw = omega1 + omega1 * (up - down)
+    # k = quiet steps for phi, k = rejections for psi
+    raw = omega1 + omega1 * (_sums(phi, t - 1 - rejections) - _sums(psi, rejections))
     return RAI_WEIGHT_MIN if raw < RAI_WEIGHT_MIN else (
         _RAI_WEIGHT_MAX if raw > _RAI_WEIGHT_MAX else raw)
 
@@ -62,12 +83,13 @@ class _Kind(NamedTuple):
     formula: Callable[..., float]  # formula(*bind(*params), t, rejections)
     bind: Callable[..., tuple] = lambda *params: params
     constant: bool = False  # the formula gives one value at every step
+    sums: bool = False  # tabulated as rai: omega1 and the sums of phi and of psi powers
 
 
 KINDS = {
     "constant": _Kind(("value",), _constant, constant=True),
     "geometric": _Kind(("ratio",), _geometric, lambda ratio: (1.0 - ratio, ratio)),
-    "rai": _Kind(("omega1", "phi", "psi"), _rai),
+    "rai": _Kind(("omega1", "phi", "psi"), _rai, sums=True),
 }
 SCHEDULE_KINDS = tuple(KINDS)
 
@@ -123,10 +145,76 @@ class Schedule:
         """``(t, rejections) -> value``: the kind's formula with these parameters bound.
 
         A :class:`functools.partial` of a module-level function, so it pickles
-        and does no kind dispatch per call.
+        and does no kind dispatch per call.  :func:`weight_at` calls it; the
+        engine reads a :class:`_Table` instead.
         """
         kind = KINDS[self.kind]
         return partial(kind.formula, *kind.bind(*self.params))
+
+
+def _by_step(formula, bound):
+    """A kind's value at step k + 1 for k = 0, 1, ...: the terms of a table
+    read by step alone, which stop at the first 0.0."""
+    for k in count():
+        term = formula(*bound, k + 1, 0)
+        yield term
+        if term == 0.0:
+            return
+
+
+def _sums_by_count(r):
+    """``_sums(r, k)`` for k = 0, 1, ...: a rai list, which stops at the first
+    ``1.0 - r**k == 1.0``, past which every sum is the same."""
+    for k in count():
+        yield _sums(r, k)
+        if 1.0 - r**k == 1.0:
+            return
+
+
+class _Table:
+    """The terms of one varying schedule, for the engine's kernel to look up.
+
+    ``view`` is what the kernel unpacks once per call, ``(head, ups, n_ups,
+    last_up, downs, n_downs, last_down)``: for rai, omega1 and its lists over
+    quiet steps and over rejections; for a kind read by step alone, None,
+    its one list and ``(None, None, None)``.  The kernel reads index k of a list
+    as ``ups[k] if k < n_ups else last_up``.  It calls :meth:`grow` before a
+    call that reads up to index ``reach``, and only when ``reach >= limit``:
+    ``limit`` is the length of the lists still growing, and ``sys.maxsize``
+    once every list has stopped.
+    """
+
+    __slots__ = ("schedule", "limit", "view", "_head", "_lists")
+
+    def __init__(self, schedule: Schedule):
+        kind = KINDS[schedule.kind]
+        bound = kind.bind(*schedule.params)
+        self.schedule = schedule
+        if kind.sums:
+            self._head, *ratios = bound
+            terms = [_sums_by_count(r) for r in ratios]
+        else:
+            self._head = None
+            terms = [_by_step(kind.formula, bound)]
+        # each list with the rest of its terms, or None once they have all been read
+        self._lists = [([], rest) for rest in terms]
+        self.limit = 0
+        self.view = None
+
+    def grow(self, reach: int):
+        """Fill every list up to index ``reach``, or up to where it stops."""
+        self.limit = sys.maxsize
+        for i, (values, rest) in enumerate(self._lists):
+            if rest is not None:
+                values.extend(islice(rest, reach + 1 - len(values)))
+                if len(values) > reach:
+                    self.limit = min(self.limit, len(values))
+                else:  # the terms have stopped
+                    self._lists[i] = (values, None)
+        view = [self._head]
+        for values, _ in self._lists:
+            view += (values, len(values), values[-1])
+        self.view = tuple(view + [None] * (7 - len(view)))
 
 
 def check_gamma(schedule: Schedule) -> Schedule:

@@ -1170,6 +1170,12 @@ class TestMain:
                      "--replicates", "3", "--decisions-out", str(tmp_path / "d.csv")]) == 0
         assert calls == {"generate": 3} and runs == [100, 100, 100]
 
+    def test_simulate_with_a_lambda_that_underflows(self, capsys):
+        # geometric(0.5) is 0.0 from step 1075 on: no e-value is a candidate there
+        assert main(["simulate", "--procedure", "score-saffron", "--lambda", "geometric,0.5",
+                     "--horizon", "1200", "--replicates", "1"]) == 0
+        assert "score-saffron" in capsys.readouterr().out
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

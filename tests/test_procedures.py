@@ -530,8 +530,8 @@ def test_rai_scheduled_procedure_runs():
 
 @pytest.mark.parametrize("pid", sf.PROCEDURE_IDS)
 def test_constant_schedule_read_matches_formula_call(pid, monkeypatch):
-    # The kernel reads a constant schedule's value instead of calling its formula
-    # each step; forcing the call must give the same trajectory bytes.
+    # The kernel reads a constant schedule's value instead of its formula's
+    # terms, tabulated; forcing the table must give the same trajectory bytes.
     evidence = evidence_for(pid, np.random.default_rng(8), 600)
     gamma = sf.Schedule.constant(0.02)  # so that the LOND rules read a constant too
 
@@ -540,7 +540,7 @@ def test_constant_schedule_read_matches_formula_call(pid, monkeypatch):
         stepper = proc.clone()
         return proc, proc.trajectory(), [stepper.step(value) for value in evidence[:50]]
 
-    # the rule holds (..., weight, weight formula, lambda, lambda formula, alpha)
+    # the rule holds (..., weight, weight table, lambda, lambda table, alpha)
     read, read_trajectory, read_steps = run()
     assert read._rule[6] is None and read._rule[8] is None
     monkeypatch.setitem(sf.schedules.KINDS, "constant",
@@ -553,3 +553,23 @@ def test_constant_schedule_read_matches_formula_call(pid, monkeypatch):
                 == getattr(called_trajectory, name).tobytes()), name
     assert read_steps == called_steps
     assert read.next_alpha() == called.next_alpha()
+
+
+@pytest.mark.parametrize("pid", ["e-saffron", "score-saffron", "score-plus-saffron"])
+@pytest.mark.parametrize("q, first_zero", [(0.5, 1075), (0.01, 163)])
+def test_a_lambda_of_zero_makes_no_candidate(pid, q, first_zero):
+    # A geometric lambda is exactly 0.0 from step ``first_zero`` on; the kernel
+    # and the oracle each read it as "no e-value is a candidate", with no
+    # division by zero, and agree as in criterion 4 (e-values capped at 1e4).
+    lam = sf.Schedule.geometric(q)
+    assert sf.weight_at(lam, first_zero, 0) == 0.0 < sf.weight_at(lam, first_zero - 1, 0)
+    stream = np.minimum(random_e_stream(np.random.default_rng(16), first_zero + 120), 1e4)
+    proc = build(pid, lam=lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trajectory = proc.fit(stream).trajectory()
+        trace = sf.naive_trajectory(proc, stream)
+    gaps = sf.trace_divergence(trace, trajectory)
+    assert gaps["decision"] == 0 and gaps["rejections"] == 0, gaps
+    assert max(v for k, v in gaps.items() if k not in ("decision", "rejections")) <= 1e-10, gaps
+    assert proc.t_ == len(stream)

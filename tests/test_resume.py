@@ -103,3 +103,46 @@ def test_a_pickle_from_before_the_packed_history_resumes():
     del head._packed
     resumed = pickle.loads(pickle.dumps(head)).partial_fit(X[100:])
     assert _state(resumed) == _state(sf.ScoreLord().fit(X))
+
+
+def test_a_pickle_from_before_the_schedule_tables_resumes(monkeypatch):
+    # Such a pickle holds the rule, each varying schedule in it as a
+    # ``(None, formula)`` pair; loading rebuilds the rule from the parameters.
+    X = np.geomspace(0.1, 1e4, 400)
+    for make in (lambda: sf.ScoreSaffron(omega=sf.Schedule.rai(0.05, 0.5, 0.5),
+                                         lam=sf.Schedule.geometric(0.5)),
+                 lambda: sf.ELond(gamma=sf.Schedule.geometric(0.9))):
+        head = make().fit(X[:150])
+        rule = head._rule
+        old = (*rule[:5], rule[5], rule[6].schedule.formula(),
+               rule[7], rule[8] and rule[8].schedule.formula(), rule[9])
+        with monkeypatch.context() as patch:
+            patch.setattr(sf.OnlineProcedure, "__getstate__",
+                          lambda self: {**vars(self), "_rule": old})
+            saved = pickle.dumps(head)
+        resumed = pickle.loads(saved)
+        assert isinstance(resumed._rule[6], sf.schedules._Table)
+        assert _state(resumed.partial_fit(X[150:])) == _state(make().fit(X))
+
+
+@pytest.mark.parametrize("make, counts, stop, splits", [
+    # phi's and psi's sums stop at k = 54: the quiet steps pass it first, then the rejections
+    (lambda: sf.ScoreLord(omega=sf.Schedule.rai(0.05, 0.5, 0.5)),
+     lambda proc: (proc.t_ - proc.n_rejections_, proc.n_rejections_), 54, (30, 60, 150, 260)),
+    # (1 - q) * q**(t-1) is 0.0 from t = 1075
+    (lambda: sf.ELond(gamma=sf.Schedule.geometric(0.5)),
+     lambda proc: (proc.t_,), 1074, (1000, 1074, 1075, 1100)),
+], ids=["rai", "geometric"])
+def test_resume_on_each_side_of_where_the_terms_stop(make, counts, stop, splits):
+    rng = np.random.default_rng(3)
+    n = max(splits) + 100
+    # a quiet stretch, then a run of strong evidence: both counts pass the stop
+    X = np.where(np.arange(n) < n // 2, rng.uniform(0.0, 2.0, n), 1e300)
+    whole = make().fit(X)
+    assert min(counts(whole)) > stop
+    whole = _state(whole)
+    for k in splits:
+        resumed = pickle.loads(pickle.dumps(make().fit(X[:k]))).partial_fit(X[k:])
+        assert _state(resumed) == whole, k
+        stepped = pickle.loads(pickle.dumps(_steps(make(), X[:k], [None] * k, 0)))
+        assert _state(_steps(stepped, X[k:], [None] * (n - k), k)) == whole, k

@@ -1,9 +1,13 @@
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import scorefdr as sf
 from scorefdr import ELond, Schedule, weight_at
 from scorefdr.schedules import RAI_WEIGHT_MIN
 
@@ -147,3 +151,100 @@ def test_fixed_is_the_value_of_a_constant_kind_only():
     assert Schedule.constant(0.05).fixed() == 0.05
     assert Schedule.geometric(0.5).fixed() is None
     assert Schedule.rai(0.05, 0.5, 0.5).fixed() is None
+
+
+# -- the kernel's tables -------------------------------------------------------
+
+# capped at 0.999, so that a geometric table stays under a million entries
+UNIT_OPEN = st.floats(0.0, 0.999, exclude_min=True)
+PINNED = (0.01, 0.5, 0.9, 0.999)
+PARAMETER = st.one_of(st.sampled_from(PINNED), UNIT_OPEN)
+TABULATED = st.one_of(
+    PARAMETER.map(Schedule.geometric),
+    st.tuples(PARAMETER, PARAMETER, PARAMETER).map(lambda p: Schedule.rai(*p)),
+)
+
+
+def _stop_bound(schedule):
+    """An upper bound on the index where each list of the schedule's table
+    stops: the first 0.0 of ``(1 - q) * q**k``, or the first
+    ``1.0 - r**k == 1.0`` over rai's phi and psi."""
+    if schedule.kind == "geometric":
+        q = schedule.params[0]
+        return math.ceil((1075 * math.log(2.0) + math.log(1.0 - q)) / -math.log(q)) + 1
+    return max(math.ceil(54 * math.log(2.0) / -math.log(r)) for r in schedule.params[1:]) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule=TABULATED, data=st.data())
+@example(schedule=Schedule.geometric(0.999), data=None)
+@example(schedule=Schedule.rai(0.999, 0.999, 0.999), data=None)
+@example(schedule=Schedule.rai(1e-7, 0.5, 0.01), data=None)
+@example(schedule=Schedule.rai(0.05, 0.9, 0.5), data=None)
+@example(schedule=Schedule.geometric(0.01), data=None)
+def test_every_table_read_is_weight_at(schedule, data):
+    # Both slots of an e-saffron procedure read ``schedule``: the kernel holds
+    # lambda in the state as read, and with fdp_hat at 0 it forms the budget
+    # omega_t * (1 - lambda_t) * (R + 1) * alpha from omega.
+    proc = sf.ESaffron(alpha=0.05, omega=schedule, lam=schedule)
+    bound = 2 * _stop_bound(schedule)
+    if data is None:  # the pinned cases: both ends, either side of every stop
+        counts = [(0, 0), (1, 0), (1, 1), (bound, 0), (bound, bound // 2), (bound, bound),
+                  (bound // 2, bound // 4), (bound // 4, 0), (2, 1), (3, 3)]
+    else:
+        t = st.integers(0, bound)
+        counts = data.draw(st.lists(t.flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t))),
+                                    min_size=1, max_size=20), label="(t, R)")
+    for t, rejections in counts:
+        proc._state = (t, rejections, 0.05, 0.0, 0.0, 0.5, True)
+        proc._run(sf.procedures._NO_EVIDENCE, ())
+        value = weight_at(schedule, t + 1, rejections)
+        lam = proc._state[5]
+        assert lam.hex() == value.hex(), (t, rejections)
+        budget = value * (1.0 - value) * (rejections + 1.0) * 0.05
+        assert proc.next_alpha().hex() == budget.hex(), (t, rejections)
+
+
+def test_terms_are_computed_once_not_per_step(monkeypatch):
+    X = np.geomspace(0.1, 1e4, 20_000)
+    sums = []
+    monkeypatch.setattr(sf.schedules, "_sums",
+                        lambda r, k, _sums=sf.schedules._sums: sums.append(k) or _sums(r, k))
+    sf.ScoreLord(omega=Schedule.rai(0.05, 0.5, 0.5)).fit(X)
+    # k = 0..54 for phi and for psi, each once: 54 + 54 closed-form sums past k = 0
+    assert sorted(sums) == sorted(2 * list(range(55)))
+
+    steps = []
+    geometric = sf.schedules.KINDS["geometric"]
+    monkeypatch.setitem(sf.schedules.KINDS, "geometric", geometric._replace(
+        formula=lambda *args: steps.append(args[-2]) or geometric.formula(*args)))
+    sf.ELond(gamma=Schedule.geometric(0.5)).fit(X)
+    # (1 - q) * q**(t-1) from t = 1 to t = 1075, its first 0.0, each once
+    assert steps == list(range(1, 1076))
+
+
+def test_tables_belong_to_one_procedure_and_outlive_reset():
+    first, second = sf.ELond(), sf.ELond()  # both read the shared DEFAULT_GAMMA
+    table = first._rule[6]
+    assert table is not second._rule[6]
+    first.fit(np.ones(30))
+    first.reset()
+    assert first._rule[6] is table
+    first.set_params(gamma=Schedule.geometric(0.5))  # an equal schedule, another object
+    assert first._rule[6] is not table
+    assert pickle.loads(pickle.dumps(first))._rule[6] is not first._rule[6]
+    assert "_rule" not in first.__getstate__()
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("omega", Schedule.rai(0.05, 0.5, 0.5), Schedule.rai(0.1, 0.9, 0.3)),
+    ("omega", Schedule.geometric(0.5), Schedule.rai(0.1, 0.9, 0.3)),
+    ("lam", Schedule.geometric(0.3), Schedule.geometric(0.9)),
+])
+def test_a_new_schedule_is_read_from_a_new_table(name, old, new):
+    X = np.geomspace(0.1, 1e4, 500)
+    proc = sf.ScoreSaffron(**{name: old}).fit(X)
+    proc.set_params(**{name: new})
+    refit, fresh = proc.fit(X).trajectory(), sf.ScoreSaffron(**{name: new}).fit(X).trajectory()
+    for field in ("alpha", "decision", "cost", "fdp_hat"):
+        assert getattr(refit, field).tobytes() == getattr(fresh, field).tobytes(), field
