@@ -231,11 +231,15 @@ class OnlineProcedure:
         for name in params:
             if name not in previous:
                 raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-        self.__dict__.update(params)
+        # setattr, not self.__dict__: reading the instance dict slows every
+        # later attribute access in the kernel
+        for name, value in params.items():
+            setattr(self, name, value)
         try:
             return self.reset()
         except ValueError:  # a refused value leaves the parameters as they were
-            self.__dict__.update(previous)
+            for name, value in previous.items():
+                setattr(self, name, value)
             raise
 
     def clone(self):
@@ -264,12 +268,15 @@ class OnlineProcedure:
         return self
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_rule"]  # its tables are rebuilt on loading
-        return state
+        # named, not copied from self.__dict__ (see set_params); the rule is left
+        # out, and its tables are rebuilt on loading
+        names = (*self._param_names(), "_state", "_history", "_packed", "_budget")
+        return {name: getattr(self, name) for name in names}
 
     def __setstate__(self, state):
-        self.__dict__.update(state)  # a pickle from before the tables holds a rule: replaced
+        state.pop("_rule", None)  # a pickle from before the tables holds a rule: rebuilt
+        for name, value in state.items():
+            setattr(self, name, value)
         self._rule = self._make_rule()
         if "_packed" not in state:  # pickled before the history was packed: all in its lists
             self._packed = _nothing_packed()
@@ -295,7 +302,7 @@ class OnlineProcedure:
             return value, None
         rule = getattr(self, "_rule", None)
         table = rule[slot] if rule else None
-        if not (isinstance(table, _Table) and table.schedule is schedule):
+        if table is None or table.schedule is not schedule:
             table = _Table(schedule)
         return None, table
 

@@ -1,11 +1,14 @@
 """Predictable parameter sequences (gamma, omega, lambda) used by the procedures.
 
-Each kind has one entry in :data:`KINDS`: its parameter names and its single
-formula, the value at step ``t`` given the ``rejections`` made before it, and
-whether that value is the same at every step.  The entry drives
-:class:`Schedule` validation and parsing, :func:`weight_at` (the one checked
-accessor of a value), the engine's :meth:`Schedule.fixed` and the tables
-the engine's kernel reads a varying schedule from.
+Each kind has one entry in :data:`KINDS`: its parameter names; its single
+formula, ``formula(*params, t, rejections)``, the value at step ``t`` given
+the ``rejections`` made before it; and ``terms(*params)``, its table's head
+and the iterators of its lists of terms, or None for a kind that gives one
+value at every step.  The entry drives :class:`Schedule` validation and
+parsing, :func:`weight_at` (the one checked accessor of a value, and the
+only caller of a formula outside a table's fill), the engine's
+:meth:`Schedule.fixed` and the tables the engine's kernel reads a varying
+schedule from.
 
 ``constant``
     The same value at every step.
@@ -21,8 +24,8 @@ the engine's kernel reads a varying schedule from.
 
 A :class:`_Table` holds the scalar terms of one varying schedule, so that
 the kernel looks a value up instead of calling the formula at every step.
-Each list of terms is filled by the kind's own formula, only as far as a
-run reads it, and never past the index where its terms stop changing:
+Each list is filled from the kind's ``terms``, only as far as a run reads
+it, and never past the index where its terms stop changing:
 
 * a geometric table is one list, ``(1 - q) * q**k`` at index k, which stops
   at its first 0.0: k = 1074 at q = 0.5, 162 at q = 0.01;
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import partial
 from itertools import count, islice
 from typing import Callable, NamedTuple
 
@@ -55,13 +57,14 @@ RAI_WEIGHT_MIN = 1e-6
 _RAI_WEIGHT_MAX = 1.0 - RAI_WEIGHT_MIN
 
 
+# The formulas keep these module-level names: a pickle from before the tables
+# holds partials of them, which loading must resolve (and then drops).
 def _constant(value, t, rejections):
     return value
 
 
-def _geometric(scale, ratio, t, rejections):
-    # scale = 1 - ratio is bound once, not recomputed per step; same bits as (1 - q) * q**(t-1)
-    return scale * ratio ** (t - 1)
+def _geometric(ratio, t, rejections):
+    return (1.0 - ratio) * ratio ** (t - 1)
 
 
 def _sums(r, k):
@@ -80,16 +83,15 @@ def _rai(omega1, phi, psi, t, rejections):
 
 class _Kind(NamedTuple):
     params: tuple[str, ...]  # parameter names, in order; each value lies in (0, 1)
-    formula: Callable[..., float]  # formula(*bind(*params), t, rejections)
-    bind: Callable[..., tuple] = lambda *params: params
-    constant: bool = False  # the formula gives one value at every step
-    sums: bool = False  # tabulated as rai: omega1 and the sums of phi and of psi powers
+    formula: Callable[..., float]  # formula(*params, t, rejections)
+    terms: Callable[..., tuple] | None  # terms(*params): (head, *list iterators); None: fixed
 
 
 KINDS = {
-    "constant": _Kind(("value",), _constant, constant=True),
-    "geometric": _Kind(("ratio",), _geometric, lambda ratio: (1.0 - ratio, ratio)),
-    "rai": _Kind(("omega1", "phi", "psi"), _rai, sums=True),
+    "constant": _Kind(("value",), _constant, None),
+    "geometric": _Kind(("ratio",), _geometric, lambda ratio: (None, _by_step(_geometric, ratio))),
+    "rai": _Kind(("omega1", "phi", "psi"), _rai, lambda omega1, phi, psi: (
+        omega1, _sums_by_count(phi), _sums_by_count(psi))),
 }
 SCHEDULE_KINDS = tuple(KINDS)
 
@@ -139,24 +141,14 @@ class Schedule:
     def fixed(self) -> float | None:
         """The value at every step, for a constant kind; None for a kind that varies."""
         kind = KINDS[self.kind]
-        return kind.formula(*kind.bind(*self.params), 1, 0) if kind.constant else None
-
-    def formula(self) -> partial:
-        """``(t, rejections) -> value``: the kind's formula with these parameters bound.
-
-        A :class:`functools.partial` of a module-level function, so it pickles
-        and does no kind dispatch per call.  :func:`weight_at` calls it; the
-        engine reads a :class:`_Table` instead.
-        """
-        kind = KINDS[self.kind]
-        return partial(kind.formula, *kind.bind(*self.params))
+        return kind.formula(*self.params, 1, 0) if kind.terms is None else None
 
 
-def _by_step(formula, bound):
+def _by_step(formula, *params):
     """A kind's value at step k + 1 for k = 0, 1, ...: the terms of a table
     read by step alone, which stop at the first 0.0."""
     for k in count():
-        term = formula(*bound, k + 1, 0)
+        term = formula(*params, k + 1, 0)
         yield term
         if term == 0.0:
             return
@@ -187,15 +179,8 @@ class _Table:
     __slots__ = ("schedule", "limit", "view", "_head", "_lists")
 
     def __init__(self, schedule: Schedule):
-        kind = KINDS[schedule.kind]
-        bound = kind.bind(*schedule.params)
         self.schedule = schedule
-        if kind.sums:
-            self._head, *ratios = bound
-            terms = [_sums_by_count(r) for r in ratios]
-        else:
-            self._head = None
-            terms = [_by_step(kind.formula, bound)]
+        self._head, *terms = KINDS[schedule.kind].terms(*schedule.params)
         # each list with the rest of its terms, or None once they have all been read
         self._lists = [([], rest) for rest in terms]
         self.limit = 0
@@ -218,14 +203,16 @@ class _Table:
 
 
 def check_gamma(schedule: Schedule) -> Schedule:
-    """``schedule``, if it can serve as a discovery-spreading gamma sequence.
+    """``schedule``, if it can serve as LOND's discovery-spreading gamma sequence.
 
-    Only ``constant`` and ``geometric`` kinds qualify: LOND-type rules need a
-    sequence fixed in advance (geometric additionally sums to one).
+    Only the ``geometric`` kind qualifies.  LOND's bound needs a sequence fixed
+    in advance that sums to at most one over the whole stream: a ``rai``
+    schedule adapts to the rejections, and a ``constant`` one sums past one on
+    a long enough stream.
     """
-    if schedule.kind == "rai":
-        raise ValueError("rai schedules adapt to the rejection history and cannot serve "
-                         "as a summable gamma sequence")
+    if schedule.kind != "geometric":
+        raise ValueError(f"{schedule.kind} schedules cannot serve as a summable gamma sequence; "
+                         "only geometric sums to at most 1 over an unbounded stream")
     return schedule
 
 
@@ -236,7 +223,7 @@ def weight_at(schedule: Schedule, t: int, rejections: int) -> float:
     rejections = check_count(rejections, "rejections", 0)
     if rejections >= t:
         raise ValueError(f"rejections must lie in [0, t), got {rejections} with t={t}")
-    return schedule.formula()(t, rejections)
+    return KINDS[schedule.kind].formula(*schedule.params, t, rejections)
 
 
 #: Defaults mirroring the benchmark settings used throughout the test suite.

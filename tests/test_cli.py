@@ -1510,6 +1510,14 @@ class TestErrorBytes:
         assert main(["simulate", "--procedure", "e-lord", flag, value]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("gamma", ["constant,0.1", "rai,0.05,0.5,0.5"])
+    def test_a_gamma_that_is_not_summable(self, capsys, gamma):
+        assert main(["simulate", "--procedure", "e-lond", "--gamma", gamma]) == 2
+        kind = gamma.split(",")[0]
+        assert capsys.readouterr().err == (
+            f"error: flag --gamma: {kind} schedules cannot serve as a summable gamma sequence; "
+            "only geometric sums to at most 1 over an unbounded stream\n")
+
     def test_conformal_needs_calibration_scores(self, tmp_path, capsys):
         scores = _write_csv(tmp_path / "s.csv", "score", ["1.0"])
         err = _ingest_stderr(capsys, "--input", scores, "--calibrator", "conformal",

@@ -12,14 +12,15 @@ from scorefdr import Observation
 
 finite_nonneg = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 HALF = sf.Schedule.constant(0.5)
+HALF_GAMMA = sf.Schedule.geometric(0.5)
 
 # The overshoot, refund and FDP-estimate arithmetic lives in the engine, so
-# these tests read it off one- and two-step runs.  With a constant weight of
-# 0.5 the first budget is exactly alpha / 2.
+# these tests read it off one- and two-step runs.  With a first weight of 0.5
+# (a constant omega, a geometric(0.5) gamma) the first budget is exactly alpha / 2.
 
 
 def first_step(pid, alpha_t, e):
-    return sf.make_procedure(pid, alpha=2.0 * alpha_t, gamma=HALF, omega=HALF).fit([e])
+    return sf.make_procedure(pid, alpha=2.0 * alpha_t, gamma=HALF_GAMMA, omega=HALF).fit([e])
 
 
 def test_overshoot_examples():

@@ -16,9 +16,9 @@ import scorefdr as sf
 from helpers import build
 
 SCHEDULE_KINDS = {
-    "constant": (sf.Schedule.constant(0.02), sf.Schedule.constant(0.05)),
+    # gamma must be summable, so the LOND rules read a geometric one under every kind
+    "constant": (sf.Schedule.geometric(0.5), sf.Schedule.constant(0.05)),
     "geometric": (sf.Schedule.geometric(0.5), sf.Schedule.geometric(0.5)),
-    # a rai gamma is not summable, so the LOND rules keep their geometric one
     "rai": (sf.Schedule.geometric(0.5), sf.Schedule.rai(0.05, 0.5, 0.5)),
 }
 

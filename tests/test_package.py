@@ -15,3 +15,4 @@ def test_retired_aliases_are_gone(name):
     # each computation has one entry point: weight_at for schedules, scipy.special for ndtr/ndtri;
     # and the package holds what runs: the bound scan lives in the tests
     assert not hasattr(sf, name)
+    assert not hasattr(sf.Schedule, "formula")  # weight_at reads a schedule

@@ -21,6 +21,7 @@ from helpers import (
     random_e_stream,
     random_p_stream,
 )
+from test_resume import SCHEDULES
 
 
 def test_first_step_budgets():
@@ -144,6 +145,44 @@ def test_dominance_exact_on_shared_streams():
     assert all(strict.values())
 
 
+# Evidence of each kind, weakest to strongest, for the schedule-space property:
+# e-values up to 1e8, and p-values of matching strength.
+SPACE_E = (0.0, 0.5, 1.0, 20.0, 1e4, 1e8)
+SPACE_P = (1.0, 0.5, 0.2, 0.01, 1e-6, 1e-12)
+SCHEDULE = st.one_of(*SCHEDULES.values())
+DOMINANCE = {"score-lond": "e-lond", "score-lord": "e-lord", "score-saffron": "e-saffron"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(0.01, 0.9), gamma=SCHEDULES["geometric"], omega=SCHEDULE, lam=SCHEDULE,
+       runs=st.lists(st.tuples(st.integers(0, len(SPACE_E) - 1), st.integers(1, 600)),
+                     min_size=1, max_size=4))
+# geometric(0.5) omega and lambda are 0.0 from step 1075 on; alpha_t passes 1
+@example(alpha=0.9, gamma=sf.Schedule.geometric(0.5), omega=sf.Schedule.geometric(0.5),
+         lam=sf.Schedule.geometric(0.5), runs=[(5, 1200), (0, 100)])
+@example(alpha=0.5, gamma=sf.Schedule.geometric(0.01), omega=sf.Schedule.constant(0.9),
+         lam=sf.Schedule.constant(0.01), runs=[(5, 600), (1, 200), (5, 600)])
+def test_invariants_over_the_schedule_space(alpha, gamma, omega, lam, runs):
+    """Every procedure keeps ``fdp_hat <= alpha`` at every step under every
+    schedule; each refunding rule's thresholds and rejections dominate its
+    baseline's under schedules that do not fall with the rejection count."""
+    streams = {kind: [atoms[i] for i, length in runs for _ in range(length)]
+               for kind, atoms in (("e", SPACE_E), ("p", SPACE_P))}
+    fitted = {}
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "[^:]*: per-step budget", RuntimeWarning)
+        for pid, cls in sf.PROCEDURES.items():
+            proc = build(pid, alpha=alpha, gamma=gamma, omega=omega, lam=lam)
+            fitted[pid] = proc.fit(streams[cls.evidence_kind])
+            assert proc.fdp_hat_.max() <= alpha + 1e-12, pid
+    for score, base in DOMINANCE.items():
+        read = fitted[score].get_params().values()
+        if any(isinstance(value, sf.Schedule) and value.kind == "rai" for value in read):
+            continue  # a rai weight falls with each rejection: no dominance (FORMATS.md)
+        assert np.all(fitted[score].alpha_ >= fitted[base].alpha_), score
+        assert np.all(fitted[score].rejections_ >= fitted[base].rejections_), score
+
+
 def test_wealth_nonnegative_and_score_plus_release():
     rng = np.random.default_rng(31)
     wealth_tracking = ("e-lord", "score-lord", "e-saffron", "score-saffron",
@@ -233,6 +272,7 @@ class TestStreamContract:
 EXTREME_E = (0.0, 5e-324, 1.0, 1e300, sf.MAX_EVALUE)
 EXTREME_P = (1.0, 0.5, 1e-300, 5e-324, 0.0)
 BOLD = sf.Schedule.constant(0.99)
+BOLD_GAMMA = sf.Schedule.geometric(0.01)  # 0.99 at the first step
 TINY_LAMBDA = sf.Schedule.constant(0.01)
 STRONGEST = len(EXTREME_E) - 1
 
@@ -251,7 +291,7 @@ def test_step_invariants_on_extreme_streams(pid, runs, repeat, bold):
     rejection count rises from 0 by exactly the decisions, on fit and step."""
     atoms = EXTREME_P if pid.startswith("p-") else EXTREME_E
     values = [atoms[i] for i, length in runs for _ in range(length)] * repeat
-    schedules = dict(gamma=BOLD, omega=BOLD, lam=TINY_LAMBDA) if bold else {}
+    schedules = dict(gamma=BOLD_GAMMA, omega=BOLD, lam=TINY_LAMBDA) if bold else {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # alpha_t >= 1 is expected here
         fitted = build(pid, **schedules).fit(values)
@@ -528,23 +568,24 @@ def test_rai_scheduled_procedure_runs():
     assert proc.wealth_.min() >= -1e-12
 
 
-@pytest.mark.parametrize("pid", sf.PROCEDURE_IDS)
+@pytest.mark.parametrize("pid", [pid for pid, cls in sf.PROCEDURES.items()
+                                 if cls.allocation != "lond"])  # gamma is never constant
 def test_constant_schedule_read_matches_formula_call(pid, monkeypatch):
     # The kernel reads a constant schedule's value instead of its formula's
     # terms, tabulated; forcing the table must give the same trajectory bytes.
     evidence = evidence_for(pid, np.random.default_rng(8), 600)
-    gamma = sf.Schedule.constant(0.02)  # so that the LOND rules read a constant too
 
     def run():
-        proc = build(pid, gamma=gamma).fit(evidence)
+        proc = build(pid).fit(evidence)
         stepper = proc.clone()
         return proc, proc.trajectory(), [stepper.step(value) for value in evidence[:50]]
 
     # the rule holds (..., weight, weight table, lambda, lambda table, alpha)
     read, read_trajectory, read_steps = run()
     assert read._rule[6] is None and read._rule[8] is None
-    monkeypatch.setitem(sf.schedules.KINDS, "constant",
-                        sf.schedules.KINDS["constant"]._replace(constant=False))
+    schedules = sf.schedules
+    monkeypatch.setitem(schedules.KINDS, "constant", schedules.KINDS["constant"]._replace(
+        terms=lambda value: (None, schedules._by_step(schedules._constant, value))))
     called, called_trajectory, called_steps = run()
     assert called._rule[6] is not None
     assert (called._rule[8] is not None) == (called.allocation == "saffron")

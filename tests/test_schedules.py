@@ -34,6 +34,13 @@ def test_gamma_rejects_rai():
         ELond(gamma=Schedule.rai(0.05, 0.5, 0.5))
 
 
+def test_gamma_rejects_constant():
+    # no constant sums to at most 1 over an unbounded stream: LOND's estimate
+    # would pass alpha (0.5 at alpha 0.05 after 100 null steps for 0.1)
+    with pytest.raises(ValueError, match="summable gamma"):
+        ELond(gamma=Schedule.constant(0.1))
+
+
 def test_gamma_rejects_bad_t():
     with pytest.raises(ValueError):
         weight_at(Schedule.geometric(0.5), 0, 0)
@@ -103,24 +110,6 @@ def test_weight_at_matches_rai_indexing():
         down = sum(0.5**j for j in range(1, rejections + 1))
         assert weight_at(sched, t + 1, rejections) == pytest.approx(0.05 + 0.05 * (up - down),
                                                                     abs=1e-15)
-
-
-def test_bound_formula_matches_public_functions():
-    # The engine's per-step evaluator against weight_at, which adds the
-    # argument checks.
-    rng = np.random.default_rng(1)
-    cases = [
-        Schedule.constant(0.05),
-        Schedule.geometric(0.37),
-        Schedule.rai(0.05, 0.5, 0.5),
-        Schedule.rai(0.2, 0.8, 0.3),
-    ]
-    for sched in cases:
-        fast = sched.formula()
-        for _ in range(50):
-            t = int(rng.integers(1, 200))
-            r = int(rng.integers(0, t))
-            assert fast(t, r) == weight_at(sched, t, r)
 
 
 def test_parse_round_trip_and_errors():
@@ -215,9 +204,9 @@ def test_terms_are_computed_once_not_per_step(monkeypatch):
     assert sorted(sums) == sorted(2 * list(range(55)))
 
     steps = []
-    geometric = sf.schedules.KINDS["geometric"]
-    monkeypatch.setitem(sf.schedules.KINDS, "geometric", geometric._replace(
-        formula=lambda *args: steps.append(args[-2]) or geometric.formula(*args)))
+    monkeypatch.setattr(sf.schedules, "_geometric",
+                        lambda q, t, r, _geometric=sf.schedules._geometric:
+                        steps.append(t) or _geometric(q, t, r))
     sf.ELond(gamma=Schedule.geometric(0.5)).fit(X)
     # (1 - q) * q**(t-1) from t = 1 to t = 1075, its first 0.0, each once
     assert steps == list(range(1, 1076))
