@@ -88,6 +88,55 @@ def test_resume_bit_for_bit(pid, kinds, chunk, data):
             assert _state(_steps(stepped, X[k:], y[k:], k)) == whole, k
 
 
+LOND_IDS = [pid for pid, cls in sf.PROCEDURES.items() if cls.allocation == "lond"]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("pid", LOND_IDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_refused_gamma_leaves_the_run_to_resume_bit_for_bit(pid, chunk, data):
+    """``set_params`` refuses a constant gamma at any split point (no constant
+    sums to at most 1 over an unbounded stream), and the refusal keeps the
+    parameters and the stream state: the run still resumes bit for bit."""
+    cls = sf.PROCEDURES[pid]
+    params = {"alpha": data.draw(st.floats(0.01, 0.5), label="alpha"),
+              "gamma": data.draw(SCHEDULES["geometric"], label="gamma")}
+    values = P_VALUES if cls.evidence_kind == "p" else E_VALUES
+    X = np.asarray(data.draw(st.lists(values, max_size=20), label="X"), dtype=float)
+    y = np.asarray(data.draw(st.lists(st.booleans(), min_size=len(X), max_size=len(X))),
+                   dtype=bool)
+
+    with chunk_size(chunk), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        whole = _state(cls(**params).fit(X, y))
+        n_warnings = len(caught)
+        for k in range(len(X) + 1):
+            del caught[:]
+            head = cls(**params).fit(X[:k], y[:k])
+            refused = data.draw(SCHEDULES["constant"], label="refused gamma")
+            with pytest.raises(ValueError, match="summable gamma"):
+                head.set_params(gamma=refused)
+            assert head.get_params() == params, k
+            assert _state(copy.deepcopy(head).partial_fit(X[k:], y[k:])) == whole, k
+            resumed = pickle.loads(pickle.dumps(head)).partial_fit(X[k:], y[k:])
+            assert _state(resumed) == whole, k
+            assert len(caught) == 2 * n_warnings, k
+
+
+@pytest.mark.parametrize("pid", LOND_IDS)
+def test_a_pickle_with_a_constant_gamma_is_refused_on_loading(pid, monkeypatch):
+    # A checkpoint saved while a constant gamma was still accepted: loading
+    # refuses it, rather than resume a run whose fdp_hat may pass alpha.
+    cls = sf.PROCEDURES[pid]
+    X = np.linspace(0.01, 1.0, 50) if cls.evidence_kind == "p" else np.geomspace(0.1, 1e4, 50)
+    with monkeypatch.context() as patch:
+        patch.setattr(sf.procedures, "check_gamma", lambda schedule: schedule)
+        saved = pickle.dumps(cls(gamma=sf.Schedule.constant(0.1)).fit(X))
+    with pytest.raises(ValueError, match="constant schedules cannot serve as a summable gamma"):
+        pickle.loads(saved)
+
+
 @pytest.mark.parametrize("pid", sf.PROCEDURE_IDS)
 def test_unfitted_pickles(pid):
     proc = sf.PROCEDURES[pid]()
