@@ -281,6 +281,18 @@ class OnlineProcedure:
         if "_packed" not in state:  # pickled before the history was packed: all in its lists
             self._packed = _nothing_packed()
 
+    def __copy__(self):
+        # the state's history lists and packed bytes are copied, not shared, so
+        # that stepping the copy leaves this procedure's history as it is
+        state = self.__getstate__()
+        state["_history"] = tuple(None if values is None else list(values)
+                                  for values in self._history)
+        state["_packed"] = tuple(None if packed is None else bytearray(packed)
+                                 for packed in self._packed)
+        copied = type(self).__new__(type(self))
+        copied.__setstate__(state)
+        return copied
+
     def _make_rule(self) -> tuple:
         """The rule tuple, from the parameters, each revalidated."""
         alpha = check_real(self.alpha, "alpha", 0.0, 1.0)

@@ -6,21 +6,36 @@ and the generated stream's truth labels, through the same curves that
 :func:`evaluate` computes from a :class:`~scorefdr.procedures.Trajectory`;
 no trajectory is built per replicate.
 
+Blocks
+------
+:func:`replicate` works in blocks of replicates, each of at most
+``_BLOCK_STEPS`` hypotheses and at least one replicate.  A block's streams
+are drawn together as ``(count, T)`` arrays, and only the evidence the study
+runs on is computed; :func:`generate` is the one-replicate block that
+computes all of it.  Each replicate is fitted on its own by the scalar
+kernel, and one call of the curves along the last axis then evaluates the
+block's stacked decisions.  :func:`aggregate` and :func:`replicate` add each
+run's curves to the same running sums, in run order.
+
 Reproducibility
 ---------------
 Streams are driven by numpy's PCG64 generator.  Replicate r of a study of
 ``dgp`` uses its own ``PCG64(dgp.seed + r)``, and every random quantity is
 derived from uniform draws pushed through inverse CDFs (``ndtri`` for
 normals, ``-log1p(-u) / rate`` for exponentials) in the fixed order
-documented on each generator.  Replicates are aggregated in replicate
-order, so reports are bit-identical across runs.
+documented on :func:`generate`.  A block draws each replicate's uniforms
+from that replicate's own PCG64, in that order, and every transform is
+elementwise, so a replicate's stream has the same bits in a block of any
+size as on its own.  The AR recursions run row by row on Python floats,
+with ``math.log1p``.  Replicates are aggregated in replicate order, so
+reports are bit-identical across runs and across block sizes.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -40,6 +55,9 @@ DGP_NAMES = ("gaussian_mixture", "ar_exponential", "ar1_gaussian")
 STREAM_EVIDENCE = {"e": "e", "p_conditional": "p", "p_marginal": "p"}
 #: :func:`default_checkpoints` reports every step up to this many steps.
 _MAX_CHECKPOINTS = 1000
+#: :func:`replicate` draws and evaluates its replicates in blocks of at most this
+#: many hypotheses, and of at least one replicate.
+_BLOCK_STEPS = 65_536
 
 
 @dataclass(frozen=True)
@@ -114,15 +132,85 @@ class MetricsReport:
     evidence: str = "e"
 
 
-def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+def _generate_block(config: DgpConfig, count: int = 1,
+                    evidence=tuple(STREAM_EVIDENCE)) -> GeneratedStream:
+    """Replicates ``config.seed`` to ``config.seed + count - 1`` of ``config`` at once.
+
+    The result holds ``(count, T)`` arrays and a ``(count,)`` array ``x0``;
+    row r is bit for bit what :func:`generate` gives at seed
+    ``config.seed + r``.  Each replicate draws all its uniforms from its own
+    PCG64 in the order :func:`generate` documents, and every elementwise
+    transform then runs once on the whole block.  The AR recursions run row
+    by row on Python floats, one row's lists alive at a time.  Only the
+    evidence named in ``evidence`` is computed; the rest, like evidence the
+    model does not carry, is None.
+    """
+    T = config.horizon
+    draws = np.empty((count, 2 * T + 1 if config.dgp == "ar1_gaussian" else 3 * T))
+    for r in range(count):
+        np.random.Generator(np.random.PCG64(config.seed + r)).random(out=draws[r])
     # rng.random() can return exactly 0.0; nudge those onto (0, 1) so the
-    # inverse normal CDF stays finite.
-    u = rng.random(size)
-    return np.maximum(u, 5e-324)
+    # inverse normal CDF stays finite.  ar_exponential's signal-size uniforms
+    # pick the same mu_set index either way.
+    np.maximum(draws, 5e-324, out=draws)
 
+    if config.dgp == "gaussian_mixture":
+        theta = draws[:, :T] < config.pi1
+        mu = np.where(theta, 3.0 + math.sqrt(5.0) * ndtri(draws[:, T:2 * T]), 0.0)
+        x = mu + ndtri(draws[:, 2 * T:])
+        spec = LikelihoodRatioSpec("gaussian_pair", null_mean=0.0, null_var=1.0,
+                                   alt_mean=3.0, alt_var=6.0)
+        evalue = lr_evalue(spec, x) if "e" in evidence else None
+        return GeneratedStream(x=x, truth=theta, evalue=evalue, x0=np.full(count, math.nan))
 
-def _std_normals(rng: np.random.Generator, size: int) -> np.ndarray:
-    return ndtri(_uniforms(rng, size))
+    if config.dgp == "ar_exponential":
+        theta = draws[:, :T] < config.pi1
+        mu_choices = np.asarray(config.mu_set, dtype=float)
+        mu_idx = np.minimum((draws[:, T:2 * T] * len(mu_choices)).astype(int),
+                            len(mu_choices) - 1)
+        # an alternative divides its rate by mu_t, a null by 1.0, which is exact
+        divisor = np.where(theta, mu_choices[mu_idx], 1.0)
+        # The recursion runs on Python floats; math.log1p, not np.log1p,
+        # whose results differ from it in the last bit.
+        rho = config.rho
+        x = np.empty((count, T))
+        for r, (divisors, minus_u) in enumerate(zip(divisor, -draws[:, 2 * T:])):
+            row = []
+            x_prev = 0.0
+            for div, log in zip(divisors.tolist(), map(math.log1p, minus_u.tolist())):
+                x_prev = -log / ((1.0 + rho * x_prev) / div)
+                row.append(x_prev)
+            x[r] = row
+        etas = 1.0 + rho * np.concatenate((np.zeros((count, 1)), x[:, :-1]), axis=1)
+        spec = LikelihoodRatioSpec("exponential_scale", scale=3.0)
+        evalue = lr_evalue(spec, x, context=etas) if "e" in evidence else None
+        return GeneratedStream(x=x, truth=theta, evalue=evalue, x0=np.zeros(count))
+
+    # ar1_gaussian
+    init_sd = math.sqrt(1.0 / (1.0 - config.phi0**2))
+    x0 = init_sd * ndtri(draws[:, 0])
+    theta = draws[:, 1:T + 1] < config.pi1
+    eps = ndtri(draws[:, T + 1:])
+    phi = np.where(theta, config.phi1, config.phi0)
+    x = np.empty((count, T))
+    for r, (x_prev, phis, innovations) in enumerate(zip(x0.tolist(), phi, eps)):
+        row = []
+        for phi_t, eps_t in zip(phis.tolist(), innovations.tolist()):
+            x_prev = phi_t * x_prev + eps_t
+            row.append(x_prev)
+        x[r] = row
+    lagged = np.concatenate((x0[:, None], x[:, :-1]), axis=1)
+    spec = LikelihoodRatioSpec("ar1_gaussian", phi0=config.phi0, phi1=config.phi1)
+    return GeneratedStream(
+        x=x,
+        truth=theta,
+        evalue=lr_evalue(spec, x, context=lagged) if "e" in evidence else None,
+        p_conditional=(ar1_conditional_pvalue(x, lagged, config.phi0)
+                       if "p_conditional" in evidence else None),
+        p_marginal=(ar1_marginal_pvalue(x, null_var=1.0 / (1.0 - config.phi0**2))
+                    if "p_marginal" in evidence else None),
+        x0=x0,
+    )
 
 
 def generate(config: DgpConfig) -> GeneratedStream:
@@ -143,63 +231,13 @@ def generate(config: DgpConfig) -> GeneratedStream:
       start N(0, 1/(1-phi0^2)); carries the conditional-likelihood e-value
       plus conditional and marginal p-values.
     """
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    T = int(config.horizon)
-
-    if config.dgp == "gaussian_mixture":
-        theta = _uniforms(rng, T) < config.pi1
-        mu = np.where(theta, 3.0 + math.sqrt(5.0) * _std_normals(rng, T), 0.0)
-        x = mu + _std_normals(rng, T)
-        spec = LikelihoodRatioSpec("gaussian_pair", null_mean=0.0, null_var=1.0,
-                                   alt_mean=3.0, alt_var=6.0)
-        return GeneratedStream(x=x, truth=theta, evalue=lr_evalue(spec, x), x0=math.nan)
-
-    if config.dgp == "ar_exponential":
-        theta = _uniforms(rng, T) < config.pi1
-        mu_choices = np.asarray(config.mu_set, dtype=float)
-        mu_idx = np.minimum((rng.random(T) * len(mu_choices)).astype(int), len(mu_choices) - 1)
-        mu = mu_choices[mu_idx]
-        u_x = _uniforms(rng, T)
-        # The recursion runs on Python floats; math.log1p, not np.log1p,
-        # whose results differ from it in the last bit.
-        rho = config.rho
-        xs = []
-        etas = []
-        x_prev = 0.0
-        for alt, mu_t, u in zip(theta.tolist(), mu.tolist(), u_x.tolist()):
-            rate = 1.0 + rho * x_prev
-            etas.append(rate)
-            if alt:
-                rate = rate / mu_t
-            x_prev = -math.log1p(-u) / rate
-            xs.append(x_prev)
-        x = np.array(xs)
-        spec = LikelihoodRatioSpec("exponential_scale", scale=3.0)
-        return GeneratedStream(x=x, truth=theta,
-                               evalue=lr_evalue(spec, x, context=np.array(etas)))
-
-    # ar1_gaussian
-    init_sd = math.sqrt(1.0 / (1.0 - config.phi0**2))
-    x0 = init_sd * float(ndtri(_uniforms(rng, 1)[0]))
-    theta = _uniforms(rng, T) < config.pi1
-    eps = _std_normals(rng, T)
-    phi = np.where(theta, config.phi1, config.phi0)
-    xs = []
-    x_prev = x0
-    for phi_t, eps_t in zip(phi.tolist(), eps.tolist()):
-        x_prev = phi_t * x_prev + eps_t
-        xs.append(x_prev)
-    x = np.array(xs)
-    lagged = np.concatenate(([x0], x[:-1]))
-    spec = LikelihoodRatioSpec("ar1_gaussian", phi0=config.phi0, phi1=config.phi1)
-    return GeneratedStream(
-        x=x,
-        truth=theta,
-        evalue=lr_evalue(spec, x, context=lagged),
-        p_conditional=ar1_conditional_pvalue(x, lagged, config.phi0),
-        p_marginal=ar1_marginal_pvalue(x, null_var=1.0 / (1.0 - config.phi0**2)),
-        x0=x0,
-    )
+    block = _generate_block(config)
+    row = {}
+    for f in fields(block):
+        value = getattr(block, f.name)
+        row[f.name] = None if value is None else value[0]
+    row["x0"] = float(row["x0"])
+    return GeneratedStream(**row)
 
 
 def evaluate(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -215,10 +253,11 @@ def evaluate(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _curves(decision: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rejections = np.cumsum(decision)
-    false_rej = np.cumsum(decision & ~truth)
-    true_rej = np.cumsum(decision & truth)
-    alternatives = np.cumsum(truth)
+    # along the last axis, so one call gives the curves of a block of runs
+    rejections = np.cumsum(decision, axis=-1)
+    false_rej = np.cumsum(decision & ~truth, axis=-1)
+    true_rej = np.cumsum(decision & truth, axis=-1)
+    alternatives = np.cumsum(truth, axis=-1)
     fdp = false_rej / np.maximum(rejections, 1)
     power = true_rej / np.maximum(alternatives, 1)
     return fdp, power
@@ -256,6 +295,42 @@ def resolve_evidence(procedure: OnlineProcedure, evidence: str = "auto") -> str:
     return evidence
 
 
+class _Moments:
+    """Running sums of runs' ``(2, k)`` curves, FDP in row 0 and average power in
+    row 1, and of their squares, added in run order; :meth:`report` turns them
+    into a :class:`MetricsReport`."""
+
+    def __init__(self):
+        self.total = self.squares = 0.0
+        self.n_runs = 0
+
+    def add(self, curves: np.ndarray) -> None:
+        self.total += curves  # the first run makes a new array: curves may be a view
+        self.squares += curves * curves
+        self.n_runs += 1
+
+    def report(self, points, procedure, dgp, evidence) -> MetricsReport:
+        if self.n_runs == 0:
+            raise ValueError("no runs to aggregate")
+        n = float(self.n_runs)
+        mean = self.total / n
+        se = np.zeros_like(mean)
+        if self.n_runs > 1:
+            var = np.maximum(self.squares - n * mean * mean, 0.0) / (n - 1.0)
+            se = np.sqrt(var / n)
+        return MetricsReport(
+            checkpoints=points,
+            fdr=mean[0],
+            fdr_se=se[0],
+            power=mean[1],
+            power_se=se[1],
+            n_reps=self.n_runs,
+            dgp=dgp,
+            procedure_id=procedure.procedure_id,
+            evidence=evidence,
+        )
+
+
 def aggregate(runs, checkpoints, procedure: OnlineProcedure, dgp: DgpConfig | None = None,
               evidence: str = "e") -> MetricsReport:
     """FDR and average power at ``checkpoints`` over labelled runs of ``procedure``.
@@ -272,10 +347,10 @@ def aggregate(runs, checkpoints, procedure: OnlineProcedure, dgp: DgpConfig | No
     except TypeError:
         raise ValueError(f"runs must be an iterable of (decision, truth) pairs, "
                          f"got {reprlib.repr(runs)}") from None
-    # row 0 is FDP, row 1 average power
-    total = squares = 0.0
-    n_runs, length = 0, None
+    moments = _Moments()
+    length = points = None
     for run in runs:
+        n_runs = moments.n_runs
         try:
             decision, truth = run
             pair = np.ndim(decision) == np.ndim(truth) == 1
@@ -293,30 +368,9 @@ def aggregate(runs, checkpoints, procedure: OnlineProcedure, dgp: DgpConfig | No
         if len(decision) != length:  # checked once per run length
             length = len(decision)
             points = check_checkpoints(checkpoints, length)
-        curves = np.array(_curves(decision, truth))[:, points - 1]
-        total += curves
-        squares += curves * curves
-        n_runs += 1
-    if n_runs == 0:
-        raise ValueError("no runs to aggregate")
-
-    n = float(n_runs)
-    mean = total / n
-    se = np.zeros_like(mean)
-    if n_runs > 1:
-        var = np.maximum(squares - n * mean * mean, 0.0) / (n - 1.0)
-        se = np.sqrt(var / n)
-    return MetricsReport(
-        checkpoints=points,
-        fdr=mean[0],
-        fdr_se=se[0],
-        power=mean[1],
-        power_se=se[1],
-        n_reps=n_runs,
-        dgp=dgp,
-        procedure_id=procedure.procedure_id,
-        evidence=evidence,
-    )
+        curves = np.array(_curves(decision, truth))
+        moments.add(curves if len(points) == length else curves[:, points - 1])
+    return moments.report(points, procedure, dgp, evidence)
 
 
 def replicate(
@@ -326,30 +380,42 @@ def replicate(
     checkpoints=None,
     evidence: str = "auto",
 ) -> MetricsReport:
-    """Monte-Carlo study: run ``n_reps`` independent streams and :func:`aggregate` them.
+    """Monte-Carlo study: run ``n_reps`` independent streams and aggregate them as
+    :func:`aggregate` does.
 
     Replicate r uses seed ``dgp.seed + r``, so ``report.dgp`` is the
     configuration of replicate 0.  Replicate 0 runs on ``procedure``, which is
     left fitted on that stream's evidence with its full history.  The rest run
     on one clone under the "decisions" history policy (see
     :mod:`scorefdr.procedures`): the clone records only the decisions, which
-    is all the curves read.  Every argument is checked before the first
-    stream is generated.
+    is all the curves read.  Streams are drawn and evaluated in blocks of
+    replicates (see the module notes), with the same bits as one replicate at
+    a time.  Every argument is checked before the first stream is generated.
     """
     n_reps = check_count(n_reps, "n_reps")
     evidence = resolve_evidence(procedure, evidence)
     if checkpoints is None:
         checkpoints = default_checkpoints(dgp.horizon)
-    points = check_checkpoints(checkpoints, dgp.horizon)
-
-    def runs():
-        proc, fit = procedure, procedure.fit
-        for r in range(n_reps):
-            if r == 1:
+    horizon = dgp.horizon
+    points = check_checkpoints(checkpoints, horizon)
+    per_block = max(1, _BLOCK_STEPS // horizon)
+    moments = _Moments()
+    proc, fit = procedure, procedure.fit
+    for first in range(0, n_reps, per_block):
+        count = min(per_block, n_reps - first)
+        block = _generate_block(replace(dgp, seed=dgp.seed + first), count, (evidence,))
+        values = block.evidence(evidence)
+        decisions = np.empty((count, horizon), dtype=bool)
+        for i in range(count):
+            if first + i == 1:
                 proc = procedure.clone()
                 fit = proc._fit_decisions
-            stream = generate(replace(dgp, seed=dgp.seed + r))
-            fit(stream.evidence(evidence))
-            yield proc.decision_, stream.truth
-
-    return aggregate(runs(), points, procedure, dgp, evidence)
+            fit(values[i])
+            decisions[i] = proc.decision_
+        # (count, 2, T): each run's FDP and power curves side by side
+        curves = np.stack(_curves(decisions, block.truth), axis=1)
+        if len(points) != horizon:
+            curves = curves[:, :, points - 1]
+        for run in curves:
+            moments.add(run)
+    return moments.report(points, procedure, dgp, evidence)

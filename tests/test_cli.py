@@ -1150,25 +1150,25 @@ class TestMain:
 
     def test_simulate_fits_each_replicate_once(self, tmp_path, capsys, monkeypatch):
         # the decisions CSV is replicate 0's ledger, not a fresh run of its stream
-        calls = {"generate": 0}
+        calls = {"replicates": 0}
         runs = []  # the steps of each kernel run over a stream
 
-        def generate(config):
-            calls["generate"] += 1
-            return sf.generate(config)
+        def generate_block(config, count=1, evidence=tuple(sf.simulation.STREAM_EVIDENCE),
+                           _generate_block=sf.simulation._generate_block):
+            calls["replicates"] += count
+            return _generate_block(config, count, evidence)
 
         def run(self, values, labels, _run=sf.OnlineProcedure._run):
             if values is not sf.procedures._NO_EVIDENCE:  # reset()'s run takes no step
                 runs.append(len(values))
             return _run(self, values, labels)
 
-        # the CLI imports generate by name, so both bindings are counted
-        monkeypatch.setattr("scorefdr.simulation.generate", generate)
-        monkeypatch.setattr("scorefdr.cli.generate", generate)
+        # every stream is drawn here: generate() is the block generator's one-replicate case
+        monkeypatch.setattr("scorefdr.simulation._generate_block", generate_block)
         monkeypatch.setattr(sf.OnlineProcedure, "_run", run)
         assert main(["simulate", "--procedure", "score-lord", "--horizon", "100",
                      "--replicates", "3", "--decisions-out", str(tmp_path / "d.csv")]) == 0
-        assert calls == {"generate": 3} and runs == [100, 100, 100]
+        assert calls == {"replicates": 3} and runs == [100, 100, 100]
 
     def test_simulate_with_a_lambda_that_underflows(self, capsys):
         # geometric(0.5) is 0.0 from step 1075 on: no e-value is a candidate there

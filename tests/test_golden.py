@@ -66,6 +66,46 @@ GENERATORS = {
 }
 
 
+#: A config of each DGP, at the default parameters and at other ones, and the
+#: SHA-256 of every array ``generate`` returns for it (``x0`` as ``float.hex``).
+STREAM_FIELDS = ("x", "truth", "x0", "evalue", "p_conditional", "p_marginal")
+GENERATED = {
+    "gaussian_mixture/3000": (
+        dict(dgp="gaussian_mixture", horizon=3000, seed=7),
+        "5d4041c4cdbf7f671dddd8034c40bf7e03475348ec8202875940ed4b3289c6d0"),
+    "gaussian_mixture/257": (
+        dict(dgp="gaussian_mixture", horizon=257, pi1=0.9, seed=123),
+        "de69d528312d5d08438a0c3558bf05f0ad34e0220201de89ce70706c1e901637"),
+    "ar_exponential/3000": (
+        dict(dgp="ar_exponential", horizon=3000, seed=7),
+        "08e2de2191573ce993d4cd5ac2591ce56cea84402b5aa409b2f129f4b5a00354"),
+    "ar_exponential/257": (
+        dict(dgp="ar_exponential", horizon=257, pi1=0.6, rho=2.0, mu_set=(1.5, 4.0, 50.0),
+             seed=123),
+        "e228465bbdebcc4f9ab0b20212aadcff90808becd7cb351cfe207f3fb4826162"),
+    "ar1_gaussian/3000": (
+        dict(dgp="ar1_gaussian", horizon=3000, seed=11),
+        "1f8ccd60b1a0b493bcc06c99a5fa28edb5f55ab422f058cc7355b47fbb9afd44"),
+    "ar1_gaussian/257": (
+        dict(dgp="ar1_gaussian", horizon=257, pi1=0.5, phi0=-0.7, phi1=1.2, seed=123),
+        "ff06928e3acc518cdafbf52b2a332d718e59f755e496ed24e906d8184b019f43"),
+}
+
+
+def stream_digest(stream: sf.GeneratedStream) -> str:
+    h = hashlib.sha256()
+    for name in STREAM_FIELDS:
+        value = getattr(stream, name)
+        h.update(name.encode())
+        if value is None:
+            h.update(b"none")
+        elif name == "x0":
+            h.update(float(value).hex().encode())
+        else:
+            h.update(value.dtype.str.encode() + value.tobytes())
+    return h.hexdigest()
+
+
 def _streams():
     e = sf.generate(sf.DgpConfig("gaussian_mixture", horizon=HORIZON, seed=7))
     p = sf.generate(sf.DgpConfig("ar1_gaussian", horizon=HORIZON, seed=11))
@@ -137,6 +177,16 @@ def test_generator_digest(dgp, seed, fields):
     stream = sf.generate(sf.DgpConfig(dgp, horizon=HORIZON, seed=seed))
     data = b"".join(getattr(stream, name).tobytes() for name in fields)
     assert hashlib.sha256(data).hexdigest() == GENERATORS[dgp]
+
+
+@pytest.mark.parametrize("key", GENERATED)
+def test_every_generated_array_digest(key):
+    # every array of every DGP, e-values and both p-values included, so that a
+    # rewrite of a generator cannot change a bit of any of them unnoticed
+    config, want = GENERATED[key]
+    stream = sf.generate(sf.DgpConfig(**config))
+    assert type(stream.x0) is float
+    assert stream_digest(stream) == want
 
 
 @pytest.mark.parametrize("path", [_run_fit, _run_step, _run_split],

@@ -259,7 +259,9 @@ ENTRY_POINTS = {
                     ("t must", "rejections must")),
     "weight_at.rejections": (lambda v: weight_at(sf.Schedule.constant(0.5), 5, v),
                              ("rejections must",)),
-    "Schedule.kind": (lambda v: sf.Schedule(v, (0.5,)), ("kind must",)),
+    # 'rai' is a kind too, which takes three parameters, not the one given here
+    "Schedule.kind": (lambda v: sf.Schedule(v, (0.5,)),
+                      ("kind must", "schedule kind 'rai' takes 3 parameter(s), got 1")),
     "Schedule.constant": (lambda v: sf.Schedule("constant", (v,)), ("constant value must",)),
     "Schedule.rai": (lambda v: sf.Schedule("rai", (0.05, v, 0.5)), ("rai phi must",)),
     "make_procedure.id": (lambda v: sf.make_procedure(v), ("unknown procedure",)),
@@ -323,6 +325,15 @@ def test_entry_point_runs_or_names_its_parameter(entry, value):
         assert any(phrase in str(exc) for phrase in phrases), str(exc)
 
 
+def test_a_kind_short_enough_to_draw_is_named_when_its_parameters_are_wrong():
+    # text of up to four characters can be 'rai', a kind that takes three parameters
+    call, phrases = ENTRY_POINTS["Schedule.kind"]
+    with pytest.raises(ValueError) as caught:
+        call("rai")
+    assert str(caught.value) == "schedule kind 'rai' takes 3 parameter(s), got 1"
+    assert any(phrase in str(caught.value) for phrase in phrases)
+
+
 class _Generated(Exception):
     """Raised by the stand-in generator: the arguments were accepted."""
 
@@ -334,11 +345,12 @@ def test_replicate_refuses_before_generating(name, value):
     kwargs = {"n_reps": 2, "checkpoints": [5], "evidence": "auto", name: value}
     calls = []
 
-    def generate(config):
+    def generate_block(config, count=1, evidence=()):
         calls.append(config)
         raise _Generated
 
-    with mock.patch.object(simulation, "generate", generate):
+    # replicate() draws its streams through the block generator
+    with mock.patch.object(simulation, "_generate_block", generate_block):
         try:
             sf.replicate(GM, build("e-lord"), **kwargs)
         except _Generated:

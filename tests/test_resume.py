@@ -171,7 +171,7 @@ def test_no_lifecycle_call_reads_the_instance_dict():
         proc.set_params(alpha=2.0)
     assert proc.alpha == 0.1
     proc.partial_fit(X)
-    for restored in (pickle.loads(pickle.dumps(proc)), copy.deepcopy(proc)):
+    for restored in (pickle.loads(pickle.dumps(proc)), copy.deepcopy(proc), copy.copy(proc)):
         assert type(restored) is _DictlessScoreLord and _state(restored) == _state(proc)
         restored.step(2.0)
     proc.step(2.0)
@@ -239,3 +239,20 @@ def test_resume_on_each_side_of_where_the_terms_stop(make, counts, stop, splits)
         assert _state(resumed) == whole, k
         stepped = pickle.loads(pickle.dumps(_steps(make(), X[:k], [None] * k, 0)))
         assert _state(_steps(stepped, X[k:], [None] * (n - k), k)) == whole, k
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("pid", sf.PROCEDURE_IDS)
+def test_a_shallow_copy_and_its_source_continue_apart(pid, chunk):
+    # each keeps its own history, so its state matches what it recorded
+    proc = sf.PROCEDURES[pid]()
+    kind = proc.evidence_kind
+    X = np.linspace(0.01, 1.0, 90) if kind == "p" else np.geomspace(0.1, 1e4, 90)
+    Y = X[::-1].copy()
+    with chunk_size(chunk):
+        head = proc.partial_fit(X[:40])
+        copied = copy.copy(head)
+        copied.partial_fit(Y[40:])
+        _steps(head, X[40:], [None] * 50, 40)
+        assert _state(head) == _state(sf.PROCEDURES[pid]().fit(X))
+        assert _state(copied) == _state(sf.PROCEDURES[pid]().fit(np.concatenate((X[:40], Y[40:]))))

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scorefdr as sf
 from scorefdr import simulation
@@ -179,9 +180,10 @@ class TestEvaluate:
 
 @pytest.fixture
 def generate_calls(monkeypatch):
-    """The configs ``replicate`` asks ``generate`` for; no stream is made."""
+    """The configs ``replicate`` asks the block generator for; no stream is made."""
     calls = []
-    monkeypatch.setattr(simulation, "generate", calls.append)
+    monkeypatch.setattr(simulation, "_generate_block",
+                        lambda config, count=1, evidence=(): calls.append(config))
     return calls
 
 
@@ -335,6 +337,43 @@ def test_replicate_matches_trajectory_path(pid, name):
     assert np.array_equal(report.fdr_se, fdr_se)
     assert np.array_equal(report.power, power)
     assert np.array_equal(report.power_se, power_se)
+
+
+#: Every DGP with every evidence it carries, and a procedure of that evidence's kind.
+_DGP_EVIDENCE = [("gaussian_mixture", "e", "score-lord"), ("ar_exponential", "e", "score-lord"),
+                 ("ar1_gaussian", "e", "score-plus-saffron"),
+                 ("ar1_gaussian", "p_conditional", "p-saffron"),
+                 ("ar1_gaussian", "p_marginal", "p-lord")]
+
+
+@pytest.mark.parametrize("name, evidence, pid", _DGP_EVIDENCE)
+@settings(max_examples=25, deadline=None)
+@given(horizon=st.integers(1, 60), spare=st.floats(0.0, 0.999), seed=st.integers(0, 2**32),
+       pi1=st.sampled_from([0.0, 0.3, 1.0]), every=st.booleans(), data=st.data())
+def test_blocks_change_no_bit(name, evidence, pid, horizon, spare, seed, pi1, every, data):
+    steps = np.arange(1, horizon + 1)
+    points = steps if every else np.array(sorted(data.draw(
+        st.sets(st.sampled_from(steps.tolist()), min_size=1))))
+    dgp = sf.DgpConfig(name, horizon=horizon, pi1=pi1, seed=seed)
+    proc = build(pid)
+    counts = []
+
+    def generate_block(config, count=1, evidence=(), _generate_block=simulation._generate_block):
+        counts.append(count)
+        return _generate_block(config, count, evidence)
+
+    with pytest.MonkeyPatch.context() as patch:
+        # two replicates to a block, so 5 replicates run as blocks of 2, 2 and 1
+        patch.setattr(simulation, "_BLOCK_STEPS", 2 * horizon + int(spare * horizon))
+        patch.setattr(simulation, "_generate_block", generate_block)
+        report = sf.replicate(dgp, proc, n_reps=5, checkpoints=points, evidence=evidence)
+    assert counts == [2, 2, 1]
+    want = _public_path_report(dgp, proc, 5, seed, evidence)
+    got = (report.fdr, report.fdr_se, report.power, report.power_se)
+    for got_curve, want_curve in zip(got, want):
+        assert got_curve.tobytes() == want_curve[points - 1].tobytes()
+    direct = build(pid).fit(sf.generate(dgp).evidence(evidence))
+    assert proc.trajectory().alpha.tobytes() == direct.trajectory().alpha.tobytes()
 
 
 def test_dominance_transfers_to_generated_streams():
